@@ -11,7 +11,8 @@
 //! to `--jobs 1` because every point owns its cache and trace sources
 //! and results are merged in a fixed order.
 
-use molcache_bench::experiments::{ablations, fig5, fig6, table1, table2, table4, table5};
+use molcache_bench::experiments::ablations::Ablations;
+use molcache_bench::experiments::{fig5, fig6, table1, table2, table4, table5};
 use molcache_bench::{Engine, ExperimentScale};
 use std::io::Write as _;
 
@@ -131,12 +132,9 @@ fn main() {
         write_json(&opts.json_dir, "table5", t.record().to_json());
     }
     if wants("ablations") {
-        println!("{}", ablations::run_with(scale, &engine));
-        write_json(
-            &opts.json_dir,
-            "ablations",
-            ablations::record_with(scale, &engine).to_json(),
-        );
+        let a = Ablations::measure(scale, &engine);
+        println!("{}", a.render());
+        write_json(&opts.json_dir, "ablations", a.record().to_json());
     }
     eprintln!(
         "done in {:.1}s ({} references per experiment, {} jobs)",

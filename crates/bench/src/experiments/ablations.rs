@@ -221,11 +221,11 @@ pub fn row_max(scale: ExperimentScale) -> Vec<AblationResult> {
 
 /// Renders the standard ablation table (variant, deviation, resize and
 /// starvation counters).
-fn ablation_table(first_col: &str, rows: Vec<AblationResult>) -> String {
+fn ablation_table(first_col: &str, rows: &[AblationResult]) -> String {
     let mut t = Table::new(vec![first_col, "avg deviation", "resizes", "starved"]);
     for r in rows {
         t.row(vec![
-            r.label,
+            r.label.clone(),
             fmt_f64(r.avg_deviation, 3),
             r.resize_rounds.to_string(),
             r.failed_allocations.to_string(),
@@ -234,64 +234,165 @@ fn ablation_table(first_col: &str, rows: Vec<AblationResult>) -> String {
     t.render()
 }
 
-/// A deferred ablation section (title plus the family run producing it).
-type Section = Box<dyn FnOnce() -> String + Send>;
+/// Every ablation, measured once: [`render`](Self::render) and
+/// [`record`](Self::record) read the same measurements.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ablations {
+    /// Ablation A: resize triggers.
+    pub triggers: Vec<AblationResult>,
+    /// Ablation B: initial allocation.
+    pub initial: Vec<AblationResult>,
+    /// Ablation C: growth chunk.
+    pub chunk: Vec<AblationResult>,
+    /// Ablation D: `(line factor, CRC miss rate)` pairs.
+    pub line_factor: Vec<(u32, f64)>,
+    /// Ablation E: replacement schemes.
+    pub schemes: Vec<AblationResult>,
+    /// Ablation F: molecule size.
+    pub molecule: Vec<AblationResult>,
+    /// Ablation G: configured way size (`row_max`).
+    pub rows: Vec<AblationResult>,
+    /// References simulated per point.
+    pub references: u64,
+}
+
+/// One ablation family's measurements, so that all seven fan out
+/// through a single [`Engine::run`].
+enum Family {
+    Deviation(Vec<AblationResult>),
+    LineFactor(Vec<(u32, f64)>),
+}
+
+impl Ablations {
+    /// Measures every ablation, fanning the independent families across
+    /// the engine's workers. The results do not depend on the worker
+    /// count.
+    pub fn measure(scale: ExperimentScale, engine: &Engine) -> Self {
+        type Job = Box<dyn FnOnce() -> Family + Send>;
+        let jobs: Vec<Job> = vec![
+            Box::new(move || Family::Deviation(resize_triggers(scale))),
+            Box::new(move || Family::Deviation(initial_allocation(scale))),
+            Box::new(move || Family::Deviation(growth_chunk(scale))),
+            Box::new(move || Family::LineFactor(line_size_factor(scale))),
+            Box::new(move || Family::Deviation(replacement_schemes(scale))),
+            Box::new(move || Family::Deviation(molecule_size(scale))),
+            Box::new(move || Family::Deviation(row_max(scale))),
+        ];
+        let mut line_factor = Vec::new();
+        let mut deviation = Vec::new();
+        for family in engine.run(jobs, |job| job()) {
+            match family {
+                Family::Deviation(rows) => deviation.push(rows),
+                Family::LineFactor(points) => line_factor = points,
+            }
+        }
+        let [triggers, initial, chunk, schemes, molecule, rows]: [Vec<AblationResult>; 6] =
+            deviation.try_into().expect("six deviation families");
+        Ablations {
+            triggers,
+            initial,
+            chunk,
+            line_factor,
+            schemes,
+            molecule,
+            rows,
+            references: scale.references(),
+        }
+    }
+
+    /// The combined report, one section per ablation.
+    pub fn render(&self) -> String {
+        let mut line_factor = Table::new(vec!["line factor", "CRC miss rate"]);
+        for (factor, mr) in &self.line_factor {
+            line_factor.row(vec![format!("{factor}x64B"), fmt_f64(*mr, 3)]);
+        }
+        [
+            format!(
+                "Ablation A: resize triggers (2MB)\n{}\n",
+                ablation_table("variant", &self.triggers)
+            ),
+            format!(
+                "Ablation B: initial allocation\n{}\n",
+                ablation_table("variant", &self.initial)
+            ),
+            format!(
+                "Ablation C: growth chunk\n{}\n",
+                ablation_table("variant", &self.chunk)
+            ),
+            format!("Ablation D: line-size factor\n{}\n", line_factor.render()),
+            format!(
+                "Ablation E: replacement schemes (incl. future-work LRU-Direct)\n{}\n",
+                ablation_table("scheme", &self.schemes)
+            ),
+            format!(
+                "Ablation F: molecule size (2MB total)\n{}\n",
+                ablation_table("variant", &self.molecule)
+            ),
+            format!(
+                "Ablation G: configured way size (row_max)\n{}",
+                ablation_table("variant", &self.rows)
+            ),
+        ]
+        .concat()
+    }
+
+    /// Machine-readable record of all ablations.
+    pub fn record(&self) -> ExperimentRecord {
+        fn deviation_results(prefix: &str, rows: &[AblationResult]) -> Vec<ConfigResult> {
+            rows.iter()
+                .map(|r| ConfigResult {
+                    label: format!("{prefix}:{}", r.label),
+                    metrics: vec![Metric::new("avg_deviation", r.avg_deviation)],
+                })
+                .collect()
+        }
+        fn resize_results(prefix: &str, rows: &[AblationResult]) -> Vec<ConfigResult> {
+            rows.iter()
+                .map(|r| ConfigResult {
+                    label: format!("{prefix}:{}", r.label),
+                    metrics: vec![
+                        Metric::new("avg_deviation", r.avg_deviation),
+                        Metric::new("resize_rounds", r.resize_rounds as f64),
+                    ],
+                })
+                .collect()
+        }
+        let line_factor = self
+            .line_factor
+            .iter()
+            .map(|(factor, mr)| ConfigResult {
+                label: format!("line_factor:{factor}"),
+                metrics: vec![Metric::new("crc_miss_rate", *mr)],
+            })
+            .collect();
+        let results = [
+            resize_results("trigger", &self.triggers),
+            resize_results("initial", &self.initial),
+            deviation_results("chunk", &self.chunk),
+            line_factor,
+            deviation_results("scheme", &self.schemes),
+            deviation_results("molecule", &self.molecule),
+            deviation_results("rows", &self.rows),
+        ]
+        .concat();
+        ExperimentRecord {
+            id: "ablations".into(),
+            workload: "SPEC4 on 2MB molecular / CRC streaming".into(),
+            references: self.references,
+            results,
+        }
+    }
+}
 
 /// Runs every ablation serially and renders a combined report.
 pub fn run(scale: ExperimentScale) -> String {
     run_with(scale, &Engine::serial())
 }
 
-/// Runs every ablation, fanning the independent families across the
-/// engine's workers, and renders the combined report. Section order (and
-/// every byte of the report) is independent of the worker count.
+/// Measures every ablation on the engine and renders the combined
+/// report (see [`Ablations`]).
 pub fn run_with(scale: ExperimentScale, engine: &Engine) -> String {
-    let sections: Vec<Section> = vec![
-        Box::new(move || {
-            format!(
-                "Ablation A: resize triggers (2MB)\n{}\n",
-                ablation_table("variant", resize_triggers(scale))
-            )
-        }),
-        Box::new(move || {
-            format!(
-                "Ablation B: initial allocation\n{}\n",
-                ablation_table("variant", initial_allocation(scale))
-            )
-        }),
-        Box::new(move || {
-            format!(
-                "Ablation C: growth chunk\n{}\n",
-                ablation_table("variant", growth_chunk(scale))
-            )
-        }),
-        Box::new(move || {
-            let mut t = Table::new(vec!["line factor", "CRC miss rate"]);
-            for (factor, mr) in line_size_factor(scale) {
-                t.row(vec![format!("{factor}x64B"), fmt_f64(mr, 3)]);
-            }
-            format!("Ablation D: line-size factor\n{}\n", t.render())
-        }),
-        Box::new(move || {
-            format!(
-                "Ablation E: replacement schemes (incl. future-work LRU-Direct)\n{}\n",
-                ablation_table("scheme", replacement_schemes(scale))
-            )
-        }),
-        Box::new(move || {
-            format!(
-                "Ablation F: molecule size (2MB total)\n{}\n",
-                ablation_table("variant", molecule_size(scale))
-            )
-        }),
-        Box::new(move || {
-            format!(
-                "Ablation G: configured way size (row_max)\n{}",
-                ablation_table("variant", row_max(scale))
-            )
-        }),
-    ];
-    engine.run(sections, |section| section()).concat()
+    Ablations::measure(scale, engine).render()
 }
 
 /// Machine-readable record of all ablations (serial).
@@ -299,54 +400,10 @@ pub fn record(scale: ExperimentScale) -> ExperimentRecord {
     record_with(scale, &Engine::serial())
 }
 
-/// Machine-readable record of all ablations, with the families fanned
-/// across the engine's workers.
+/// Measures every ablation on the engine and returns the
+/// machine-readable record (see [`Ablations`]).
 pub fn record_with(scale: ExperimentScale, engine: &Engine) -> ExperimentRecord {
-    fn deviation_results(prefix: &str, rows: Vec<AblationResult>) -> Vec<ConfigResult> {
-        rows.into_iter()
-            .map(|r| ConfigResult {
-                label: format!("{prefix}:{}", r.label),
-                metrics: vec![Metric::new("avg_deviation", r.avg_deviation)],
-            })
-            .collect()
-    }
-    fn resize_results(prefix: &str, rows: Vec<AblationResult>) -> Vec<ConfigResult> {
-        rows.into_iter()
-            .map(|r| ConfigResult {
-                label: format!("{prefix}:{}", r.label),
-                metrics: vec![
-                    Metric::new("avg_deviation", r.avg_deviation),
-                    Metric::new("resize_rounds", r.resize_rounds as f64),
-                ],
-            })
-            .collect()
-    }
-
-    type Family = Box<dyn FnOnce() -> Vec<ConfigResult> + Send>;
-    let families: Vec<Family> = vec![
-        Box::new(move || resize_results("trigger", resize_triggers(scale))),
-        Box::new(move || resize_results("initial", initial_allocation(scale))),
-        Box::new(move || deviation_results("chunk", growth_chunk(scale))),
-        Box::new(move || {
-            line_size_factor(scale)
-                .into_iter()
-                .map(|(factor, mr)| ConfigResult {
-                    label: format!("line_factor:{factor}"),
-                    metrics: vec![Metric::new("crc_miss_rate", mr)],
-                })
-                .collect()
-        }),
-        Box::new(move || deviation_results("scheme", replacement_schemes(scale))),
-        Box::new(move || deviation_results("molecule", molecule_size(scale))),
-        Box::new(move || deviation_results("rows", row_max(scale))),
-    ];
-    let results = engine.run(families, |family| family()).concat();
-    ExperimentRecord {
-        id: "ablations".into(),
-        workload: "SPEC4 on 2MB molecular / CRC streaming".into(),
-        references: scale.references(),
-        results,
-    }
+    Ablations::measure(scale, engine).record()
 }
 
 #[cfg(test)]
@@ -384,11 +441,15 @@ mod tests {
 
     #[test]
     fn combined_report_renders() {
-        let s = run(ExperimentScale::Custom(60_000));
+        let a = Ablations::measure(ExperimentScale::Custom(60_000), &Engine::serial());
+        let s = a.render();
         assert!(s.contains("Ablation A"));
         assert!(s.contains("Ablation D"));
         assert!(s.contains("Ablation E"));
         assert!(s.contains("LRU-Direct"));
+        let rec = a.record();
+        assert_eq!(rec.results.len(), 22, "every point of A-G recorded");
+        assert!(rec.results.iter().any(|r| r.label == "scheme:LRU-Direct"));
     }
 
     #[test]

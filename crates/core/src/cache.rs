@@ -118,7 +118,7 @@ impl MolecularCache {
         let lfsr = Lfsr16::new(cfg.seed as u16);
         let clusters_count = cfg.clusters();
         let tile_molecules = cfg.tile_molecules();
-        let tags = TagStore::new(molecules.len(), frames);
+        let tags = TagStore::new(molecules.len(), frames, tile_molecules);
         MolecularCache {
             cfg,
             molecules,

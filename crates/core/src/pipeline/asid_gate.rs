@@ -18,7 +18,8 @@ impl MolecularCache {
     /// Charges one ASID compare per molecule of the tile to `trace` and
     /// leaves the match bitmask in the reusable `gate` scratch
     /// [`GateMask`](crate::tags::GateMask) (cleared and refilled) for
-    /// the tag-probe stage to walk in tile order.
+    /// the tag-probe stage, which reads the tile's frame row for the
+    /// line four gated molecules at a time.
     pub(crate) fn asid_gate(&mut self, tile: TileId, asid: Asid, trace: &mut StageTrace) {
         let tile = &self.tiles[tile.index()];
         let capacity = tile.capacity();

@@ -19,9 +19,11 @@ impl MolecularCache {
     ///
     /// All gated molecules burn probe energy in the hardware's parallel
     /// lookup whether or not one hits, so the probe count is charged up
-    /// front from the mask's popcount; the bit walk itself can then
-    /// return on the first hit (a line is resident in at most one
-    /// molecule, so no later bit could also hit).
+    /// front from the mask's popcount; the probe itself
+    /// ([`TagStore::probe_gated`]) can then stop at the first gated
+    /// molecule, in ascending id order, that holds the line.
+    ///
+    /// [`TagStore::probe_gated`]: crate::tags::TagStore::probe_gated
     pub(crate) fn probe_gated(
         &mut self,
         line: LineAddr,
@@ -29,19 +31,8 @@ impl MolecularCache {
         trace: &mut StageTrace,
     ) -> Option<MoleculeId> {
         trace.tag_probes += self.gate.count();
-        let base = self.gate.word_base();
-        for (wi, &word) in self.gate.words().iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                let id = MoleculeId((((base + wi) << 2) + (bit >> 4)) as u32);
-                if self.tags.probe(id, line, is_write) {
-                    self.molecules[id.index()].record_hit();
-                    return Some(id);
-                }
-            }
-        }
-        None
+        let hit = self.tags.probe_gated(&self.gate, line, is_write)?;
+        self.molecules[hit.index()].record_hit();
+        Some(hit)
     }
 }

@@ -1,15 +1,9 @@
 //! Flat bit-packed tag storage for the whole cache.
 //!
-//! The seed tree kept each molecule's line frames in its own
-//! `Vec<LineFrame>` (three fields per frame behind one pointer
-//! indirection per molecule), so a home-tile probe chased one heap
-//! pointer per gated molecule. This module flattens all of that state
-//! into cache-global contiguous arrays indexed by
-//! `molecule * frames_per_molecule + frame`:
+//! All tag and gate state lives in cache-global contiguous arrays:
 //!
-//! * [`TagStore::words`] — one packed `u64` per line frame: bit 63 =
-//!   valid, bit 62 = dirty, bits 0–61 = tag
-//!   (`line / frames_per_molecule`);
+//! * `words` — one packed `u64` per line frame: bit 63 = valid,
+//!   bit 62 = dirty, bits 0–61 = tag (`line / frames_per_molecule`);
 //! * `asid_lanes` / `shared_lanes` — the per-molecule ASID-gate state
 //!   (§3.1), packed four 16-bit ASID lanes per `u64` word, with the
 //!   shared bit stored as the top bit of the corresponding lane.
@@ -19,9 +13,22 @@
 //! is a SWAR kernel ([`TagStore::gate_scan`]): each `u64` word compares
 //! four molecules' ASIDs against the requestor branchlessly (exact
 //! per-lane zero detection — no cross-lane borrows) and the matches come
-//! out as a bitmask ([`GateMask`]) the probe stage walks with
-//! `trailing_zeros`. No per-match pushes, no scratch `Vec`, and the
-//! whole gate of a 32-molecule tile is eight word operations.
+//! out as a bitmask ([`GateMask`]). The whole gate of a 32-molecule tile
+//! is eight word operations.
+//!
+//! The frame words are stored **frame-major within each tile**: frame
+//! `f` of molecule `m` (tile `t`, tile base `b`, `T` molecules per tile)
+//! sits at `(t * frames_per_molecule + f) * T + (m - b)`. A line maps to
+//! the same frame in every molecule, so the frames one lookup compares
+//! across a tile form a single contiguous row, laid out in the same
+//! order as the gate's lanes. The tag probe ([`TagStore::probe_gated`])
+//! computes that row once and tests four molecules per gate word — the
+//! host analogue of the hardware's parallel compare across the gated
+//! molecules. A molecule's own frames are therefore strided `T` words
+//! apart; the per-molecule walks ([`TagStore::invalidate_all`],
+//! [`TagStore::occupancy`], [`TagStore::resident_lines`]) run only on
+//! structural changes, at epoch close and in diagnostics, never per
+//! access, so the stride costs nothing on the access path.
 //! [`crate::molecule::Molecule`] retains only placement identity and
 //! per-molecule hit/miss counters.
 //!
@@ -66,13 +73,16 @@ fn zero_lanes(y: u64) -> u64 {
 
 /// The ASID gate's match bitmask over one tile's molecules: one bit per
 /// molecule (at its lane's top-bit position), produced by
-/// [`TagStore::gate_scan`] and consumed by the tag-probe stage.
+/// [`TagStore::gate_scan`] and consumed by the tag-probe stage
+/// ([`TagStore::probe_gated`]).
 ///
 /// The mask is a reusable scratch buffer: `gate_scan` clears and refills
 /// it, and after warm-up the backing storage never reallocates, keeping
 /// the gate allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct GateMask {
+    /// First molecule of the scanned range.
+    base: usize,
     /// Index of the first packed gate word covered (`base / LANES`).
     word_base: usize,
     /// One match word per covered gate word; a set bit at lane `l` of
@@ -87,6 +97,7 @@ impl GateMask {
     /// pre-reserved.
     pub fn with_capacity(capacity: usize) -> Self {
         GateMask {
+            base: 0,
             word_base: 0,
             words: Vec::with_capacity(capacity.div_ceil(LANES) + 1),
             count: 0,
@@ -97,18 +108,6 @@ impl GateMask {
     #[inline]
     pub fn count(&self) -> u32 {
         self.count
-    }
-
-    /// Index of the first packed gate word the mask covers.
-    #[inline]
-    pub fn word_base(&self) -> usize {
-        self.word_base
-    }
-
-    /// The per-word match bits.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// The matching molecule ids in ascending (= tile) order.
@@ -143,6 +142,16 @@ fn lane_range(base: usize, count: usize) -> (usize, usize, u64, u64) {
     (base >> LANE_SHIFT, last >> LANE_SHIFT, head, tail)
 }
 
+/// `log2(n)` when `n` is a power of two, else `u32::MAX`, which selects
+/// the generic div/mod path where the shift is used.
+fn shift_of(n: usize) -> u32 {
+    if n.is_power_of_two() {
+        n.trailing_zeros()
+    } else {
+        u32::MAX
+    }
+}
+
 /// The cache-global flat tag/state arrays (see the module docs).
 ///
 /// ```
@@ -150,7 +159,8 @@ fn lane_range(base: usize, count: usize) -> (usize, usize, u64, u64) {
 /// use molcache_core::ids::MoleculeId;
 /// use molcache_trace::{Asid, LineAddr};
 ///
-/// let mut t = TagStore::new(2, 128); // two molecules, 8KB / 64B each
+/// // Two one-molecule tiles of 8KB / 64B each.
+/// let mut t = TagStore::new(2, 128, 1);
 /// let m = MoleculeId(0);
 /// t.configure(m, Asid::new(1));
 /// assert!(t.matches(m, Asid::new(1)) && !t.matches(m, Asid::new(2)));
@@ -161,12 +171,17 @@ fn lane_range(base: usize, count: usize) -> (usize, usize, u64, u64) {
 pub struct TagStore {
     /// Line frames per molecule (uniform across the cache).
     frames_per_molecule: usize,
-    /// `log2(frames_per_molecule)` when it is a power of two (every
-    /// config the builder accepts has power-of-two molecule and line
-    /// sizes, so this is the universal case); `u32::MAX` selects the
-    /// generic div/mod path in [`slot`](Self::slot).
+    /// `log2(frames_per_molecule)`, or `u32::MAX` (see [`shift_of`]).
+    /// Every config the builder accepts has power-of-two molecule and
+    /// line sizes, so the shift is the universal case.
     frame_shift: u32,
-    /// Packed frame words, `molecule * frames_per_molecule + frame`.
+    /// Molecules per tile (uniform across the cache).
+    tile_molecules: usize,
+    /// `log2(tile_molecules)`, or `u32::MAX` (see [`shift_of`]).
+    tile_shift: u32,
+    /// Packed frame words, frame-major within each tile: frame `f` of
+    /// molecule `m` of tile `t` at
+    /// `(t * frames_per_molecule + f) * tile_molecules + m % tile_molecules`.
     words: Vec<u64>,
     /// Configured ASIDs, four 16-bit lanes per word
     /// ([`Asid::NONE`] = 0 when free).
@@ -179,22 +194,24 @@ pub struct TagStore {
 
 impl TagStore {
     /// Creates the flat store for `molecules` molecules of
-    /// `frames_per_molecule` line frames each, all invalid and
-    /// unassigned.
+    /// `frames_per_molecule` line frames each, grouped into tiles of
+    /// `tile_molecules` consecutive ids, all invalid and unassigned.
     ///
     /// # Panics
     ///
-    /// Panics if `frames_per_molecule == 0`.
-    pub fn new(molecules: usize, frames_per_molecule: usize) -> Self {
+    /// Panics if `frames_per_molecule == 0`, `tile_molecules == 0`, or
+    /// `molecules` is not a whole number of tiles.
+    pub fn new(molecules: usize, frames_per_molecule: usize, tile_molecules: usize) -> Self {
         assert!(frames_per_molecule > 0, "molecule needs at least one frame");
-        let frame_shift = if frames_per_molecule.is_power_of_two() {
-            frames_per_molecule.trailing_zeros()
-        } else {
-            u32::MAX
-        };
+        assert!(
+            tile_molecules > 0 && molecules.is_multiple_of(tile_molecules),
+            "molecules must form whole tiles"
+        );
         TagStore {
             frames_per_molecule,
-            frame_shift,
+            frame_shift: shift_of(frames_per_molecule),
+            tile_molecules,
+            tile_shift: shift_of(tile_molecules),
             words: vec![0; molecules * frames_per_molecule],
             // Out-of-range lanes of the last word stay NONE/unshared
             // forever and can never match a gate scan.
@@ -208,20 +225,45 @@ impl TagStore {
         self.frames_per_molecule
     }
 
+    /// The packed tag bits and the frame of `line` (the same frame in
+    /// every molecule: frames are direct-mapped).
+    #[inline]
+    fn tag_frame(&self, line: LineAddr) -> (u64, usize) {
+        let f = self.frames_per_molecule as u64;
+        let (tag, frame) = if self.frame_shift != u32::MAX {
+            (line.0 >> self.frame_shift, line.0 & (f - 1))
+        } else {
+            (line.0 / f, line.0 % f)
+        };
+        debug_assert!(tag & !TAG_MASK == 0, "tag overflows the 62 packed bits");
+        (tag, frame as usize)
+    }
+
+    /// The word index of frame 0 of `mol`; its frame `f` lies
+    /// `f * tile_molecules` words further on.
+    #[inline]
+    fn frame0(&self, mol: MoleculeId) -> usize {
+        let i = mol.index();
+        // The molecule's offset in its tile; `i - offset` is the tile base.
+        let offset = if self.tile_shift != u32::MAX {
+            i & (self.tile_molecules - 1)
+        } else {
+            i % self.tile_molecules
+        };
+        (i - offset) * self.frames_per_molecule + offset
+    }
+
+    /// The word indices of every frame of `mol`, in frame order.
+    fn frames_of(&self, mol: MoleculeId) -> impl Iterator<Item = usize> {
+        let (start, stride) = (self.frame0(mol), self.tile_molecules);
+        (0..self.frames_per_molecule).map(move |f| start + f * stride)
+    }
+
     /// The flat word index and packed tag bits of `line` in `mol`.
     #[inline]
     fn slot(&self, mol: MoleculeId, line: LineAddr) -> (usize, u64) {
-        let (tag, frame) = if self.frame_shift != u32::MAX {
-            (
-                line.0 >> self.frame_shift,
-                (line.0 & (self.frames_per_molecule as u64 - 1)) as usize,
-            )
-        } else {
-            let n = self.frames_per_molecule as u64;
-            (line.0 / n, (line.0 % n) as usize)
-        };
-        debug_assert!(tag & !TAG_MASK == 0, "tag overflows the 62 packed bits");
-        (mol.index() * self.frames_per_molecule + frame, tag)
+        let (tag, frame) = self.tag_frame(line);
+        (self.frame0(mol) + frame * self.tile_molecules, tag)
     }
 
     /// The raw 16-bit ASID lane of molecule `i`.
@@ -268,6 +310,7 @@ impl TagStore {
     /// the head/tail words to the in-range lanes.
     pub fn gate_scan(&self, base: usize, count: usize, asid: Asid, out: &mut GateMask) {
         out.words.clear();
+        out.base = base;
         out.word_base = base >> LANE_SHIFT;
         out.count = 0;
         if count == 0 {
@@ -362,10 +405,12 @@ impl TagStore {
     /// dirty frames (the writebacks this flush generates). Branchless:
     /// valid+dirty is one shift-and per word.
     pub fn invalidate_all(&mut self, mol: MoleculeId) -> u64 {
-        let base = mol.index() * self.frames_per_molecule;
-        let frames = &mut self.words[base..base + self.frames_per_molecule];
-        let dirty: u64 = frames.iter().map(|&w| (w >> 62) & (w >> 63) & 1).sum();
-        frames.fill(0);
+        let mut dirty = 0;
+        for i in self.frames_of(mol) {
+            let w = self.words[i];
+            dirty += (w >> 62) & (w >> 63) & 1;
+            self.words[i] = 0;
+        }
         dirty
     }
 
@@ -376,9 +421,11 @@ impl TagStore {
         w & VALID != 0 && w & TAG_MASK == tag
     }
 
-    /// The tag probe of one gated molecule: on a resident line returns
-    /// `true`, marking the frame dirty when `is_write` (write hit). A
-    /// miss mutates nothing.
+    /// The tag probe of one molecule: on a resident line returns `true`,
+    /// marking the frame dirty when `is_write` (write hit). A miss
+    /// mutates nothing. The memo front-end verifies its entries with it,
+    /// and it is the reference [`probe_gated`](Self::probe_gated) is
+    /// tested against.
     #[inline]
     pub fn probe(&mut self, mol: MoleculeId, line: LineAddr, is_write: bool) -> bool {
         let (idx, tag) = self.slot(mol, line);
@@ -391,6 +438,74 @@ impl TagStore {
         } else {
             false
         }
+    }
+
+    /// The tag probe over every molecule `gate` passed: returns the
+    /// first gated molecule, in ascending id order, holding `line`, and
+    /// marks that frame dirty when `is_write` (write hit). A miss
+    /// mutates nothing. Gives the same answer and leaves the same words
+    /// as calling [`probe`](Self::probe) on each gated molecule in
+    /// ascending order until one hits. The order matters: a shared
+    /// molecule's copy of a line can coexist with a member's copy.
+    ///
+    /// `gate` must come from a [`gate_scan`](Self::gate_scan) of one
+    /// whole tile. The tile's frames for `line` form one contiguous row
+    /// in gate-lane order, so each non-zero gate word tests its four
+    /// molecules' frames together, puts the results at the lane-top
+    /// bits, masks them with the gate word and takes the lowest hit.
+    /// A gate word that overlaps the tile boundary (a tile base or
+    /// capacity that is not a multiple of four) tests its gated lanes
+    /// one by one instead.
+    pub fn probe_gated(
+        &mut self,
+        gate: &GateMask,
+        line: LineAddr,
+        is_write: bool,
+    ) -> Option<MoleculeId> {
+        let (tag, frame) = self.tag_frame(line);
+        let want = VALID | tag;
+        let base = gate.base;
+        let end = base + self.tile_molecules;
+        debug_assert!(
+            base.is_multiple_of(self.tile_molecules),
+            "the gate must cover one whole tile"
+        );
+        // Word index of frame `frame` of the tile's first molecule: the
+        // start of the row; molecule `m`'s frame is at `row + m - base`.
+        let row = base * self.frames_per_molecule + frame * self.tile_molecules;
+        let mut first = gate.word_base << LANE_SHIFT;
+        for &g in &gate.words {
+            if g != 0 {
+                let hits = if first >= base && first + LANES <= end {
+                    let r = &self.words[row + first - base..][..LANES];
+                    let lane = |l: usize| u64::from(r[l] & !DIRTY == want) << (l * 16 + 15);
+                    (lane(0) | lane(1) | lane(2) | lane(3)) & g
+                } else {
+                    // The word overlaps the tile boundary: its lanes
+                    // outside the tile are never gated, and their frames
+                    // are not in this row, so test the gated lanes alone.
+                    let mut hits = 0;
+                    let mut rest = g;
+                    while rest != 0 {
+                        let bit = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        if self.words[row + first + (bit >> 4) - base] & !DIRTY == want {
+                            hits |= 1 << bit;
+                        }
+                    }
+                    hits
+                };
+                if hits != 0 {
+                    let m = first + (hits.trailing_zeros() as usize >> 4);
+                    if is_write {
+                        self.words[row + m - base] |= DIRTY;
+                    }
+                    return Some(MoleculeId(m as u32));
+                }
+            }
+            first += LANES;
+        }
+        None
     }
 
     /// Fills `line` into its direct-mapped frame of `mol`, evicting
@@ -421,35 +536,31 @@ impl TagStore {
     /// word-at-a-time valid-bit sum, like
     /// [`invalidate_all`](Self::invalidate_all).
     pub fn occupancy(&self, mol: MoleculeId) -> usize {
-        let base = mol.index() * self.frames_per_molecule;
-        self.words[base..base + self.frames_per_molecule]
-            .iter()
-            .map(|&w| (w >> 63) as usize)
+        self.frames_of(mol)
+            .map(|i| (self.words[i] >> 63) as usize)
             .sum()
     }
 
     /// The line addresses currently resident in `mol` (diagnostics /
     /// invariant checking): frame `i` holding tag `t` stores line
-    /// `t * frames + i`. One pass over the packed words; reconstruction
-    /// happens only for valid frames.
+    /// `t * frames + i`. One strided pass over the molecule's frames;
+    /// reconstruction happens only for valid frames.
     pub fn resident_lines(&self, mol: MoleculeId) -> impl Iterator<Item = LineAddr> + '_ {
         let n = self.frames_per_molecule as u64;
-        let base = mol.index() * self.frames_per_molecule;
-        self.words[base..base + self.frames_per_molecule]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, &w)| {
-                (w & VALID != 0).then_some(LineAddr((w & TAG_MASK) * n + i as u64))
-            })
+        self.frames_of(mol).enumerate().filter_map(move |(f, i)| {
+            let w = self.words[i];
+            (w & VALID != 0).then_some(LineAddr((w & TAG_MASK) * n + f as u64))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use molcache_trace::rng::Rng;
 
     fn store(frames: usize) -> (TagStore, MoleculeId) {
-        (TagStore::new(4, frames), MoleculeId(0))
+        (TagStore::new(4, frames, 4), MoleculeId(0))
     }
 
     /// The pre-SWAR scalar gate: one `matches` per molecule, ids pushed
@@ -489,7 +600,7 @@ mod tests {
     fn non_power_of_two_frames_take_the_generic_slot_path() {
         // 12 frames per molecule: the shift fast path must disengage and
         // the div/mod path must agree on placement and tags.
-        let mut t = TagStore::new(3, 12);
+        let mut t = TagStore::new(3, 12, 3);
         let m = MoleculeId(1);
         t.fill(m, LineAddr(12 + 5), true); // frame 5, tag 1
         assert!(t.lookup(m, LineAddr(17)));
@@ -529,7 +640,7 @@ mod tests {
     fn configure_preserves_lane_neighbours() {
         // All four molecules share one packed word: configuring one lane
         // must not disturb the others.
-        let mut t = TagStore::new(4, 8);
+        let mut t = TagStore::new(4, 8, 4);
         for i in 0..4u32 {
             t.configure(MoleculeId(i), Asid::new(100 + i as u16));
         }
@@ -544,7 +655,7 @@ mod tests {
 
     #[test]
     fn gate_scan_preserves_tile_order_and_isolation() {
-        let mut t = TagStore::new(4, 16);
+        let mut t = TagStore::new(4, 16, 4);
         t.configure(MoleculeId(0), Asid::new(2));
         t.configure(MoleculeId(1), Asid::new(1));
         t.configure(MoleculeId(3), Asid::new(1));
@@ -564,7 +675,7 @@ mod tests {
         // free molecules and shared bits across lane boundaries, then
         // compare SWAR and scalar gates for every (base, count, asid)
         // over a set of interesting ASIDs.
-        let mut t = TagStore::new(23, 4);
+        let mut t = TagStore::new(23, 4, 23);
         for i in 0..23u32 {
             let asid = match i % 5 {
                 0 => Asid::NONE,
@@ -606,7 +717,7 @@ mod tests {
         // Base 5 (lane 1 of word 1), count 6 (ends mid-word): the head
         // and tail masks must clip the out-of-range lanes even when they
         // would match.
-        let mut t = TagStore::new(16, 4);
+        let mut t = TagStore::new(16, 4, 16);
         for i in 0..16u32 {
             t.configure(MoleculeId(i), Asid::new(9));
         }
@@ -619,11 +730,69 @@ mod tests {
 
     #[test]
     fn gate_scan_empty_range_is_empty() {
-        let t = TagStore::new(8, 4);
+        let t = TagStore::new(8, 4, 8);
         let mut mask = GateMask::default();
         t.gate_scan(3, 0, Asid::new(1), &mut mask);
         assert_eq!(mask.count(), 0);
         assert_eq!(mask.iter().count(), 0);
+    }
+
+    #[test]
+    fn probe_gated_matches_per_molecule_reference_exhaustively() {
+        // Tile sizes 1-8 and 12, three tiles each: most tile bases fall
+        // off a 4-lane boundary and most tiles end mid-word, so gate words
+        // straddle tiles. Owners, shared bits and resident lines are
+        // random, lines drawn from a small pool so several molecules of a
+        // tile hold the same line. Every (tile, ASID, line, read/write)
+        // probe must return the molecule the reference returns — the
+        // first gated molecule, in ascending order, whose `probe` hits —
+        // and leave the frame words exactly as the reference leaves them.
+        const FRAMES: usize = 4;
+        const LINES: u64 = 16;
+        const TILES: usize = 3;
+        let asids = [Asid::NONE, Asid::new(1), Asid::new(2), Asid::new(3)];
+        let mut rng = Rng::seeded(0x7a65);
+        let (mut hits, mut misses) = (0, 0);
+        for tile in (1..=8).chain([12]) {
+            let molecules = TILES * tile;
+            for _round in 0..8 {
+                let mut fast = TagStore::new(molecules, FRAMES, tile);
+                for m in 0..molecules as u32 {
+                    fast.configure(MoleculeId(m), asids[rng.gen_index(3)]);
+                    fast.set_shared(MoleculeId(m), rng.gen_bool(0.25));
+                }
+                for _ in 0..molecules * FRAMES {
+                    let m = MoleculeId(rng.gen_index(molecules) as u32);
+                    fast.fill(m, LineAddr(rng.gen_range(LINES)), rng.gen_bool(0.5));
+                }
+                let mut slow = fast.clone();
+                let mut gate = GateMask::default();
+                for t in 0..TILES {
+                    for asid in asids {
+                        fast.gate_scan(t * tile, tile, asid, &mut gate);
+                        for line in (0..LINES).map(LineAddr) {
+                            for is_write in [false, true] {
+                                let got = fast.probe_gated(&gate, line, is_write);
+                                let want = gate.iter().find(|&m| slow.probe(m, line, is_write));
+                                let case = format!(
+                                    "tile size {tile}, tile {t}, asid {}, line {}, write {is_write}",
+                                    asid.raw(),
+                                    line.0
+                                );
+                                assert_eq!(got, want, "{case}");
+                                assert_eq!(fast.words, slow.words, "{case}");
+                                if got.is_some() {
+                                    hits += 1;
+                                } else {
+                                    misses += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(hits > 1000 && misses > 1000, "{hits} hits, {misses} misses");
     }
 
     #[test]
@@ -639,7 +808,7 @@ mod tests {
 
     #[test]
     fn shared_count_and_select() {
-        let mut t = TagStore::new(13, 4);
+        let mut t = TagStore::new(13, 4, 13);
         for i in [1u32, 4, 5, 9, 12] {
             t.set_shared(MoleculeId(i), true);
         }
@@ -655,7 +824,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fewer shared molecules")]
     fn nth_shared_out_of_range_panics() {
-        let mut t = TagStore::new(8, 4);
+        let mut t = TagStore::new(8, 4, 8);
         t.set_shared(MoleculeId(2), true);
         t.nth_shared(0, 8, 1);
     }
@@ -712,7 +881,7 @@ mod tests {
 
     #[test]
     fn molecules_are_isolated_slices() {
-        let mut t = TagStore::new(3, 8);
+        let mut t = TagStore::new(3, 8, 3);
         t.fill(MoleculeId(1), LineAddr(7), true);
         assert!(!t.lookup(MoleculeId(0), LineAddr(7)));
         assert!(!t.lookup(MoleculeId(2), LineAddr(7)));
@@ -751,6 +920,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_frames_panics() {
-        TagStore::new(4, 0);
+        TagStore::new(4, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole tiles")]
+    fn partial_tile_panics() {
+        TagStore::new(6, 4, 4);
     }
 }
