@@ -83,10 +83,9 @@ fn zero_lanes(y: u64) -> u64 {
 pub struct GateMask {
     /// First molecule of the scanned range.
     base: usize,
-    /// Index of the first packed gate word covered (`base / LANES`).
-    word_base: usize,
-    /// One match word per covered gate word; a set bit at lane `l` of
-    /// word `w` means molecule `(word_base + w) * LANES + l` matched.
+    /// One match word per covered gate word, from gate word
+    /// `base / LANES` on; a set bit at lane `l` of word `w` means
+    /// molecule `(base / LANES + w) * LANES + l` matched.
     words: Vec<u64>,
     /// Total matches (popcount of `words`).
     count: u32,
@@ -98,7 +97,6 @@ impl GateMask {
     pub fn with_capacity(capacity: usize) -> Self {
         GateMask {
             base: 0,
-            word_base: 0,
             words: Vec::with_capacity(capacity.div_ceil(LANES) + 1),
             count: 0,
         }
@@ -112,7 +110,7 @@ impl GateMask {
 
     /// The matching molecule ids in ascending (= tile) order.
     pub fn iter(&self) -> impl Iterator<Item = MoleculeId> + '_ {
-        let base = self.word_base;
+        let base = self.base >> LANE_SHIFT;
         self.words.iter().enumerate().flat_map(move |(wi, &word)| {
             let mut w = word;
             std::iter::from_fn(move || {
@@ -311,7 +309,6 @@ impl TagStore {
     pub fn gate_scan(&self, base: usize, count: usize, asid: Asid, out: &mut GateMask) {
         out.words.clear();
         out.base = base;
-        out.word_base = base >> LANE_SHIFT;
         out.count = 0;
         if count == 0 {
             return;
@@ -473,7 +470,8 @@ impl TagStore {
         // Word index of frame `frame` of the tile's first molecule: the
         // start of the row; molecule `m`'s frame is at `row + m - base`.
         let row = base * self.frames_per_molecule + frame * self.tile_molecules;
-        let mut first = gate.word_base << LANE_SHIFT;
+        // First molecule of the current gate word.
+        let mut first = base & !(LANES - 1);
         for &g in &gate.words {
             if g != 0 {
                 let hits = if first >= base && first + LANES <= end {
