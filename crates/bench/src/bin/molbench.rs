@@ -27,7 +27,7 @@
 //! split as unavailable and stay bit-identical on the access path.
 
 use molcache_bench::experiments::table2;
-use molcache_bench::harness::{molecular_cache, run_workload_on, Engine};
+use molcache_bench::harness::{molecular_cache, run_workload_on, workload_requests, Engine};
 use molcache_bench::machine::MachineInfo;
 use molcache_bench::report::{
     compare, floor_check, regressions, render_comparison, scale_fairness_warning, today_utc,
@@ -35,7 +35,7 @@ use molcache_bench::report::{
 };
 use molcache_bench::stopwatch::{machine_line, measure, measure_paired, section, Timing};
 use molcache_bench::workloads::{
-    cache_1mb, miss_storm_cache, miss_storm_requests, mixed12_requests, single_requests, SINGLES,
+    cache_1mb, miss_storm_cache, miss_storm_requests, single_requests, SINGLES,
 };
 use molcache_core::{MolecularCache, RegionPolicy};
 use molcache_serve::{replay, CacheService, ReplayOptions};
@@ -306,7 +306,7 @@ fn run_suite(args: &Args) -> Vec<WorkloadResult> {
     println!("{}", memo_line(&cache));
 
     section("mixed12");
-    let reqs = mixed12_requests(args.refs, args.seed);
+    let reqs = workload_requests(&Benchmark::MIXED12, args.refs, args.seed);
     let mut cache = table2::molecular_6mb(RegionPolicy::Randy, args.seed);
     cache.set_memo_front(args.memo);
     let t = measure(args.samples, args.budget, &mut || {
@@ -404,7 +404,7 @@ fn run_suite(args: &Args) -> Vec<WorkloadResult> {
 /// feature.
 fn run_stage_profile(args: &Args) -> Option<StageProfileRecord> {
     section("stage wall-time profile");
-    let reqs = mixed12_requests(args.refs, args.seed);
+    let reqs = workload_requests(&Benchmark::MIXED12, args.refs, args.seed);
     let mut cache = table2::molecular_6mb(RegionPolicy::Randy, args.seed);
     cache.set_memo_front(args.memo);
     cache.enable_stage_profiler(args.profile_every);

@@ -8,19 +8,39 @@
 //! With `--json DIR` each experiment also writes a machine-readable
 //! record as `DIR/<id>.json`. With `--jobs N` independent experiment
 //! points fan out over N worker threads; the output is byte-identical
-//! to `--jobs 1` because every point owns its cache and trace sources
-//! and results are merged in a fixed order.
+//! to `--jobs 1` because every point owns its cache, reads the trace its
+//! experiment built once before the fan-out, and results are merged in a
+//! fixed order. An unknown target or flag, or a flag without its value,
+//! exits 2 with a message.
 
 use molcache_bench::experiments::ablations::Ablations;
 use molcache_bench::experiments::{fig5, fig6, table1, table2, table4, table5};
 use molcache_bench::{Engine, ExperimentScale};
 use std::io::Write as _;
 
+/// The targets `repro` accepts, in run order.
+const TARGETS: [&str; 8] = [
+    "table1",
+    "fig5",
+    "table2",
+    "table4",
+    "fig6",
+    "table5",
+    "ablations",
+    "all",
+];
+
 struct Options {
     targets: Vec<String>,
     scale: ExperimentScale,
     json_dir: Option<String>,
     jobs: usize,
+}
+
+/// Rejects the command line: prints `msg` and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Options {
@@ -39,34 +59,30 @@ fn parse_args() -> Options {
                     "smoke" => ExperimentScale::Smoke,
                     "quick" => ExperimentScale::Quick,
                     "paper" => ExperimentScale::Paper,
-                    other => {
-                        eprintln!("unknown scale `{other}` (smoke|quick|paper)");
-                        std::process::exit(2);
-                    }
+                    other => usage_error(&format!("unknown scale `{other}` (smoke|quick|paper)")),
                 };
             }
             "--refs" => {
                 let v = args.next().unwrap_or_default();
                 match v.parse::<u64>() {
                     Ok(n) => opts.scale = ExperimentScale::Custom(n),
-                    Err(_) => {
-                        eprintln!("--refs expects a number, got `{v}`");
-                        std::process::exit(2);
-                    }
+                    Err(_) => usage_error(&format!("--refs expects a number, got `{v}`")),
                 }
             }
             "--jobs" => {
                 let v = args.next().unwrap_or_default();
                 match v.parse::<usize>() {
                     Ok(n) if n >= 1 => opts.jobs = n,
-                    _ => {
-                        eprintln!("--jobs expects a positive number, got `{v}`");
-                        std::process::exit(2);
-                    }
+                    _ => usage_error(&format!("--jobs expects a positive number, got `{v}`")),
                 }
             }
-            "--json" => opts.json_dir = args.next(),
-            other => opts.targets.push(other.to_string()),
+            "--json" => match args.next() {
+                Some(dir) if !dir.starts_with('-') => opts.json_dir = Some(dir),
+                _ => usage_error("--json expects a directory"),
+            },
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
+            target if TARGETS.contains(&target) => opts.targets.push(target.to_string()),
+            other => usage_error(&format!("unknown target `{other}` ({})", TARGETS.join("|"))),
         }
     }
     if opts.targets.is_empty() {

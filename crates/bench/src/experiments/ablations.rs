@@ -16,13 +16,15 @@
 //!   LRU-Direct scheme (§5: "a different scheme for replacements such as
 //!   an LRU-Direct scheme needs to be evaluated").
 
-use crate::harness::{asid_of, run_workload_on, run_workload_warmed, Engine, ExperimentScale};
+use crate::harness::{asid_of, replay_warmed, workload_requests, Engine, ExperimentScale};
 use molcache_core::{
     InitialAllocation, MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger,
 };
 use molcache_metrics::deviation::{average_deviation, MissRateGoal};
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::{fmt_f64, Table};
+use molcache_sim::cmp::run_requests;
+use molcache_sim::Request;
 use molcache_trace::presets::Benchmark;
 
 const GOAL: f64 = 0.10;
@@ -66,8 +68,10 @@ pub struct AblationResult {
     pub failed_allocations: u64,
 }
 
-fn measure(mut cache: MolecularCache, refs: u64, label: String) -> AblationResult {
-    let summary = run_workload_warmed(&Benchmark::SPEC4, &mut cache, refs, 42);
+/// Replays `spec4`, the SPEC4 trace (seed 42), through `cache` with the
+/// usual warm-up and scores it against the goal.
+fn measure(mut cache: MolecularCache, spec4: &[Request], label: String) -> AblationResult {
+    let summary = replay_warmed(spec4, &mut cache);
     let goals = MissRateGoal::uniform(GOAL);
     let avg = average_deviation(
         (0..4).map(|i| (asid_of(i), summary.app_miss_rate(asid_of(i)))),
@@ -82,8 +86,7 @@ fn measure(mut cache: MolecularCache, refs: u64, label: String) -> AblationResul
 }
 
 /// Ablation A: resize trigger schemes on a 2 MB molecular cache.
-pub fn resize_triggers(scale: ExperimentScale) -> Vec<AblationResult> {
-    let refs = scale.references();
+pub fn resize_triggers(spec4: &[Request]) -> Vec<AblationResult> {
     let variants: Vec<(&str, ResizeTrigger)> = vec![
         ("constant(25k)", ResizeTrigger::Constant { period: 25_000 }),
         (
@@ -105,14 +108,13 @@ pub fn resize_triggers(scale: ExperimentScale) -> Vec<AblationResult> {
             let cache = base_builder(2 << 20).build(|b| {
                 b.trigger(trigger);
             });
-            measure(cache, refs, label.to_string())
+            measure(cache, spec4, label.to_string())
         })
         .collect()
 }
 
 /// Ablation B: initial allocation (2 molecules vs half tile vs 32).
-pub fn initial_allocation(scale: ExperimentScale) -> Vec<AblationResult> {
-    let refs = scale.references();
+pub fn initial_allocation(spec4: &[Request]) -> Vec<AblationResult> {
     let variants: Vec<(&str, InitialAllocation)> = vec![
         ("2 molecules", InitialAllocation::Molecules(2)),
         ("half tile", InitialAllocation::HalfTile),
@@ -124,37 +126,36 @@ pub fn initial_allocation(scale: ExperimentScale) -> Vec<AblationResult> {
             let cache = base_builder(2 << 20).build(|b| {
                 b.initial_allocation(alloc);
             });
-            measure(cache, refs, label.to_string())
+            measure(cache, spec4, label.to_string())
         })
         .collect()
 }
 
 /// Ablation C: growth chunk (single-molecule vs quarter-tile chunks).
-pub fn growth_chunk(scale: ExperimentScale) -> Vec<AblationResult> {
-    let refs = scale.references();
+pub fn growth_chunk(spec4: &[Request]) -> Vec<AblationResult> {
     [1usize, 4, 16]
         .into_iter()
         .map(|chunk| {
             let cache = base_builder(2 << 20).build(|b| {
                 b.max_allocation(chunk);
             });
-            measure(cache, refs, format!("max_allocation={chunk}"))
+            measure(cache, spec4, format!("max_allocation={chunk}"))
         })
         .collect()
 }
 
 /// Ablation D: region line-size factor on a streaming-heavy application
-/// (CRC). Returns `(factor, miss_rate)` pairs — spatial locality should
-/// make larger blocks pay off.
-pub fn line_size_factor(scale: ExperimentScale) -> Vec<(u32, f64)> {
-    let refs = scale.references();
+/// (CRC). Each point drives `crc`, the CRC trace (seed 42), through a
+/// cold cache. Returns `(factor, miss_rate)` pairs — spatial locality
+/// should make larger blocks pay off.
+pub fn line_size_factor(crc: &[Request]) -> Vec<(u32, f64)> {
     [1u32, 2, 4]
         .into_iter()
         .map(|factor| {
             let mut cache = base_builder(2 << 20).build(|b| {
                 b.app_line_factor(asid_of(0), factor);
             });
-            let summary = run_workload_on(&[Benchmark::Crc], &mut cache, refs, 42);
+            let summary = run_requests(crc, &mut cache);
             (factor, summary.app_miss_rate(asid_of(0)))
         })
         .collect()
@@ -162,8 +163,7 @@ pub fn line_size_factor(scale: ExperimentScale) -> Vec<(u32, f64)> {
 
 /// Ablation E (the paper's §5 future work): replacement schemes on the
 /// SPEC4 workload at 2 MB — Random, Randy, and LRU-Direct.
-pub fn replacement_schemes(scale: ExperimentScale) -> Vec<AblationResult> {
-    let refs = scale.references();
+pub fn replacement_schemes(spec4: &[Request]) -> Vec<AblationResult> {
     [
         RegionPolicy::Random,
         RegionPolicy::Randy,
@@ -174,7 +174,7 @@ pub fn replacement_schemes(scale: ExperimentScale) -> Vec<AblationResult> {
         let cache = base_builder(2 << 20).build(|b| {
             b.policy(policy);
         });
-        measure(cache, refs, policy.to_string())
+        measure(cache, spec4, policy.to_string())
     })
     .collect()
 }
@@ -183,8 +183,7 @@ pub fn replacement_schemes(scale: ExperimentScale) -> Vec<AblationResult> {
 /// 8-32 KB). Smaller molecules give finer allocation granularity and
 /// cheaper probes; larger ones reduce per-access probe counts. Total
 /// capacity is held at 2 MB.
-pub fn molecule_size(scale: ExperimentScale) -> Vec<AblationResult> {
-    let refs = scale.references();
+pub fn molecule_size(spec4: &[Request]) -> Vec<AblationResult> {
     [8u64, 16, 32]
         .into_iter()
         .map(|kb| {
@@ -198,7 +197,7 @@ pub fn molecule_size(scale: ExperimentScale) -> Vec<AblationResult> {
                 .miss_rate_goal(GOAL)
                 .seed(42);
             let cache = MolecularCache::new(b.build().expect("molecule sweep geometry"));
-            measure(cache, refs, format!("{kb}KB molecules"))
+            measure(cache, spec4, format!("{kb}KB molecules"))
         })
         .collect()
 }
@@ -206,15 +205,14 @@ pub fn molecule_size(scale: ExperimentScale) -> Vec<AblationResult> {
 /// Ablation G: configured way size (`row_max`) of the Randy replacement
 /// view — the trade between per-row isolation (more rows) and
 /// associativity per row (fewer rows).
-pub fn row_max(scale: ExperimentScale) -> Vec<AblationResult> {
-    let refs = scale.references();
+pub fn row_max(spec4: &[Request]) -> Vec<AblationResult> {
     [2usize, 4, 8, 16]
         .into_iter()
         .map(|rows| {
             let cache = base_builder(2 << 20).build(|b| {
                 b.row_max(rows);
             });
-            measure(cache, refs, format!("row_max={rows}"))
+            measure(cache, spec4, format!("row_max={rows}"))
         })
         .collect()
 }
@@ -265,18 +263,25 @@ enum Family {
 
 impl Ablations {
     /// Measures every ablation, fanning the independent families across
-    /// the engine's workers. The results do not depend on the worker
-    /// count.
+    /// the engine's workers. The SPEC4 trace (seed 42) is built once and
+    /// replayed to the six deviation families; the line-factor family
+    /// builds its CRC trace once for its three points. The results do
+    /// not depend on the worker count.
     pub fn measure(scale: ExperimentScale, engine: &Engine) -> Self {
-        type Job = Box<dyn FnOnce() -> Family + Send>;
+        type Job<'a> = Box<dyn FnOnce() -> Family + Send + 'a>;
+        let refs = scale.references();
+        let spec4 = workload_requests(&Benchmark::SPEC4, refs, 42);
         let jobs: Vec<Job> = vec![
-            Box::new(move || Family::Deviation(resize_triggers(scale))),
-            Box::new(move || Family::Deviation(initial_allocation(scale))),
-            Box::new(move || Family::Deviation(growth_chunk(scale))),
-            Box::new(move || Family::LineFactor(line_size_factor(scale))),
-            Box::new(move || Family::Deviation(replacement_schemes(scale))),
-            Box::new(move || Family::Deviation(molecule_size(scale))),
-            Box::new(move || Family::Deviation(row_max(scale))),
+            Box::new(|| Family::Deviation(resize_triggers(&spec4))),
+            Box::new(|| Family::Deviation(initial_allocation(&spec4))),
+            Box::new(|| Family::Deviation(growth_chunk(&spec4))),
+            Box::new(|| {
+                let crc = workload_requests(&[Benchmark::Crc], refs, 42);
+                Family::LineFactor(line_size_factor(&crc))
+            }),
+            Box::new(|| Family::Deviation(replacement_schemes(&spec4))),
+            Box::new(|| Family::Deviation(molecule_size(&spec4))),
+            Box::new(|| Family::Deviation(row_max(&spec4))),
         ];
         let mut line_factor = Vec::new();
         let mut deviation = Vec::new();
@@ -296,7 +301,7 @@ impl Ablations {
             schemes,
             molecule,
             rows,
-            references: scale.references(),
+            references: refs,
         }
     }
 
@@ -410,16 +415,20 @@ pub fn record_with(scale: ExperimentScale, engine: &Engine) -> ExperimentRecord 
 mod tests {
     use super::*;
 
+    fn spec4(refs: u64) -> Vec<Request> {
+        workload_requests(&Benchmark::SPEC4, refs, 42)
+    }
+
     #[test]
     fn triggers_produce_three_variants() {
-        let rs = resize_triggers(ExperimentScale::Custom(250_000));
+        let rs = resize_triggers(&spec4(250_000));
         assert_eq!(rs.len(), 3);
         assert!(rs.iter().all(|r| r.resize_rounds > 0));
     }
 
     #[test]
     fn small_initial_allocation_resizes_more() {
-        let rs = initial_allocation(ExperimentScale::Custom(120_000));
+        let rs = initial_allocation(&spec4(120_000));
         let two = rs.iter().find(|r| r.label.starts_with("2 ")).unwrap();
         let half = rs.iter().find(|r| r.label.contains("half")).unwrap();
         // The paper: small initial partitions need frequent repartitions
@@ -430,7 +439,7 @@ mod tests {
 
     #[test]
     fn line_factor_reduces_streaming_misses() {
-        let pts = line_size_factor(ExperimentScale::Custom(120_000));
+        let pts = line_size_factor(&workload_requests(&[Benchmark::Crc], 120_000, 42));
         let mr1 = pts.iter().find(|(f, _)| *f == 1).unwrap().1;
         let mr4 = pts.iter().find(|(f, _)| *f == 4).unwrap().1;
         assert!(
@@ -454,7 +463,7 @@ mod tests {
 
     #[test]
     fn molecule_sizes_all_run() {
-        let rs = molecule_size(ExperimentScale::Custom(120_000));
+        let rs = molecule_size(&spec4(120_000));
         assert_eq!(rs.len(), 3);
         for r in &rs {
             assert!(r.avg_deviation.is_finite());
@@ -464,14 +473,14 @@ mod tests {
 
     #[test]
     fn row_max_sweep_runs() {
-        let rs = row_max(ExperimentScale::Custom(120_000));
+        let rs = row_max(&spec4(120_000));
         assert_eq!(rs.len(), 4);
         assert!(rs.iter().all(|r| r.avg_deviation.is_finite()));
     }
 
     #[test]
     fn lru_direct_is_competitive() {
-        let rs = replacement_schemes(ExperimentScale::Custom(200_000));
+        let rs = replacement_schemes(&spec4(200_000));
         assert_eq!(rs.len(), 3);
         let randy = rs.iter().find(|r| r.label == "Randy").unwrap();
         let lru = rs.iter().find(|r| r.label == "LRU-Direct").unwrap();

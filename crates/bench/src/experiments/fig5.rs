@@ -8,13 +8,13 @@
 //! can never reach 10 %, is left unconstrained), which is what moves the
 //! molecular cache's effectiveness threshold from 4 MB down to 2 MB.
 
-use crate::harness::{asid_of, run_workload_warmed, Engine, ExperimentScale};
+use crate::harness::{asid_of, replay_warmed, workload_requests, Engine, ExperimentScale};
 use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger};
 use molcache_metrics::deviation::{average_deviation, MissRateGoal};
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::{fmt_f64, Table};
 use molcache_sim::replacement::Policy;
-use molcache_sim::{CacheConfig, SetAssocCache};
+use molcache_sim::{CacheConfig, Request, SetAssocCache};
 use molcache_trace::presets::Benchmark;
 use molcache_trace::Asid;
 
@@ -126,23 +126,20 @@ pub fn molecular_for(graph: Graph, size: u64, policy: RegionPolicy) -> Molecular
     MolecularCache::new(builder.build().expect("figure geometry is valid"))
 }
 
-/// Runs one configuration at one size and returns its point.
-pub fn run_point(graph: Graph, size: u64, config: Config, scale: ExperimentScale) -> Point {
-    let refs = scale.references();
+/// Runs one configuration at one size on `requests`, the figure's SPEC4
+/// trace (seed 42), and returns its point.
+pub fn run_point(graph: Graph, requests: &[Request], size: u64, config: Config) -> Point {
     let (goals, scored) = goals_for(graph);
-    let miss_rates: Vec<f64> = match config {
+    let summary = match config {
         Config::Traditional(assoc) => {
             let cfg = CacheConfig::new(size, assoc, 64).expect("figure geometry valid");
-            let mut cache = SetAssocCache::new(cfg, Policy::Lru);
-            let summary = run_workload_warmed(&Benchmark::SPEC4, &mut cache, refs, 42);
-            (0..4).map(|i| summary.app_miss_rate(asid_of(i))).collect()
+            replay_warmed(requests, &mut SetAssocCache::new(cfg, Policy::Lru))
         }
         Config::Molecular(policy) => {
-            let mut cache = molecular_for(graph, size, policy);
-            let summary = run_workload_warmed(&Benchmark::SPEC4, &mut cache, refs, 42);
-            (0..4).map(|i| summary.app_miss_rate(asid_of(i))).collect()
+            replay_warmed(requests, &mut molecular_for(graph, size, policy))
         }
     };
+    let miss_rates: Vec<f64> = (0..4).map(|i| summary.app_miss_rate(asid_of(i))).collect();
     let avg = average_deviation(
         scored
             .iter()
@@ -162,8 +159,9 @@ pub fn run(graph: Graph, scale: ExperimentScale) -> Fig5 {
     run_with(graph, scale, &Engine::serial())
 }
 
-/// Runs the full figure for one graph, fanning the 24 (size, config)
-/// points across the engine's workers.
+/// Runs the full figure for one graph: builds the SPEC4 trace once and
+/// replays it to the 24 (size, config) points, fanned across the
+/// engine's workers.
 pub fn run_with(graph: Graph, scale: ExperimentScale, engine: &Engine) -> Fig5 {
     let mut grid = Vec::new();
     for size in SIZES {
@@ -171,7 +169,10 @@ pub fn run_with(graph: Graph, scale: ExperimentScale, engine: &Engine) -> Fig5 {
             grid.push((size, config));
         }
     }
-    let points = engine.run(grid, |(size, config)| run_point(graph, size, config, scale));
+    let requests = workload_requests(&Benchmark::SPEC4, scale.references(), 42);
+    let points = engine.run(grid, |(size, config)| {
+        run_point(graph, &requests, size, config)
+    });
     Fig5 {
         graph,
         points,
@@ -254,18 +255,9 @@ mod tests {
 
     #[test]
     fn traditional_deviation_decreases_with_size() {
-        let small = run_point(
-            Graph::A,
-            1 << 20,
-            Config::Traditional(4),
-            ExperimentScale::Custom(150_000),
-        );
-        let big = run_point(
-            Graph::A,
-            8 << 20,
-            Config::Traditional(4),
-            ExperimentScale::Custom(150_000),
-        );
+        let requests = workload_requests(&Benchmark::SPEC4, 150_000, 42);
+        let small = run_point(Graph::A, &requests, 1 << 20, Config::Traditional(4));
+        let big = run_point(Graph::A, &requests, 8 << 20, Config::Traditional(4));
         assert!(
             big.avg_deviation < small.avg_deviation,
             "big {} vs small {}",
@@ -278,9 +270,9 @@ mod tests {
     fn molecular_tracks_goal_at_large_size() {
         let p = run_point(
             Graph::A,
+            &workload_requests(&Benchmark::SPEC4, 400_000, 42),
             8 << 20,
             Config::Molecular(RegionPolicy::Randy),
-            ExperimentScale::Custom(400_000),
         );
         // mcf can never reach 10%, so its deviation (~0.6) dominates;
         // the other three should sit near the goal.

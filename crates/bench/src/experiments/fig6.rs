@@ -7,10 +7,11 @@
 //! its molecule usage ~5 % higher.
 
 use crate::experiments::table2::molecular_6mb;
-use crate::harness::{asid_of, run_workload_warmed, Engine, ExperimentScale};
+use crate::harness::{asid_of, replay_warmed, workload_requests, Engine, ExperimentScale};
 use molcache_core::RegionPolicy;
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::Table;
+use molcache_sim::Request;
 use molcache_trace::presets::Benchmark;
 
 /// Per-policy measurements.
@@ -37,9 +38,9 @@ pub struct Fig6 {
     pub references: u64,
 }
 
-fn run_policy(policy: RegionPolicy, refs: u64) -> PolicyResult {
+fn run_policy(policy: RegionPolicy, requests: &[Request]) -> PolicyResult {
     let mut cache = molecular_6mb(policy, 7);
-    let summary = run_workload_warmed(&Benchmark::MIXED12, &mut cache, refs, 7);
+    let summary = replay_warmed(requests, &mut cache);
     let snapshots = cache.snapshots();
     let hpm = (0..12)
         .map(|i| {
@@ -64,11 +65,13 @@ pub fn run(scale: ExperimentScale) -> Fig6 {
     run_with(scale, &Engine::serial())
 }
 
-/// Runs the figure, measuring the two policies concurrently.
+/// Runs the figure: builds the MIXED12 trace once and replays it to the
+/// two policies, measured concurrently.
 pub fn run_with(scale: ExperimentScale, engine: &Engine) -> Fig6 {
     let refs = scale.references();
+    let requests = workload_requests(&Benchmark::MIXED12, refs, 7);
     let mut results = engine.run(vec![RegionPolicy::Random, RegionPolicy::Randy], |p| {
-        run_policy(p, refs)
+        run_policy(p, &requests)
     });
     let randy = results.pop().expect("randy result");
     let random = results.pop().expect("random result");

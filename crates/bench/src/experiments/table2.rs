@@ -7,13 +7,13 @@
 //! cache with Randy replacement beats even the 8 MB 8-way, while Random
 //! replacement trails the 4 MB 4-way.
 
-use crate::harness::{asid_of, run_workload_warmed, Engine, ExperimentScale};
+use crate::harness::{asid_of, replay_warmed, workload_requests, Engine, ExperimentScale};
 use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger};
 use molcache_metrics::deviation::{average_deviation, MissRateGoal};
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::{fmt_f64, Table};
 use molcache_sim::replacement::Policy;
-use molcache_sim::{CacheConfig, SetAssocCache};
+use molcache_sim::{CacheConfig, Request, SetAssocCache};
 use molcache_trace::presets::Benchmark;
 
 /// The miss-rate goal of the experiment.
@@ -101,22 +101,17 @@ pub fn molecular_6mb_with_period(
     MolecularCache::new(builder.build().expect("table 2 geometry is valid"))
 }
 
-/// Runs one configuration.
-pub fn run_config(config: Config, scale: ExperimentScale) -> Row {
-    let refs = scale.references();
-    let miss_rates: Vec<f64> = match config {
+/// Runs one configuration on `requests`, the table's MIXED12 trace
+/// (seed 7).
+pub fn run_config(requests: &[Request], config: Config) -> Row {
+    let summary = match config {
         Config::Traditional(size, assoc) => {
             let cfg = CacheConfig::new(size, assoc, 64).expect("table 2 geometry");
-            let mut cache = SetAssocCache::new(cfg, Policy::Lru);
-            let summary = run_workload_warmed(&Benchmark::MIXED12, &mut cache, refs, 7);
-            (0..12).map(|i| summary.app_miss_rate(asid_of(i))).collect()
+            replay_warmed(requests, &mut SetAssocCache::new(cfg, Policy::Lru))
         }
-        Config::Molecular(policy) => {
-            let mut cache = molecular_6mb(policy, 7);
-            let summary = run_workload_warmed(&Benchmark::MIXED12, &mut cache, refs, 7);
-            (0..12).map(|i| summary.app_miss_rate(asid_of(i))).collect()
-        }
+        Config::Molecular(policy) => replay_warmed(requests, &mut molecular_6mb(policy, 7)),
     };
+    let miss_rates: Vec<f64> = (0..12).map(|i| summary.app_miss_rate(asid_of(i))).collect();
     let goals = MissRateGoal::uniform(GOAL);
     let avg = average_deviation((0..12).map(|i| (asid_of(i), miss_rates[i])), &goals);
     Row {
@@ -131,11 +126,12 @@ pub fn run(scale: ExperimentScale) -> Table2 {
     run_with(scale, &Engine::serial())
 }
 
-/// Runs the whole table, fanning the six configurations across the
-/// engine's workers.
+/// Runs the whole table: builds the MIXED12 trace once and replays it
+/// to the six configurations, fanned across the engine's workers.
 pub fn run_with(scale: ExperimentScale, engine: &Engine) -> Table2 {
+    let requests = workload_requests(&Benchmark::MIXED12, scale.references(), 7);
     Table2 {
-        rows: engine.run(Config::ALL.to_vec(), |c| run_config(c, scale)),
+        rows: engine.run(Config::ALL.to_vec(), |c| run_config(&requests, c)),
         references: scale.references(),
     }
 }
@@ -203,8 +199,8 @@ mod tests {
     #[test]
     fn rows_have_twelve_miss_rates() {
         let row = run_config(
+            &workload_requests(&Benchmark::MIXED12, 60_000, 7),
             Config::Traditional(4 << 20, 4),
-            ExperimentScale::Custom(60_000),
         );
         assert_eq!(row.miss_rates.len(), 12);
         assert!(row.avg_deviation >= 0.0);

@@ -8,7 +8,7 @@
 //! of a tile enabled) and its *average* power under the mixed workload
 //! (measured molecule-probe activity).
 
-use crate::harness::{asid_of, run_workload_warmed, Engine, ExperimentScale};
+use crate::harness::{asid_of, replay_warmed, workload_requests, Engine, ExperimentScale};
 use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger};
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::{fmt_f64, Table};
@@ -79,7 +79,8 @@ pub fn molecular_8mb(seed: u64) -> MolecularCache {
 /// power column).
 pub fn measure_activity(scale: ExperimentScale) -> Activity {
     let mut cache = molecular_8mb(7);
-    run_workload_warmed(&Benchmark::MIXED12, &mut cache, scale.references(), 7);
+    let requests = workload_requests(&Benchmark::MIXED12, scale.references(), 7);
+    replay_warmed(&requests, &mut cache);
     cache.activity()
 }
 

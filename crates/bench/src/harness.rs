@@ -1,11 +1,11 @@
 //! Shared experiment plumbing.
 
 use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger};
-use molcache_sim::cmp::{run_accesses, run_accesses_observed, RunSummary};
-use molcache_sim::CacheModel;
+use molcache_sim::cmp::{run_accesses, run_accesses_observed, run_requests, RunSummary};
+use molcache_sim::{CacheModel, Request};
 use molcache_telemetry::{Recorder, Sink, SinkHandle};
 use molcache_trace::gen::BoxedSource;
-use molcache_trace::interleave::Workload;
+use molcache_trace::interleave::{RoundRobin, Workload};
 use molcache_trace::presets::Benchmark;
 use molcache_trace::Asid;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,9 +16,11 @@ use std::sync::{Arc, Mutex};
 /// Each item is handed to exactly one worker thread (std scoped threads —
 /// no extra dependencies) and the results are merged back **in item
 /// order**, so the output of [`Engine::run`] is identical for any worker
-/// count. Every experiment point owns its cache and trace sources, which
-/// makes the work function pure given its item; parallelism therefore
-/// cannot change any measured number, only the wall clock.
+/// count. Every experiment point owns its cache and reads its requests
+/// from a trace the experiment built once before the fan-out and shares
+/// read-only, which makes the work function pure given its item;
+/// parallelism therefore cannot change any measured number, only the
+/// wall clock.
 #[derive(Debug)]
 pub struct Engine {
     jobs: usize,
@@ -197,6 +199,19 @@ pub fn molecular_cache(
     ))
 }
 
+/// The round-robin interleaving of a benchmark list's preset streams.
+/// ASIDs are assigned 1..=n in list order (matching
+/// [`molcache_trace::presets::workload`]).
+fn preset_round_robin(benchmarks: &[Benchmark], seed: u64) -> RoundRobin {
+    let sources: Vec<BoxedSource> = molcache_trace::presets::workload(benchmarks, seed)
+        .into_iter()
+        .map(|(_, src)| src)
+        .collect();
+    Workload::new(sources)
+        .expect("preset workload is valid")
+        .round_robin()
+}
+
 /// Runs a benchmark list round-robin through any cache model.
 ///
 /// ASIDs are assigned 1..=n in list order (matching
@@ -210,12 +225,27 @@ pub fn run_workload_on<C>(
 where
     C: CacheModel + ?Sized,
 {
-    let sources: Vec<BoxedSource> = molcache_trace::presets::workload(benchmarks, seed)
-        .into_iter()
-        .map(|(_, src)| src)
-        .collect();
-    let workload = Workload::new(sources).expect("preset workload is valid");
-    run_accesses(workload.round_robin(), cache, references)
+    run_accesses(preset_round_robin(benchmarks, seed), cache, references)
+}
+
+/// The first `references` requests of a benchmark list's round-robin
+/// interleaving, materialized so one experiment can replay the same
+/// trace to every configuration it compares.
+///
+/// # Panics
+///
+/// Panics if the streams end early. Preset streams never end, so every
+/// replay of the trace splits at the same warm-up boundary.
+pub fn workload_requests(benchmarks: &[Benchmark], references: u64, seed: u64) -> Vec<Request> {
+    let len = usize::try_from(references).expect("trace length fits in memory");
+    let mut requests = Vec::with_capacity(len);
+    requests.extend(
+        preset_round_robin(benchmarks, seed)
+            .take(len)
+            .map(Request::from),
+    );
+    assert_eq!(requests.len(), len, "preset streams never end");
+    requests
 }
 
 /// Fraction of an experiment's references used to warm the cache (and,
@@ -225,27 +255,17 @@ where
 /// studies of the paper's era discard cold-start transients.
 pub const WARMUP_FRACTION: f64 = 0.25;
 
-/// Like [`run_workload_on`], but drives `WARMUP_FRACTION` of the
-/// references first, resets the statistics, then measures the rest.
-pub fn run_workload_warmed<C>(
-    benchmarks: &[Benchmark],
-    cache: &mut C,
-    references: u64,
-    seed: u64,
-) -> RunSummary
+/// Drives the first [`WARMUP_FRACTION`] of `requests` through `cache`,
+/// resets the statistics, then measures the rest.
+pub fn replay_warmed<C>(requests: &[Request], cache: &mut C) -> RunSummary
 where
     C: CacheModel + ?Sized,
 {
-    let sources: Vec<BoxedSource> = molcache_trace::presets::workload(benchmarks, seed)
-        .into_iter()
-        .map(|(_, src)| src)
-        .collect();
-    let workload = Workload::new(sources).expect("preset workload is valid");
-    let mut stream = workload.round_robin();
-    let warm = (references as f64 * WARMUP_FRACTION) as u64;
-    run_accesses(&mut stream, cache, warm);
+    let warm = (requests.len() as f64 * WARMUP_FRACTION) as usize;
+    let (warmup, measured) = requests.split_at(warm);
+    run_requests(warmup, cache);
     cache.reset_stats();
-    run_accesses(&mut stream, cache, references - warm)
+    run_requests(measured, cache)
 }
 
 /// Like [`run_workload_on`], but publishes every access into `sink` (the
@@ -262,13 +282,13 @@ pub fn run_workload_recorded<C>(
 where
     C: CacheModel + ?Sized,
 {
-    let sources: Vec<BoxedSource> = molcache_trace::presets::workload(benchmarks, seed)
-        .into_iter()
-        .map(|(_, src)| src)
-        .collect();
-    let workload = Workload::new(sources).expect("preset workload is valid");
     let mut obs = sink.clone();
-    run_accesses_observed(workload.round_robin(), cache, references, &mut obs)
+    run_accesses_observed(
+        preset_round_robin(benchmarks, seed),
+        cache,
+        references,
+        &mut obs,
+    )
 }
 
 /// The ASID a benchmark receives by its position in the workload list.
@@ -306,6 +326,83 @@ mod tests {
         let summary = run_workload_on(&Benchmark::SPEC4, &mut cache, 20_000, 42);
         assert_eq!(summary.per_app.len(), 4);
         assert_eq!(summary.accesses(), 20_000);
+    }
+
+    /// The streaming warm-up split [`replay_warmed`] replaces: pull the
+    /// round-robin interleaving through [`run_accesses`] twice, resetting
+    /// the statistics in between.
+    fn streamed_warmed<C: CacheModel>(
+        benchmarks: &[Benchmark],
+        cache: &mut C,
+        references: u64,
+        seed: u64,
+    ) -> RunSummary {
+        let sources: Vec<BoxedSource> = molcache_trace::presets::workload(benchmarks, seed)
+            .into_iter()
+            .map(|(_, src)| src)
+            .collect();
+        let mut stream = Workload::new(sources).unwrap().round_robin();
+        let warm = (references as f64 * WARMUP_FRACTION) as u64;
+        run_accesses(&mut stream, cache, warm);
+        cache.reset_stats();
+        run_accesses(&mut stream, cache, references - warm)
+    }
+
+    fn assert_replay_matches_stream<C: CacheModel>(build: impl Fn() -> C) {
+        let requests = workload_requests(&Benchmark::SPEC4, 20_000, 42);
+        let mut replayed = build();
+        let mut streamed = build();
+        let summary = replay_warmed(&requests, &mut replayed);
+        assert_eq!(
+            summary,
+            streamed_warmed(&Benchmark::SPEC4, &mut streamed, 20_000, 42)
+        );
+        assert_eq!(summary.accesses(), 15_000);
+        assert_eq!(replayed.stats(), streamed.stats());
+        assert_eq!(replayed.activity(), streamed.activity());
+    }
+
+    #[test]
+    fn replay_warmed_matches_streaming_warmup() {
+        use crate::experiments::fig5::{molecular_for, Graph};
+        assert_replay_matches_stream(|| {
+            SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap())
+        });
+        assert_replay_matches_stream(|| molecular_for(Graph::A, 1 << 20, RegionPolicy::Randy));
+    }
+
+    /// 64-bit FNV-1a over each request's ASID, address and kind.
+    fn fnv1a(requests: &[Request]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for r in requests {
+            let kind = u8::from(r.kind == molcache_trace::AccessKind::Write);
+            let bytes = r.asid.raw().to_le_bytes().into_iter();
+            for b in bytes.chain(r.addr.raw().to_le_bytes()).chain([kind]) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Pins the experiments' traces: a generator change that moves one
+    /// address fails here before it moves a result record.
+    #[test]
+    fn workload_requests_digests_are_pinned() {
+        let pinned: [(&[Benchmark], u64, u64); 3] = [
+            (&Benchmark::SPEC4, 42, 0x55a0_1b74_516b_d954),
+            (&Benchmark::MIXED12, 7, 0x9953_986c_9a28_949d),
+            (&[Benchmark::Crc], 42, 0xfe6a_04c3_fc80_13a4),
+        ];
+        for (benchmarks, seed, digest) in pinned {
+            let requests = workload_requests(benchmarks, 50_000, seed);
+            assert_eq!(requests.len(), 50_000);
+            assert_eq!(
+                fnv1a(&requests),
+                digest,
+                "{benchmarks:?} seed {seed}: {:#018x}",
+                fnv1a(&requests)
+            );
+        }
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! arguments produce bit-identical streams on any host.
 
 use crate::experiments::table2;
-use crate::harness::molecular_cache;
+use crate::harness::{molecular_cache, workload_requests};
 use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger};
 use molcache_sim::Request;
-use molcache_trace::gen::{BoxedSource, TraceSource};
-use molcache_trace::interleave::Workload;
+use molcache_trace::gen::TraceSource;
 use molcache_trace::presets::Benchmark;
 use molcache_trace::rng::Rng;
 use molcache_trace::tenants::{interleave_chunked, tenant_traces};
@@ -49,20 +48,6 @@ pub fn single_requests(bm: Benchmark, n: u64, seed: u64) -> Vec<Request> {
     let mut src = bm.source(Asid::new(1), seed);
     src.collect_n(n as usize)
         .into_iter()
-        .map(Request::from)
-        .collect()
-}
-
-/// The MIXED12 round-robin interleaving as a replayable request vector.
-pub fn mixed12_requests(n: u64, seed: u64) -> Vec<Request> {
-    let sources: Vec<BoxedSource> = molcache_trace::presets::workload(&Benchmark::MIXED12, seed)
-        .into_iter()
-        .map(|(_, src)| src)
-        .collect();
-    Workload::new(sources)
-        .expect("preset workload is valid")
-        .round_robin()
-        .take(n as usize)
         .map(Request::from)
         .collect()
 }
@@ -165,7 +150,7 @@ pub fn build_workload(name: &str, refs: u64, seed: u64) -> Option<BuiltWorkload>
     let (cache, requests) = match name {
         "mixed12" => (
             table2::molecular_6mb_with_period(RegionPolicy::Randy, seed, TOURNEY_PERIOD),
-            mixed12_requests(refs, seed),
+            workload_requests(&Benchmark::MIXED12, refs, seed),
         ),
         "miss_storm" => {
             let mut cache = cache_1mb_with_period(seed, TOURNEY_PERIOD);

@@ -1,9 +1,10 @@
 //! Parallel runs must be byte-identical to serial runs.
 //!
-//! Every experiment point owns its cache and trace sources, so fanning
-//! points across workers cannot change any measured number. These tests
-//! pin that contract: the result *structs* (every miss rate, deviation
-//! and counter) and the *rendered tables* from `--jobs 4` must equal the
+//! Every experiment point owns its cache and reads the trace its
+//! experiment built once before the fan-out, so fanning points across
+//! workers cannot change any measured number. These tests pin that
+//! contract: the result *structs* (every miss rate, deviation and
+//! counter) and the *rendered tables* from `--jobs 4` must equal the
 //! `--jobs 1` output exactly.
 
 use molcache_bench::experiments::{ablations, fig5, fig6, table1, table2, table4, table5};

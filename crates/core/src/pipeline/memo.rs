@@ -43,6 +43,7 @@
 //! never enter the canonical telemetry export.
 
 use crate::cache::MolecularCache;
+#[cfg(feature = "memo-front")]
 use crate::ids::MoleculeId;
 use molcache_trace::{Asid, LineAddr};
 

@@ -129,6 +129,20 @@ where
     drive_batched(cache, limit, || it.next())
 }
 
+/// Drives a materialized request slice through `cache` in
+/// [`DRIVE_BATCH`]-sized slices, measuring only this window. The same
+/// requests through [`run_accesses`] produce the same cache and summary.
+pub fn run_requests<C>(requests: &[Request], cache: &mut C) -> RunSummary
+where
+    C: CacheModel + ?Sized,
+{
+    let before = cache.stats().clone();
+    for chunk in requests.chunks(DRIVE_BATCH) {
+        cache.access_batch(chunk);
+    }
+    RunSummary::from_stats(&cache.stats().since(&before))
+}
+
 /// Like [`run_accesses`], but reports every access to `obs`.
 pub fn run_accesses_observed<I, C, O>(
     accesses: I,
@@ -316,6 +330,27 @@ mod tests {
         assert_eq!(observed.stats(), batched.stats());
         assert_eq!(obs.events, LIMIT);
         assert_eq!(obs.latency, seen.total_latency());
+    }
+
+    #[test]
+    fn request_slice_driver_matches_streaming_driver() {
+        const LIMIT: usize = 2_500;
+        let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
+        let mut streamed = SetAssocCache::lru(cfg);
+        let expected = run_source(
+            Benchmark::Ammp.source(Asid::new(1), 5),
+            &mut streamed,
+            LIMIT as u64,
+        );
+        let requests: Vec<Request> = Benchmark::Ammp
+            .source(Asid::new(1), 5)
+            .collect_n(LIMIT)
+            .into_iter()
+            .map(Request::from)
+            .collect();
+        let mut replayed = SetAssocCache::lru(cfg);
+        assert_eq!(run_requests(&requests, &mut replayed), expected);
+        assert_eq!(replayed.stats(), streamed.stats());
     }
 
     #[test]
