@@ -18,7 +18,7 @@ use molcache_bench::experiments::{fig5, fig6, table1, table2, table4, table5};
 use molcache_bench::{Engine, ExperimentScale};
 use std::io::Write as _;
 
-/// The targets `repro` accepts, in run order.
+/// The targets `repro` accepts: every experiment in run order, then `all`.
 const TARGETS: [&str; 8] = [
     "table1",
     "fig5",
