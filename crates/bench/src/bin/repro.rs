@@ -10,8 +10,8 @@
 //! points fan out over N worker threads; the output is byte-identical
 //! to `--jobs 1` because every point owns its cache, reads the trace its
 //! experiment built once before the fan-out, and results are merged in a
-//! fixed order. An unknown target or flag, or a flag without its value,
-//! exits 2 with a message.
+//! fixed order. An unknown target or flag, a flag without its value, or
+//! a bad value (`--refs 0`, `--jobs 0`) exits 2 with a message.
 
 use molcache_bench::experiments::ablations::Ablations;
 use molcache_bench::experiments::{fig5, fig6, table1, table2, table4, table5};
@@ -65,7 +65,8 @@ fn parse_args() -> Options {
             "--refs" => {
                 let v = args.next().unwrap_or_default();
                 match v.parse::<u64>() {
-                    Ok(n) => opts.scale = ExperimentScale::Custom(n),
+                    Ok(n) if n >= 1 => opts.scale = ExperimentScale::Custom(n),
+                    Ok(_) => usage_error("--refs expects a positive number, got `0`"),
                     Err(_) => usage_error(&format!("--refs expects a number, got `{v}`")),
                 }
             }

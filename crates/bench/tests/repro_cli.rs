@@ -42,6 +42,7 @@ fn json_without_directory_is_rejected() {
 fn bad_flag_values_are_rejected() {
     assert_rejected(&["--jobs", "0"], "--jobs expects a positive number");
     assert_rejected(&["--refs", "many"], "--refs expects a number");
+    assert_rejected(&["--refs", "0"], "--refs expects a positive number");
     assert_rejected(&["--scale", "huge"], "unknown scale `huge`");
 }
 

@@ -17,7 +17,7 @@ use crate::profiler::StageWallProfile;
 use crate::region::Region;
 use crate::region_table::RegionTable;
 use crate::stats::RegionSnapshot;
-use crate::tags::{GateMask, TagStore};
+use crate::tags::TagStore;
 use crate::tile::{Tile, TileCluster};
 use molcache_sim::{
     AccessOutcome, Activity, BatchOutcome, CacheModel, CacheStats, Request, StageBreakdown,
@@ -60,17 +60,16 @@ pub struct MolecularCache {
     pub(crate) epoch_index: u64,
     pub(crate) epoch_stats_base: CacheStats,
     pub(crate) epoch_activity_base: Activity,
-    /// Scratch match bitmask the ASID gate hands to the tag-probe stage
-    /// (reused across accesses to keep the gate allocation-free).
-    pub(crate) gate: GateMask,
     /// Structural-topology generation: bumped by
     /// [`note_structural_change`](Self::note_structural_change) on every
     /// grant/shrink/release/re-home/shared-bit/flush event. Regions stamp
-    /// their cached Ulmo search lists with it; a stale stamp forces a
-    /// lazy rebuild. Starts at 1 so a 0 stamp always reads as stale.
+    /// their cached Ulmo search lists and gate masks with it; a stale
+    /// stamp forces a lazy rebuild. Starts at 1 so a 0 stamp always
+    /// reads as stale.
     pub(crate) structure_generation: u64,
-    /// Runtime toggle for the cached Ulmo search lists (off = rebuild
-    /// the list on every launched search, the pre-cache behaviour).
+    /// Runtime toggle for the cached Ulmo search lists and gate masks
+    /// (off = rebuild the list and rescan every gate on every access,
+    /// the pre-cache behaviour).
     pub(crate) search_cache_enabled: bool,
     /// Wall-time stage sampler (only with the `stage-profiler` feature;
     /// default builds carry no sampler state at all).
@@ -140,7 +139,6 @@ impl MolecularCache {
             epoch_index: 0,
             epoch_stats_base: CacheStats::new(),
             epoch_activity_base: Activity::default(),
-            gate: GateMask::with_capacity(tile_molecules),
             structure_generation: 1,
             search_cache_enabled: true,
             #[cfg(feature = "stage-profiler")]
@@ -163,9 +161,12 @@ impl MolecularCache {
 
     /// Records a structural change to the cache topology — any
     /// grant/shrink/release/re-home/shared-bit/flush event. One bump
-    /// lazily invalidates every region's cached Ulmo search list (their
-    /// generation stamps stop matching) and drops the memoization
-    /// front-end's entries the same way. The runtime memo toggle
+    /// lazily invalidates every region's cached Ulmo search list and
+    /// gate masks (their generation stamps stop matching) and drops the
+    /// memoization front-end's entries the same way. The cached gate
+    /// masks make the bump a correctness requirement in every build:
+    /// any call that writes an ASID lane or a shared bit, or moves a
+    /// home tile, must make it. The runtime memo toggle
     /// ([`set_memo_front`](Self::set_memo_front)) is *not* structural:
     /// it bumps only the memo's own generation.
     #[inline]
@@ -552,7 +553,7 @@ impl MolecularCache {
             }
         }
 
-        let home = self.regions[&asid].home_tile();
+        let home = self.refresh_lookup_cache(asid);
         let mut stages = StageBreakdown::default();
 
         // Stage 1 — ASID gate, stage 2 — home-tile tag probe.
@@ -563,13 +564,13 @@ impl MolecularCache {
             self,
             sampled,
             0,
-            self.asid_gate(home, asid, &mut stages.asid_gate)
+            self.asid_gate(asid, 0, &mut stages.asid_gate)
         );
         if let Some(hit_mol) = timed_stage!(
             self,
             sampled,
             1,
-            self.probe_gated(line, is_write, &mut stages.home_lookup)
+            self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup)
         ) {
             #[cfg(feature = "memo-front")]
             self.memo_note_home_hit(asid, line, hit_mol);

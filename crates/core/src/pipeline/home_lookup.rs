@@ -9,13 +9,14 @@
 use crate::cache::MolecularCache;
 use crate::ids::MoleculeId;
 use molcache_sim::StageTrace;
-use molcache_trace::LineAddr;
+use molcache_trace::{Asid, LineAddr};
 
 impl MolecularCache {
-    /// Probes the gated molecules (the bitmask left in `gate` by the
-    /// ASID gate) for `line`, charging one tag probe per gated molecule
-    /// to `trace`. On a hit the molecule's line state is updated (touch
-    /// or mark-dirty) and its id returned.
+    /// Probes the molecules gated for `asid` in its region's lookup
+    /// slot `slot` (the cached mask the ASID gate made current) for
+    /// `line`, charging one tag probe per gated molecule to `trace`. On
+    /// a hit the molecule's line state is updated (touch or mark-dirty)
+    /// and its id returned.
     ///
     /// All gated molecules burn probe energy in the hardware's parallel
     /// lookup whether or not one hits, so the probe count is charged up
@@ -26,12 +27,15 @@ impl MolecularCache {
     /// [`TagStore::probe_gated`]: crate::tags::TagStore::probe_gated
     pub(crate) fn probe_gated(
         &mut self,
+        asid: Asid,
+        slot: usize,
         line: LineAddr,
         is_write: bool,
         trace: &mut StageTrace,
     ) -> Option<MoleculeId> {
-        trace.tag_probes += self.gate.count();
-        let hit = self.tags.probe_gated(&self.gate, line, is_write)?;
+        let gate = self.regions[&asid].gate(slot);
+        trace.tag_probes += gate.count();
+        let hit = self.tags.probe_gated(gate, line, is_write)?;
         self.molecules[hit.index()].record_hit();
         Some(hit)
     }

@@ -322,7 +322,7 @@ impl MolecularCache {
     #[inline]
     pub(crate) fn memo_note_home_hit(&mut self, asid: Asid, line: LineAddr, hit_mol: MoleculeId) {
         if self.memo.enabled && !self.tags.is_shared(hit_mol) {
-            let gate_count = self.gate.count();
+            let gate_count = self.regions[&asid].gate(0).count();
             self.memo.insert(asid, line, hit_mol, gate_count);
         }
     }

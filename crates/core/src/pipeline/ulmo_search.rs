@@ -40,12 +40,11 @@ impl MolecularCache {
     /// or `None` on a cache-wide miss or when no search was launched
     /// (distinguishable by `trace.cycles`).
     ///
-    /// The search list comes from the region's cached [`TileList`]
-    /// (`crate::search_list`), rebuilt here only when its generation
-    /// stamp is stale — one membership walk per structural change
-    /// instead of one allocation + sort per miss. With the cache
-    /// disabled the stamp is pinned to the never-current 0, so every
-    /// launched search rebuilds (the pre-cache behaviour).
+    /// The search list is the region's cached [`TileList`]
+    /// (`crate::search_list`), which
+    /// [`refresh_lookup_cache`](Self::refresh_lookup_cache) brought up
+    /// to date at the start of the access — one membership walk per
+    /// structural change instead of one allocation + sort per miss.
     ///
     /// [`TileList`]: crate::search_list::TileList
     pub(crate) fn ulmo_search(
@@ -55,34 +54,17 @@ impl MolecularCache {
         is_write: bool,
         trace: &mut StageTrace,
     ) -> Option<MoleculeId> {
-        let generation = if self.search_cache_enabled {
-            self.structure_generation
-        } else {
-            0
-        };
-        // Disjoint field borrows: membership is read from the region
-        // while the list inside the same region is rewritten — no
-        // intermediate collect needed.
-        let molecules = &self.molecules;
-        let region = self.regions.get_mut(&asid).expect("region");
-        if generation == 0 || region.search_generation() != generation {
-            region.rebuild_search_list(generation, |id| molecules[id.index()].tile());
-        }
-        let tiles = region.search_tiles().len();
+        let tiles = self.regions[&asid].search_tiles().len();
         if tiles == 0 {
             return None;
         }
         self.activity.ulmo_searches += 1;
         trace.cycles += self.cfg.ulmo_penalty;
-        for i in 0..tiles {
-            // Re-fetch through the dense region table each iteration:
-            // `asid_gate`/`probe_gated` need `&mut self`, so the list
-            // cannot stay borrowed across them. The table lookup is one
-            // array index, and the list cannot change mid-search (gating
-            // and probing are structurally read-only).
-            let tile = self.regions[&asid].search_tiles()[i];
-            self.asid_gate(tile, asid, trace);
-            if let Some(hit_mol) = self.probe_gated(line, is_write, trace) {
+        // Lookup slot `1 + i` is search tile `i`; the list cannot change
+        // mid-search (gating and probing are structurally read-only).
+        for slot in 1..=tiles {
+            self.asid_gate(asid, slot, trace);
+            if let Some(hit_mol) = self.probe_gated(asid, slot, line, is_write, trace) {
                 return Some(hit_mol);
             }
         }

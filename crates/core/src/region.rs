@@ -56,10 +56,16 @@ pub struct Region {
     lifetime_hits: u64,
     /// Last-hit clock per molecule (LRU-Direct replacement state).
     pub(crate) recency: std::collections::BTreeMap<MoleculeId, u64>,
-    // --- cached Ulmo search list (see `crate::search_list`) ---
+    // --- cached Ulmo search list and gate masks (see `crate::search_list`) ---
     /// Remote tiles holding member molecules, sorted ascending.
     pub(crate) search_tiles: crate::search_list::TileList,
-    /// Structural generation the list was built under (0 = stale).
+    /// ASID-gate masks of the tiles lookups visit: slot 0 is the home
+    /// tile, slot `1 + i` the `i`-th search tile. Only the first
+    /// `gates_filled` are current; the rest keep their storage.
+    pub(crate) gates: Vec<crate::tags::GateMask>,
+    pub(crate) gates_filled: usize,
+    /// Structural generation the list and masks were built under
+    /// (0 = stale).
     pub(crate) search_generation: u64,
 }
 
@@ -94,6 +100,8 @@ impl Region {
             lifetime_hits: 0,
             recency: std::collections::BTreeMap::new(),
             search_tiles: crate::search_list::TileList::default(),
+            gates: Vec::new(),
+            gates_filled: 0,
             search_generation: 0,
         }
     }

@@ -1,4 +1,4 @@
-//! Cached Ulmo search lists.
+//! Cached Ulmo search lists and ASID-gate masks.
 //!
 //! Ulmo's cross-tile search (§3.2) needs the set of remote tiles that
 //! hold molecules of the requesting region. The seed derived it on every
@@ -6,29 +6,42 @@
 //! fresh `Vec`, sort, dedup — which made each home-tile miss allocate
 //! and sort. The set only changes when region *membership* or the home
 //! tile changes, both of which are structural events that already bump
-//! the cache's generation counter, so this module applies the PR-7
-//! memoization recipe to the search list itself:
+//! the cache's generation counter, so this module applies the memo
+//! front-end's generation-stamp recipe to the search list itself:
 //!
 //! * each [`Region`] carries a [`TileList`] — a small inline array (no
 //!   heap for clusters of up to 16 tiles, the paper-scale case) of its
 //!   remote search tiles in ascending tile order, stamped with the
 //!   structural generation it was built under;
 //! * [`MolecularCache::note_structural_change`] bumps the generation, so
-//!   a stale stamp is detected lazily on the next launched search and
+//!   a stale stamp is detected lazily on the region's next access and
 //!   the list rebuilt once, not per miss;
 //! * with the runtime toggle off
 //!   ([`set_search_cache`](MolecularCache::set_search_cache)) every
-//!   launched search rebuilds — exactly the pre-cache behaviour — which
-//!   the `search_list_property` suite uses to prove on-vs-off
-//!   equivalence.
+//!   access rebuilds — exactly the pre-cache behaviour — which the
+//!   `search_list_property` suite uses to prove on-vs-off equivalence.
+//!
+//! The same stamp guards the region's **gate masks**. The §3.1 ASID
+//! gate's match set on a tile changes only when a molecule's ASID lane
+//! or shared bit is written, and every path that writes one (grant,
+//! shrink, release, flush, `make_shared`) bumps the generation in the
+//! same call, as does a re-home. So the region keeps one
+//! [`GateMask`] per tile its lookups visit — the home tile, then each
+//! search tile in list order — filled by [`TagStore::gate_scan`] the
+//! first time the gate stage uses it after a bump, and the rebuild
+//! that renews the list drops them. With the toggle off every gate is
+//! rescanned each time it is used.
 //!
 //! Ascending-sorted insertion reproduces the reference derivation's
 //! `sort_unstable` + `dedup` order exactly, so the search visits remote
 //! tiles in the same order and every statistic is bit-identical.
+//!
+//! [`TagStore::gate_scan`]: crate::tags::TagStore::gate_scan
 
 use crate::cache::MolecularCache;
 use crate::ids::TileId;
 use crate::region::Region;
+use crate::tags::GateMask;
 use molcache_trace::Asid;
 
 /// Remote tiles kept inline before spilling to the heap: covers every
@@ -123,13 +136,14 @@ impl Region {
 
     /// Rebuilds the cached search list from the current membership:
     /// every member molecule's tile except the home tile, deduplicated
-    /// ascending, stamped with `generation`.
+    /// ascending, stamped with `generation`. Drops every gate mask.
     pub(crate) fn rebuild_search_list(
         &mut self,
         generation: u64,
         tile_of: impl Fn(crate::ids::MoleculeId) -> TileId,
     ) {
         self.search_tiles.clear();
+        self.gates_filled = 0;
         let home = self.home_tile();
         for row in &self.rows {
             for &id in row {
@@ -141,22 +155,80 @@ impl Region {
         }
         self.search_generation = generation;
     }
+
+    /// The tile of lookup slot `slot`: 0 is the home tile, `1 + i` the
+    /// `i`-th search tile — the order one access visits them in.
+    #[inline]
+    pub(crate) fn lookup_tile(&self, slot: usize) -> TileId {
+        match slot {
+            0 => self.home_tile(),
+            s => self.search_tiles()[s - 1],
+        }
+    }
+
+    /// The gate mask of lookup slot `slot`, once the gate stage has
+    /// filled it under the current stamp.
+    #[inline]
+    pub(crate) fn gate(&self, slot: usize) -> &GateMask {
+        debug_assert!(slot < self.gates_filled, "gate read before it was filled");
+        &self.gates[slot]
+    }
+
+    /// The mask of lookup slot `slot` for the gate stage to fill, or
+    /// `None` when it is already current. An access visits its slots in
+    /// order, so the current masks are always a prefix.
+    #[inline]
+    pub(crate) fn gate_to_fill(&mut self, slot: usize) -> Option<&mut GateMask> {
+        if slot < self.gates_filled {
+            return None;
+        }
+        debug_assert_eq!(slot, self.gates_filled, "lookup slots are gated in order");
+        if self.gates.len() == slot {
+            self.gates.push(GateMask::default());
+        }
+        self.gates_filled += 1;
+        Some(&mut self.gates[slot])
+    }
 }
 
 impl MolecularCache {
-    /// Enables or disables the cached Ulmo search lists at runtime.
+    /// Brings `asid`'s cached search list and gate masks up to the live
+    /// structural generation before an access runs the gate: a stale
+    /// stamp rebuilds the list and drops the masks. Returns the home
+    /// tile.
     ///
-    /// Disabled, every launched cross-tile search rebuilds its region's
-    /// list from membership — the pre-cache behaviour the
-    /// `search_list_property` equivalence suite compares against. The
-    /// toggle itself is not a structural event; re-enabling simply lets
-    /// still-current stamps be trusted again (a list built with caching
-    /// off is stamped 0 and can never read as current).
+    /// The list and masks then stay current for the rest of the access:
+    /// gating and probing are structurally read-only.
+    pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) -> TileId {
+        let generation = if self.search_cache_enabled {
+            self.structure_generation
+        } else {
+            0
+        };
+        // Disjoint field borrows: membership is read from the region
+        // while the list inside the same region is rewritten.
+        let molecules = &self.molecules;
+        let region = self.regions.get_mut(&asid).expect("region");
+        if generation == 0 || region.search_generation() != generation {
+            region.rebuild_search_list(generation, |id| molecules[id.index()].tile());
+        }
+        region.home_tile()
+    }
+
+    /// Enables or disables the cached Ulmo search lists and gate masks
+    /// at runtime.
+    ///
+    /// Disabled, every access rebuilds its region's list from
+    /// membership and rescans each gate it uses — the pre-cache
+    /// behaviour the `search_list_property` equivalence suite compares
+    /// against. The toggle itself is not a structural event; re-enabling
+    /// simply lets still-current stamps be trusted again (a list built
+    /// with caching off is stamped 0 and can never read as current).
     pub fn set_search_cache(&mut self, enabled: bool) {
         self.search_cache_enabled = enabled;
     }
 
-    /// Whether cached Ulmo search lists are in use.
+    /// Whether cached Ulmo search lists and gate masks are in use.
     pub fn search_cache_enabled(&self) -> bool {
         self.search_cache_enabled
     }
@@ -182,6 +254,30 @@ impl MolecularCache {
     /// the cache must agree with whenever its stamp is current).
     pub fn reference_search_list(&self, asid: Asid) -> Option<Vec<TileId>> {
         self.regions.get(&asid).map(|r| self.remote_tiles(r))
+    }
+
+    /// The cached gate masks of `asid`'s region as (generation stamp,
+    /// (tile, mask) per filled lookup slot, home tile first), if the
+    /// region exists (diagnostics: the property suite asserts that under
+    /// a current stamp each mask equals
+    /// [`reference_gate`](Self::reference_gate) of its tile).
+    pub fn cached_gates(&self, asid: Asid) -> Option<(u64, Vec<(TileId, GateMask)>)> {
+        self.regions.get(&asid).map(|r| {
+            let masks = (0..r.gates_filled)
+                .map(|slot| (r.lookup_tile(slot), r.gate(slot).clone()))
+                .collect();
+            (r.search_generation(), masks)
+        })
+    }
+
+    /// A fresh ASID-gate scan of `tile` for `asid` (the reference every
+    /// current cached mask must equal).
+    pub fn reference_gate(&self, asid: Asid, tile: TileId) -> GateMask {
+        let tile = &self.tiles[tile.index()];
+        let mut mask = GateMask::default();
+        self.tags
+            .gate_scan(tile.molecule_base(), tile.capacity(), asid, &mut mask);
+        mask
     }
 }
 

@@ -14,7 +14,11 @@
 //! four molecules' ASIDs against the requestor branchlessly (exact
 //! per-lane zero detection — no cross-lane borrows) and the matches come
 //! out as a bitmask ([`GateMask`]). The whole gate of a 32-molecule tile
-//! is eight word operations.
+//! is eight word operations. A tile's match set for one ASID changes
+//! only when an ASID lane or a shared bit is written, which is always a
+//! structural change of the cache, so the access path does not run the
+//! kernel per access: each region caches the mask of every tile its
+//! lookups visit and rescans a tile once per structural generation.
 //!
 //! The frame words are stored **frame-major within each tile**: frame
 //! `f` of molecule `m` (tile `t`, tile base `b`, `T` molecules per tile)
@@ -76,10 +80,11 @@ fn zero_lanes(y: u64) -> u64 {
 /// [`TagStore::gate_scan`] and consumed by the tag-probe stage
 /// ([`TagStore::probe_gated`]).
 ///
-/// The mask is a reusable scratch buffer: `gate_scan` clears and refills
-/// it, and after warm-up the backing storage never reallocates, keeping
-/// the gate allocation-free in steady state.
-#[derive(Debug, Clone, Default)]
+/// Each region keeps one mask per tile its lookups visit, valid for one
+/// structural generation. `gate_scan` clears and refills a mask in
+/// place, so a rescan after a structural change reuses the storage and
+/// the gate stays allocation-free in steady state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GateMask {
     /// First molecule of the scanned range.
     base: usize,
@@ -92,16 +97,6 @@ pub struct GateMask {
 }
 
 impl GateMask {
-    /// An empty mask with `capacity` molecules of backing storage
-    /// pre-reserved.
-    pub fn with_capacity(capacity: usize) -> Self {
-        GateMask {
-            base: 0,
-            words: Vec::with_capacity(capacity.div_ceil(LANES) + 1),
-            count: 0,
-        }
-    }
-
     /// Number of matching molecules.
     #[inline]
     pub fn count(&self) -> u32 {

@@ -1,8 +1,9 @@
-//! Property tests for the cached Ulmo search lists (`search_list`):
-//! arbitrary access/grow/shrink/release/re-home/shared-bit
-//! interleavings produce identical global and per-app statistics with
-//! the search cache on vs off, a current generation stamp always
-//! implies agreement with the membership-derived reference list, and
+//! Property tests for the cached Ulmo search lists and ASID-gate masks
+//! (`search_list`): arbitrary access/grow/shrink/release/re-home/
+//! shared-bit/flush/admit interleavings produce identical global and
+//! per-app statistics with the search cache on vs off, a current
+//! generation stamp always implies agreement with the membership-derived
+//! reference list and with a fresh gate scan of every cached tile, and
 //! no stale list survives a structural-generation bump as current.
 
 use molcache_core::config::InitialAllocation;
@@ -29,7 +30,8 @@ fn torture_config() -> MolecularConfig {
 /// One step of a generated interleaving, decoded from two raw u64
 /// draws. Compared with the memo suite this mix adds explicit
 /// grow/shrink ops so search lists churn through every structural
-/// path, not just the trigger-driven resizes.
+/// path, not just the trigger-driven resizes, and the lifecycle flush
+/// and admit calls.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Access { asid: u16, addr: u64, write: bool },
@@ -38,6 +40,8 @@ enum Op {
     Release { asid: u16 },
     Rehome { asid: u16, tile: usize },
     MakeShared { tile: usize },
+    Flush { asid: u16 },
+    Admit { asid: u16 },
 }
 
 /// Decodes `(selector, payload)` into an op. Accesses dominate (so
@@ -45,7 +49,7 @@ enum Op {
 /// in.
 fn decode(selector: u64, payload: u64) -> Op {
     let asid = (payload % 3 + 1) as u16;
-    match selector % 16 {
+    match selector % 18 {
         11 => Op::Grow {
             asid,
             by: (payload >> 8) as usize % 4 + 1,
@@ -62,6 +66,8 @@ fn decode(selector: u64, payload: u64) -> Op {
         15 => Op::MakeShared {
             tile: (payload >> 8) as usize % 2,
         },
+        16 => Op::Flush { asid },
+        17 => Op::Admit { asid },
         _ => Op::Access {
             asid,
             // A handful of hot lines per app plus a streaming tail.
@@ -106,6 +112,12 @@ fn apply(c: &mut MolecularCache, op: Op) {
         }
         Op::MakeShared { tile } => {
             c.make_shared(tile, 1);
+        }
+        Op::Flush { asid } => {
+            c.flush_region(Asid::new(asid));
+        }
+        Op::Admit { asid } => {
+            c.admit_app(Asid::new(asid));
         }
     }
 }
@@ -161,11 +173,14 @@ proptest! {
         }
     }
 
-    /// The search-list invalidation contract, checked after every op:
+    /// The search-list and gate-mask invalidation contract, checked
+    /// after every op:
     ///
     /// 1. A current stamp is trustworthy — whenever a region's cached
     ///    stamp equals the live structural generation, the cached tile
-    ///    list equals the list derived directly from membership.
+    ///    list equals the list derived directly from membership, and
+    ///    every cached gate mask equals a fresh gate scan of its tile
+    ///    for the region's ASID (shared molecules included).
     /// 2. No stale list survives a generation bump as current — after
     ///    any op that advances the generation, no stamp written before
     ///    the op can equal the new generation (stamps only move by
@@ -218,6 +233,18 @@ proptest! {
                         "current-stamped list diverged from membership for ASID {}",
                         asid
                     );
+                }
+                let (stamp, gates) = c.cached_gates(Asid::new(asid)).expect("region exists");
+                if stamp == now {
+                    for (tile, mask) in &gates {
+                        prop_assert_eq!(
+                            mask,
+                            &c.reference_gate(Asid::new(asid), *tile),
+                            "current-stamped gate mask of tile {:?} is stale for ASID {}",
+                            tile,
+                            asid
+                        );
+                    }
                 }
             }
         }
