@@ -258,8 +258,7 @@ fn memo_line(cache: &MolecularCache) -> String {
             s.stale,
             s.generation_bumps,
         ),
-        Some(_) => "  memo: disabled (--no-memo)".into(),
-        None => "  memo: not compiled in (built without the memo-front feature)".into(),
+        _ => "  memo: disabled (--no-memo)".into(),
     }
 }
 
@@ -470,7 +469,7 @@ fn main() {
     let doc = BenchDoc {
         date: today_utc(),
         smoke: args.smoke,
-        memo: Some(cfg!(feature = "memo-front") && args.memo),
+        memo: Some(args.memo),
         machine,
         workloads,
         stage_profile,

@@ -111,7 +111,12 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--din" => args.din = Some(value()),
-            "--refs" => args.refs = value().parse().unwrap_or_else(|_| usage()),
+            "--refs" => {
+                args.refs = value().parse().unwrap_or_else(|_| usage());
+                if args.refs == 0 {
+                    usage();
+                }
+            }
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--power" => args.power = true,
             "--analyze" => args.analyze = true,

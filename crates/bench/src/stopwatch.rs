@@ -9,7 +9,7 @@
 //! iteration's overshoot past the budget is a full sample of its own
 //! rather than silently skewing a window-wide mean.
 //!
-//! [`bench`] and [`bench_throughput`] keep their original signatures for
+//! [`bench()`] and [`bench_throughput`] keep their original signatures for
 //! the `benches/` targets; both now route through [`measure`] and print a
 //! trailing machine-readable `#BENCH` line ([`machine_line`]) that shares
 //! its [`Timing`] plumbing with `molbench`'s `BENCH_*.json` records.
@@ -193,7 +193,7 @@ pub fn bench<F: FnMut()>(name: &str, budget: Duration, mut f: F) {
     println!("{}", machine_line(name, None, &t));
 }
 
-/// Like [`bench`], but also reports throughput for a body that processes
+/// Like [`bench()`], but also reports throughput for a body that processes
 /// `elements` items per iteration.
 pub fn bench_throughput<F: FnMut()>(name: &str, elements: u64, budget: Duration, mut f: F) {
     let t = measure(MAX_SAMPLES, budget, &mut f);

@@ -1,5 +1,6 @@
 //! `repro`'s command line: every word it does not know is an error,
-//! never a silently ignored target or flag.
+//! never a silently ignored target or flag. `molsim` rejects bad flag
+//! values the same way.
 
 use std::process::{Command, Output};
 
@@ -44,6 +45,23 @@ fn bad_flag_values_are_rejected() {
     assert_rejected(&["--refs", "many"], "--refs expects a number");
     assert_rejected(&["--refs", "0"], "--refs expects a positive number");
     assert_rejected(&["--scale", "huge"], "unknown scale `huge`");
+}
+
+#[test]
+fn molsim_rejects_zero_refs() {
+    for args in [
+        &["--refs", "0"][..],
+        &["--cache", "setassoc", "--refs", "0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_molsim"))
+            .args(args)
+            .output()
+            .expect("molsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: molsim"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
+    }
 }
 
 #[test]

@@ -63,9 +63,9 @@ pub struct MolecularCache {
     /// Structural-topology generation: bumped by
     /// [`note_structural_change`](Self::note_structural_change) on every
     /// grant/shrink/release/re-home/shared-bit/flush event. Regions stamp
-    /// their cached Ulmo search lists and gate masks with it; a stale
-    /// stamp forces a lazy rebuild. Starts at 1 so a 0 stamp always
-    /// reads as stale.
+    /// their cached Ulmo search lists and gate masks with it, and the
+    /// memo its entries; a stale stamp forces a lazy rebuild or a memo
+    /// miss. Starts at 1 so a 0 stamp always reads as stale.
     pub(crate) structure_generation: u64,
     /// Runtime toggle for the cached Ulmo search lists and gate masks
     /// (off = rebuild the list and rescan every gate on every access,
@@ -75,13 +75,10 @@ pub struct MolecularCache {
     /// default builds carry no sampler state at all).
     #[cfg(feature = "stage-profiler")]
     pub(crate) sampler: crate::profiler::StageSampler,
-    /// Way/molecule memoization front-end (only with the `memo-front`
-    /// feature; see [`crate::pipeline::memo`]).
-    #[cfg(feature = "memo-front")]
+    /// Way/molecule memoization front-end (see [`crate::pipeline::memo`]).
     pub(crate) memo: crate::pipeline::memo::MemoTable,
     /// Memo hits at the last epoch close, so epoch samples carry the
     /// per-epoch delta.
-    #[cfg(feature = "memo-front")]
     pub(crate) epoch_memo_base: u64,
 }
 
@@ -143,9 +140,7 @@ impl MolecularCache {
             search_cache_enabled: true,
             #[cfg(feature = "stage-profiler")]
             sampler: crate::profiler::StageSampler::default(),
-            #[cfg(feature = "memo-front")]
-            memo: crate::pipeline::memo::MemoTable::default(),
-            #[cfg(feature = "memo-front")]
+            memo: crate::pipeline::memo::MemoTable::new(1),
             epoch_memo_base: 0,
         }
     }
@@ -162,18 +157,14 @@ impl MolecularCache {
     /// Records a structural change to the cache topology — any
     /// grant/shrink/release/re-home/shared-bit/flush event. One bump
     /// lazily invalidates every region's cached Ulmo search list and
-    /// gate masks (their generation stamps stop matching) and drops the
-    /// memoization front-end's entries the same way. The cached gate
-    /// masks make the bump a correctness requirement in every build:
-    /// any call that writes an ASID lane or a shared bit, or moves a
-    /// home tile, must make it. The runtime memo toggle
-    /// ([`set_memo_front`](Self::set_memo_front)) is *not* structural:
-    /// it bumps only the memo's own generation.
+    /// gate masks and every memo entry: all of them are stamped with
+    /// this generation, and a stale stamp stops matching. Any call that
+    /// writes an ASID lane or a shared bit, or moves a home tile, must
+    /// make it. The runtime memo toggle
+    /// ([`set_memo_front`](Self::set_memo_front)) is *not* structural.
     #[inline]
     pub(crate) fn note_structural_change(&mut self) {
         self.structure_generation += 1;
-        #[cfg(feature = "memo-front")]
-        self.memo.bump_generation();
     }
 
     /// Enables the sampling wall-time stage profiler: every
@@ -465,11 +456,8 @@ impl CacheModel for MolecularCache {
         self.epoch_activity_base = Activity::default();
         // Memo lifetime counters restart too; the memo's entries survive
         // like cache contents do (a stats reset is not a flush).
-        #[cfg(feature = "memo-front")]
-        {
-            self.memo.reset_counters();
-            self.epoch_memo_base = 0;
-        }
+        self.memo.reset_counters(self.structure_generation);
+        self.epoch_memo_base = 0;
     }
 
     fn describe(&self) -> String {
@@ -534,9 +522,9 @@ impl MolecularCache {
         // the gate/lookup counters the full pipeline would emit and
         // skips stages 1–3 entirely (see `pipeline::memo` for why the
         // replay is exact). Falls through on any doubt.
-        #[cfg(feature = "memo-front")]
         if self.memo.enabled {
-            if let Some((mol, gate_count)) = self.memo.lookup(asid, line) {
+            if let Some((mol, gate_count)) = self.memo.lookup(asid, line, self.structure_generation)
+            {
                 let verified = timed_stage!(self, sampled, 1, self.tags.probe(mol, line, is_write));
                 if verified {
                     self.memo.note_hit();
@@ -572,7 +560,6 @@ impl MolecularCache {
             1,
             self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup)
         ) {
-            #[cfg(feature = "memo-front")]
             self.memo_note_home_hit(asid, line, hit_mol);
             return self.finish_hit(asid, hit_mol, latency, stages);
         }

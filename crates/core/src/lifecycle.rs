@@ -4,9 +4,10 @@
 //!
 //! Every operation that changes region structure routes through the
 //! same paths Algorithm-1 resizing uses — [`grant_molecules`] for growth
-//! and [`shrink_region`] for withdrawal — so the memoization front-end's
-//! generation is bumped on exactly the same events regardless of whether
-//! a change was goal-driven or lifecycle-driven. A serving layer can
+//! and [`shrink_region`] for withdrawal — so the structure generation the
+//! memoization front-end stamps its entries with is bumped on exactly the
+//! same events regardless of whether a change was goal-driven or
+//! lifecycle-driven. A serving layer can
 //! therefore never observe a stale memo hit across a lifecycle call (the
 //! `lifecycle_memo` integration test pins this down).
 //!
@@ -86,7 +87,7 @@ impl MolecularCache {
     /// Resizes an application's region toward `target` molecules:
     /// growth takes free molecules through the same grant path
     /// Algorithm 1 uses; shrinking withdraws the coldest members
-    /// through [`shrink_region`](Self::shrink_region). The free pool
+    /// through `shrink_region`. The free pool
     /// may satisfy growth only partially. Returns the region's size
     /// after the call, or `None` if the application has no region.
     ///
@@ -113,7 +114,7 @@ impl MolecularCache {
     /// Returns how many were actually removed (the region never drops
     /// below one molecule). The single shrink path: Algorithm 1's
     /// `Decision::Shrink` and lifecycle-driven `set_region_size` both
-    /// land here, so both bump the memo generation identically.
+    /// land here, so both bump the structure generation identically.
     pub(crate) fn shrink_region(&mut self, asid: Asid, n: usize) -> usize {
         let Some(mut region) = self.regions.remove(&asid) else {
             return 0;

@@ -1,4 +1,4 @@
-//! Stage 0 — the way/molecule memoization front-end (`memo-front`).
+//! Stage 0 — the way/molecule memoization front-end.
 //!
 //! The paper's access path pays an ASID gate over the whole home tile
 //! plus a tag probe per gated molecule on *every* reference. Way
@@ -9,12 +9,13 @@
 //! probe instead of gate + scan.
 //!
 //! The structure is the classic lookup-cache shape: a fixed 509-slot
-//! (largest prime below 512) direct-mapped array plus a **generation
-//! counter**. Every structural mutation of the cache — region creation,
-//! grow, shrink, teardown, re-homing, shared-bit changes — bumps the
-//! generation, which implicitly invalidates every entry without touching
-//! the array. Entries whose *line* merely got evicted or moved are
-//! caught per-access by re-probing the memoized molecule's frame before
+//! (largest prime below 512) direct-mapped array whose entries are
+//! stamped with the cache's **structure generation**. Every structural
+//! mutation of the cache — region creation, grow, shrink, teardown,
+//! re-homing, shared-bit changes — bumps that generation, which
+//! implicitly invalidates every entry without touching the array.
+//! Entries whose *line* merely got evicted or moved are caught
+//! per-access by re-probing the memoized molecule's frame before
 //! trusting it.
 //!
 //! **The bit-identity contract.** A memo hit must be observationally
@@ -43,7 +44,6 @@
 //! never enter the canonical telemetry export.
 
 use crate::cache::MolecularCache;
-#[cfg(feature = "memo-front")]
 use crate::ids::MoleculeId;
 use molcache_trace::{Asid, LineAddr};
 
@@ -55,8 +55,7 @@ pub const MEMO_SLOTS: usize = 509;
 /// Lifetime counters of the memoization front-end, for `molstat --memo`
 /// and molbench's memo-hit-rate report.
 ///
-/// Produced by `MolecularCache::memo_stats` when the crate is built with
-/// the `memo-front` feature (`None` otherwise). These counters are
+/// Produced by `MolecularCache::memo_stats`. These counters are
 /// diagnostics only: they are deliberately kept out of the canonical
 /// telemetry JSON export, which must stay byte-identical with the
 /// front-end on or off.
@@ -73,9 +72,10 @@ pub struct MemoStats {
     /// Lookups whose entry was current but whose line was no longer
     /// resident in the memoized molecule (evicted or invalidated since).
     pub stale: u64,
-    /// Generation bumps (structural invalidations) so far.
+    /// Structural changes (each one invalidates every entry) since the
+    /// last statistics reset.
     pub generation_bumps: u64,
-    /// Current generation counter value.
+    /// The cache's current structure generation.
     pub generation: u64,
     /// Capacity of the direct-mapped array.
     pub slots: usize,
@@ -100,9 +100,8 @@ impl MemoStats {
 
 /// One slot of the memo array.
 ///
-/// `generation == 0` marks a never-written slot: the table's counter
-/// starts at 1 and only grows, so no live entry can carry 0.
-#[cfg(feature = "memo-front")]
+/// `generation == 0` marks a never-written slot: the cache's structure
+/// generation starts at 1 and only grows, so no live entry can carry 0.
 #[derive(Debug, Clone, Copy)]
 struct MemoEntry {
     asid: u16,
@@ -115,7 +114,6 @@ struct MemoEntry {
     generation: u64,
 }
 
-#[cfg(feature = "memo-front")]
 impl MemoEntry {
     const EMPTY: MemoEntry = MemoEntry {
         asid: 0,
@@ -126,39 +124,37 @@ impl MemoEntry {
     };
 }
 
-/// The direct-mapped memoization array a `memo-front` cache carries.
-#[cfg(feature = "memo-front")]
+/// The direct-mapped memoization array every cache carries.
+///
+/// It keeps no generation of its own: callers pass the cache's
+/// structure generation, and entries stamped with an older one are dead.
 #[derive(Debug, Clone)]
 pub(crate) struct MemoTable {
     slots: Vec<MemoEntry>,
-    /// Current generation; entries from older generations are dead.
-    generation: u64,
-    /// Runtime toggle (the feature compiles the machinery in; this
-    /// decides whether the access path consults it).
+    /// Runtime toggle: whether the access path consults the table.
     pub(crate) enabled: bool,
     hits: u64,
     misses: u64,
     stale: u64,
-    generation_bumps: u64,
+    /// The structure generation at the last counter reset, from which
+    /// [`MemoStats::generation_bumps`] is derived.
+    generation_base: u64,
 }
 
-#[cfg(feature = "memo-front")]
-impl Default for MemoTable {
-    fn default() -> Self {
+impl MemoTable {
+    /// An empty, enabled table for a cache at structure generation
+    /// `generation`.
+    pub(crate) fn new(generation: u64) -> Self {
         MemoTable {
             slots: vec![MemoEntry::EMPTY; MEMO_SLOTS],
-            generation: 1,
             enabled: true,
             hits: 0,
             misses: 0,
             stale: 0,
-            generation_bumps: 0,
+            generation_base: generation,
         }
     }
-}
 
-#[cfg(feature = "memo-front")]
-impl MemoTable {
     /// The slot an (ASID, line) key maps to. The prime modulo does the
     /// scattering; folding the ASID in keeps co-resident applications
     /// streaming over the same lines from thrashing one slot.
@@ -171,16 +167,28 @@ impl MemoTable {
             % MEMO_SLOTS as u64) as usize
     }
 
-    /// Looks the key up; returns the memoized molecule and gate count on
-    /// a current-generation key match. Counts a miss otherwise.
+    /// The key's entry, if its slot holds one stamped with `generation`.
     #[inline]
-    pub(crate) fn lookup(&mut self, asid: Asid, line: LineAddr) -> Option<(MoleculeId, u32)> {
+    fn current(&self, asid: Asid, line: LineAddr, generation: u64) -> Option<&MemoEntry> {
         let e = &self.slots[Self::slot_of(asid, line)];
-        if e.generation == self.generation && e.line == line.0 && e.asid == asid.raw() {
-            Some((e.molecule, e.gate_count))
-        } else {
-            self.misses += 1;
-            None
+        (e.generation == generation && e.line == line.0 && e.asid == asid.raw()).then_some(e)
+    }
+
+    /// Looks the key up; returns the memoized molecule and gate count on
+    /// a key match stamped with `generation`. Counts a miss otherwise.
+    #[inline]
+    pub(crate) fn lookup(
+        &mut self,
+        asid: Asid,
+        line: LineAddr,
+        generation: u64,
+    ) -> Option<(MoleculeId, u32)> {
+        match self.current(asid, line, generation) {
+            Some(e) => Some((e.molecule, e.gate_count)),
+            None => {
+                self.misses += 1;
+                None
+            }
         }
     }
 
@@ -198,7 +206,8 @@ impl MemoTable {
         self.slots[Self::slot_of(asid, line)] = MemoEntry::EMPTY;
     }
 
-    /// Writes an entry for a home-tile member hit.
+    /// Writes an entry for a home-tile member hit, stamped with the
+    /// current structure `generation`.
     #[inline]
     pub(crate) fn insert(
         &mut self,
@@ -206,31 +215,25 @@ impl MemoTable {
         line: LineAddr,
         molecule: MoleculeId,
         gate_count: u32,
+        generation: u64,
     ) {
         self.slots[Self::slot_of(asid, line)] = MemoEntry {
             asid: asid.raw(),
             line: line.0,
             molecule,
             gate_count,
-            generation: self.generation,
+            generation,
         };
     }
 
-    /// Invalidates every entry by advancing the generation (structural
-    /// change: any grant/shrink/release/re-home/shared-bit flip).
-    #[inline]
-    pub(crate) fn bump_generation(&mut self) {
-        self.generation += 1;
-        self.generation_bumps += 1;
-    }
-
-    /// Clears the lifetime counters (entries and generation survive, as
-    /// cache contents survive a statistics reset).
-    pub(crate) fn reset_counters(&mut self) {
+    /// Clears the lifetime counters and restarts the bump count at
+    /// `generation` (entries survive, as cache contents survive a
+    /// statistics reset).
+    pub(crate) fn reset_counters(&mut self, generation: u64) {
         self.hits = 0;
         self.misses = 0;
         self.stale = 0;
-        self.generation_bumps = 0;
+        self.generation_base = generation;
     }
 
     /// Lifetime memo hits since the last statistics reset (feeds the
@@ -240,15 +243,16 @@ impl MemoTable {
         self.hits
     }
 
-    /// The current counters as a [`MemoStats`].
-    pub(crate) fn stats(&self) -> MemoStats {
+    /// The current counters as a [`MemoStats`], for a cache at
+    /// structure generation `generation`.
+    pub(crate) fn stats(&self, generation: u64) -> MemoStats {
         MemoStats {
             enabled: self.enabled,
             hits: self.hits,
             misses: self.misses,
             stale: self.stale,
-            generation_bumps: self.generation_bumps,
-            generation: self.generation,
+            generation_bumps: generation - self.generation_base,
+            generation,
             slots: MEMO_SLOTS,
         }
     }
@@ -258,40 +262,26 @@ impl MolecularCache {
     /// Enables or disables the memoization front-end at runtime.
     ///
     /// The toggle exists so one binary can compare memo-on and memo-off
-    /// runs (the equivalence suites and `molbench --no-memo` do); it
-    /// flushes the table on any change, and is a no-op without the
-    /// `memo-front` feature.
+    /// runs (the equivalence suites and `molbench --no-memo` do). It is
+    /// not a structural event and leaves the table's entries alone:
+    /// within one structure generation the home tile and gate set an
+    /// entry replays are constant, and every memo hit is re-verified by
+    /// a probe, so an entry stays exact whether or not the memo was
+    /// consulted in between.
     pub fn set_memo_front(&mut self, enabled: bool) {
-        #[cfg(feature = "memo-front")]
-        {
-            if self.memo.enabled != enabled {
-                self.memo.bump_generation();
-                self.memo.enabled = enabled;
-            }
-        }
-        #[cfg(not(feature = "memo-front"))]
-        let _ = enabled;
+        self.memo.enabled = enabled;
     }
 
-    /// Whether the memoization front-end is compiled in *and* enabled.
+    /// Whether the memoization front-end is enabled.
     pub fn memo_front_enabled(&self) -> bool {
-        #[cfg(feature = "memo-front")]
-        {
-            self.memo.enabled
-        }
-        #[cfg(not(feature = "memo-front"))]
-        false
+        self.memo.enabled
     }
 
-    /// The front-end's lifetime counters, when the `memo-front` feature
-    /// is compiled in; `None` otherwise (callers render a `-`).
+    /// The front-end's lifetime counters. Always `Some`; the return type
+    /// stays an `Option` for callers outside this workspace that unwrap
+    /// it.
     pub fn memo_stats(&self) -> Option<MemoStats> {
-        #[cfg(feature = "memo-front")]
-        {
-            Some(self.memo.stats())
-        }
-        #[cfg(not(feature = "memo-front"))]
-        None
+        Some(self.memo.stats(self.structure_generation))
     }
 
     /// Whether a memo lookup for (`asid`, `line`) would find a
@@ -299,16 +289,9 @@ impl MolecularCache {
     /// asserts no entry survives a generation bump). Does not verify
     /// residency and perturbs nothing.
     pub fn memo_would_hit(&self, asid: Asid, line: LineAddr) -> bool {
-        #[cfg(feature = "memo-front")]
-        {
-            let e = &self.memo.slots[MemoTable::slot_of(asid, line)];
-            e.generation == self.memo.generation && e.line == line.0 && e.asid == asid.raw()
-        }
-        #[cfg(not(feature = "memo-front"))]
-        {
-            let _ = (asid, line);
-            false
-        }
+        self.memo
+            .current(asid, line, self.structure_generation)
+            .is_some()
     }
 
     /// Memoizes a home-tile hit for the next access to the same line.
@@ -318,70 +301,71 @@ impl MolecularCache {
     /// this copy being invalidated, which would break first-match
     /// replay. Member copies cannot (the fill stage invalidates
     /// duplicates region-wide), so member hits replay exactly.
-    #[cfg(feature = "memo-front")]
     #[inline]
     pub(crate) fn memo_note_home_hit(&mut self, asid: Asid, line: LineAddr, hit_mol: MoleculeId) {
         if self.memo.enabled && !self.tags.is_shared(hit_mol) {
             let gate_count = self.regions[&asid].gate(0).count();
-            self.memo.insert(asid, line, hit_mol, gate_count);
+            self.memo
+                .insert(asid, line, hit_mol, gate_count, self.structure_generation);
         }
     }
 }
 
-#[cfg(all(test, feature = "memo-front"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_table_misses() {
-        let mut t = MemoTable::default();
-        assert_eq!(t.lookup(Asid::new(1), LineAddr(5)), None);
-        assert_eq!(t.stats().misses, 1);
+        let mut t = MemoTable::new(1);
+        assert_eq!(t.lookup(Asid::new(1), LineAddr(5), 1), None);
+        assert_eq!(t.stats(1).misses, 1);
     }
 
     #[test]
     fn insert_then_lookup_round_trips() {
-        let mut t = MemoTable::default();
-        t.insert(Asid::new(1), LineAddr(5), MoleculeId(7), 3);
+        let mut t = MemoTable::new(1);
+        t.insert(Asid::new(1), LineAddr(5), MoleculeId(7), 3, 1);
         assert_eq!(
-            t.lookup(Asid::new(1), LineAddr(5)),
+            t.lookup(Asid::new(1), LineAddr(5), 1),
             Some((MoleculeId(7), 3))
         );
         // Same line, different ASID: distinct key.
-        assert_eq!(t.lookup(Asid::new(2), LineAddr(5)), None);
+        assert_eq!(t.lookup(Asid::new(2), LineAddr(5), 1), None);
     }
 
     #[test]
     fn generation_bump_kills_every_entry() {
-        let mut t = MemoTable::default();
+        let mut t = MemoTable::new(1);
         for i in 0..1000u64 {
-            t.insert(Asid::new(1), LineAddr(i), MoleculeId(0), 1);
+            t.insert(Asid::new(1), LineAddr(i), MoleculeId(0), 1, 1);
         }
-        t.bump_generation();
         for i in 0..1000u64 {
-            assert_eq!(t.lookup(Asid::new(1), LineAddr(i)), None, "line {i}");
+            assert_eq!(t.lookup(Asid::new(1), LineAddr(i), 2), None, "line {i}");
         }
-        assert_eq!(t.stats().generation_bumps, 1);
+        assert_eq!(t.stats(2).generation_bumps, 1);
+        t.reset_counters(2);
+        assert_eq!(t.stats(2).generation_bumps, 0);
     }
 
     #[test]
     fn stale_note_clears_the_slot() {
-        let mut t = MemoTable::default();
-        t.insert(Asid::new(1), LineAddr(5), MoleculeId(7), 3);
+        let mut t = MemoTable::new(1);
+        t.insert(Asid::new(1), LineAddr(5), MoleculeId(7), 3, 1);
         t.note_stale(Asid::new(1), LineAddr(5));
-        assert_eq!(t.lookup(Asid::new(1), LineAddr(5)), None);
-        let s = t.stats();
+        assert_eq!(t.lookup(Asid::new(1), LineAddr(5), 1), None);
+        let s = t.stats(1);
         assert_eq!((s.stale, s.misses), (1, 1));
     }
 
     #[test]
     fn stats_hit_rate() {
-        let mut t = MemoTable::default();
-        t.insert(Asid::new(1), LineAddr(0), MoleculeId(0), 1);
-        assert!(t.lookup(Asid::new(1), LineAddr(0)).is_some());
+        let mut t = MemoTable::new(1);
+        t.insert(Asid::new(1), LineAddr(0), MoleculeId(0), 1, 1);
+        assert!(t.lookup(Asid::new(1), LineAddr(0), 1).is_some());
         t.note_hit();
-        assert_eq!(t.lookup(Asid::new(1), LineAddr(1)), None);
-        let s = t.stats();
+        assert_eq!(t.lookup(Asid::new(1), LineAddr(1), 1), None);
+        let s = t.stats(1);
         assert_eq!(s.lookups(), 2);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         let empty = MemoStats::default();

@@ -3,8 +3,8 @@
 //! A molecular cache services a request through an explicit hardware
 //! pipeline, and this module tree mirrors it one file per stage:
 //!
-//! 0. [`memo`] — the optional (`memo-front`, default-on) way/molecule
-//!    memoization front-end: a 509-slot direct-mapped array keyed by
+//! 0. [`memo`] — the way/molecule memoization front-end (on by default,
+//!    switchable at runtime): a 509-slot direct-mapped array keyed by
 //!    (ASID, line) that remembers the last hit location; a memo hit
 //!    bypasses stages 1–3 while replaying their exact counters.
 //! 1. [`asid_gate`] — the §3.1 ASID-compare stage: every molecule of the

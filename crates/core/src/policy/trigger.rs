@@ -167,7 +167,7 @@ impl ResizeController {
     /// Applies Algorithm 1's period update after a resize: `x2` when the
     /// observed miss rate meets the goal, `x0.1` when it overshoots the
     /// hysteresis band. The *one* goal-band code path — both the global
-    /// and per-app schemes land on [`adapt_timer`]; the scope only
+    /// and per-app schemes land on `adapt_timer`; the scope only
     /// selects which timer is touched. A scope the scheme does not use
     /// (or an unregistered application) is a no-op, and the constant
     /// scheme never adapts.

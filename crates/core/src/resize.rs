@@ -2,7 +2,8 @@
 //!
 //! The decision half — triggers, Algorithm 1, and the alternative
 //! policies — lives in [`crate::policy`]; this module is the plumbing
-//! that applies whatever the installed [`ResizePolicy`] decides:
+//! that applies whatever the installed
+//! [`ResizePolicy`](crate::policy::ResizePolicy) decides:
 //! granting molecules from the free pools, withdrawing them through the
 //! one shared shrink path, and closing observation windows. Every
 //! membership change made here bumps the memo/search-list structural
@@ -137,8 +138,8 @@ impl MolecularCache {
             }
             Decision::Shrink(n) => {
                 // The one shrink path, shared with the lifecycle API so
-                // goal-driven and tenant-driven withdrawal bump the memo
-                // generation identically (see `crate::lifecycle`).
+                // goal-driven and tenant-driven withdrawal bump the
+                // structure generation identically (see `crate::lifecycle`).
                 let removed = self.shrink_region(asid, n);
                 self.publish_resize(
                     asid,

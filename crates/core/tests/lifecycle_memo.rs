@@ -1,14 +1,10 @@
 //! Lifecycle ops vs the memoization front-end: every lifecycle-driven
 //! grant, shrink, flush and release must route through the same
-//! structural path that bumps the memo generation, so a serving layer
-//! (`molserve`) can never replay a stale memo hit across an admit /
-//! resize / evict / revoke — including across a revoke + re-admit of the
-//! same ASID, where the "same" (asid, line) key suddenly refers to a
-//! brand-new region.
-//!
-//! Compiled to an empty suite without the `memo-front` feature (the CI
-//! feature matrix runs memo-free combos where there is nothing to pin).
-#![cfg(feature = "memo-front")]
+//! structural path that bumps the structure generation the memo's
+//! entries are stamped with, so a serving layer (`molserve`) can never
+//! replay a stale memo hit across an admit / resize / evict / revoke —
+//! including across a revoke + re-admit of the same ASID, where the
+//! "same" (asid, line) key suddenly refers to a brand-new region.
 
 use molcache_core::config::InitialAllocation;
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
@@ -143,15 +139,33 @@ fn revoke_and_readmit_cannot_replay_stale_hits() {
     assert!(!out.hit, "stale hit served across a revoke + re-admit");
 }
 
+/// Every lifecycle op bumps the generation, and the memo's reported
+/// bump count (perfbench's `core.memo_generation_bumps`) advances by
+/// exactly the change in `structure_generation()` until `reset_stats`
+/// restarts it at zero.
 #[test]
 fn every_lifecycle_op_bumps_the_generation() {
     let mut c = cache();
     warm_memo(&mut c, 1);
-    let mut generation = c.memo_stats().expect("memo-front on").generation;
+    let mut generation = c.structure_generation();
+    let mut bumps = c.memo_stats().unwrap().generation_bumps;
+    // A fresh cache starts at generation 1 with no bumps counted.
+    assert_eq!(bumps, generation - 1);
     let mut expect_bump = |c: &MolecularCache, what: &str| {
-        let now = c.memo_stats().expect("memo-front on").generation;
-        assert!(now > generation, "{what} did not bump the memo generation");
+        let now = c.structure_generation();
+        let stats = c.memo_stats().unwrap();
+        assert!(now > generation, "{what} did not bump the generation");
+        assert_eq!(
+            stats.generation, now,
+            "{what}: memo reports another generation"
+        );
+        assert_eq!(
+            stats.generation_bumps - bumps,
+            now - generation,
+            "{what}: memo bump count drifted from the structure generation"
+        );
         generation = now;
+        bumps = stats.generation_bumps;
     };
 
     c.admit_app(Asid::new(2));
@@ -164,4 +178,16 @@ fn every_lifecycle_op_bumps_the_generation() {
     expect_bump(&c, "flush_region");
     c.release_region(Asid::new(1)).unwrap();
     expect_bump(&c, "release_region");
+
+    // A statistics reset restarts the count without a structural change.
+    c.reset_stats();
+    let since = c.structure_generation();
+    assert_eq!(since, generation, "reset_stats bumped the generation");
+    assert_eq!(c.memo_stats().unwrap().generation_bumps, 0);
+    c.admit_app(Asid::new(1));
+    assert_eq!(
+        c.memo_stats().unwrap().generation_bumps,
+        c.structure_generation() - since
+    );
+    assert!(c.structure_generation() > since);
 }

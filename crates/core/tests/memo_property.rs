@@ -3,10 +3,10 @@
 //! per-app statistics with memoization on vs off, and no memo entry
 //! ever survives a generation bump.
 //!
-//! The file compiles under every CI feature combo. Without `memo-front`
-//! the runtime toggle is a no-op, so the equivalence property degrades
-//! to a (still useful) determinism check and the generation property
-//! is compiled out.
+//! The interleavings also toggle the memo of the memo-on cache off and
+//! back on. A toggle is not a structural change, so entries written
+//! before it stay current after it; the equivalence properties cover
+//! those entries too.
 
 use molcache_core::config::InitialAllocation;
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
@@ -30,31 +30,38 @@ fn torture_config() -> MolecularConfig {
 }
 
 /// One step of a generated interleaving, decoded from two raw u64 draws.
+/// `ToggleMemo` flips the memo of the memo-on cache; the memo-off
+/// reference ignores it.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Access { asid: u16, addr: u64, write: bool },
     Release { asid: u16 },
     Rehome { asid: u16, tile: usize },
     MakeShared { tile: usize },
+    ToggleMemo,
 }
 
-/// Decodes `(selector, payload)` into an op. Accesses dominate (so the
-/// memo actually gets warm); structural ops are sprinkled in.
+/// Decodes `(selector, payload)` into an op. Accesses dominate and half
+/// of them re-touch a few hot lines per app, so the memo gets warm
+/// between the structural ops sprinkled in (the constant resize trigger
+/// adds more). Toggles are frequent enough that memo entries regularly
+/// outlive an off/on pair.
 fn decode(selector: u64, payload: u64) -> Op {
     let asid = (payload % 3 + 1) as u16;
-    match selector % 16 {
-        13 => Op::Release { asid },
-        14 => Op::Rehome {
+    match selector % 64 {
+        56..=60 => Op::ToggleMemo,
+        61 => Op::Release { asid },
+        62 => Op::Rehome {
             asid,
             tile: (payload >> 8) as usize % 2,
         },
-        15 => Op::MakeShared {
+        63 => Op::MakeShared {
             tile: (payload >> 8) as usize % 2,
         },
         _ => Op::Access {
             asid,
             // A handful of hot lines per app plus a streaming tail.
-            addr: if payload.is_multiple_of(4) {
+            addr: if payload.is_multiple_of(2) {
                 u64::from(asid) * 4096 + (payload >> 4) % 4 * 64
             } else {
                 (payload >> 4) % 256 * 64
@@ -86,6 +93,16 @@ fn apply(c: &mut MolecularCache, op: Op) {
         Op::MakeShared { tile } => {
             c.make_shared(tile, 1);
         }
+        Op::ToggleMemo => c.set_memo_front(!c.memo_front_enabled()),
+    }
+}
+
+/// Applies `op` to the memo-on cache and, unless it is a memo toggle,
+/// to the memo-off reference.
+fn apply_pair(on: &mut MolecularCache, off: &mut MolecularCache, op: Op) {
+    apply(on, op);
+    if !matches!(op, Op::ToggleMemo) {
+        apply(off, op);
     }
 }
 
@@ -105,9 +122,7 @@ proptest! {
         on.set_memo_front(true);
         off.set_memo_front(false);
         for &(sel, payload) in &ops {
-            let op = decode(sel, payload);
-            apply(&mut on, op);
-            apply(&mut off, op);
+            apply_pair(&mut on, &mut off, decode(sel, payload));
         }
         prop_assert_eq!(on.stats(), off.stats());
         prop_assert_eq!(on.activity(), off.activity());
@@ -128,9 +143,7 @@ proptest! {
         on.set_memo_front(true);
         off.set_memo_front(false);
         for &(sel, payload) in &ops {
-            let op = decode(sel, payload);
-            apply(&mut on, op);
-            apply(&mut off, op);
+            apply_pair(&mut on, &mut off, decode(sel, payload));
         }
         for asid in 1u16..=3 {
             let a = on.stats().app(Asid::new(asid));
@@ -140,7 +153,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "memo-front")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -156,13 +168,13 @@ proptest! {
         let line_size = c.config().line_size();
         // Keys observed to be memo-hittable since the last bump.
         let mut live: Vec<(u16, u64)> = Vec::new();
-        let mut generation = c.memo_stats().expect("feature on").generation;
+        let mut generation = c.memo_stats().unwrap().generation;
 
         for &(sel, payload) in &ops {
             let op = decode(sel, payload);
             apply(&mut c, op);
 
-            let now = c.memo_stats().expect("feature on").generation;
+            let now = c.memo_stats().unwrap().generation;
             if now != generation {
                 for &(asid, addr) in &live {
                     let line = Address::new(addr).line(line_size);

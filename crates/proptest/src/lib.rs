@@ -3,10 +3,10 @@
 //!
 //! The workspace builds in environments without crates.io access, so this
 //! crate implements — dependency-free — exactly the subset of the proptest
-//! API the test-suite uses: value [`Strategy`]s over integer ranges, tuples,
-//! booleans and vectors, the [`proptest!`] / [`prop_assert!`] /
-//! [`prop_assert_eq!`] / [`prop_assume!`] macros, and a deterministic case
-//! runner.
+//! API the test-suite uses: value [`Strategy`](strategy::Strategy)s over
+//! integer ranges, tuples, booleans and vectors, the [`proptest!`] /
+//! [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assume!`] macros, and a
+//! deterministic case runner.
 //!
 //! Two deliberate departures from the real crate:
 //!

@@ -82,6 +82,9 @@ fn parse_args() -> Result<Args, String> {
     if args.tenants == 0 || args.tenants > 0x7FFF {
         return Err("--tenants must be between 1 and 32767".into());
     }
+    if args.refs == 0 {
+        return Err("--refs must be at least 1".into());
+    }
     Ok(args)
 }
 

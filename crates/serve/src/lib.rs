@@ -20,7 +20,7 @@
 //!   through an admin lock; accesses take only the owning shard's lock
 //!   and validate the handle *after* acquiring it, which makes "no
 //!   access succeeds after `revoke` returns" a hard guarantee.
-//! * [`replay`] — multi-threaded trace replay partitioned by *shard*
+//! * [`replay`](mod@replay) — multi-threaded trace replay partitioned by *shard*
 //!   (never by tenant), so every shard's traffic is serviced by exactly
 //!   one thread in a deterministic order and per-tenant statistics are
 //!   bit-identical for any thread count.

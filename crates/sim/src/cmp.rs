@@ -130,7 +130,7 @@ where
 }
 
 /// Drives a materialized request slice through `cache` in
-/// [`DRIVE_BATCH`]-sized slices, measuring only this window. The same
+/// `DRIVE_BATCH`-sized slices, measuring only this window. The same
 /// requests through [`run_accesses`] produce the same cache and summary.
 pub fn run_requests<C>(requests: &[Request], cache: &mut C) -> RunSummary
 where

@@ -14,11 +14,6 @@ pub enum SimError {
         /// The constraint that was violated.
         constraint: &'static str,
     },
-    /// A partitioning directive referenced an unknown application.
-    UnknownAsid(molcache_trace::Asid),
-    /// A partitioning directive was inconsistent (e.g. way masks that do
-    /// not cover any way).
-    InvalidPartition(String),
 }
 
 impl fmt::Display for SimError {
@@ -27,8 +22,6 @@ impl fmt::Display for SimError {
             SimError::InvalidGeometry { field, constraint } => {
                 write!(f, "invalid cache geometry `{field}`: {constraint}")
             }
-            SimError::UnknownAsid(asid) => write!(f, "unknown {asid}"),
-            SimError::InvalidPartition(msg) => write!(f, "invalid partition: {msg}"),
         }
     }
 }
@@ -49,9 +42,6 @@ mod tests {
             e.to_string(),
             "invalid cache geometry `assoc`: must divide set count"
         );
-        assert!(SimError::InvalidPartition("x".into())
-            .to_string()
-            .contains("x"));
     }
 
     #[test]

@@ -6,17 +6,13 @@
 //! with LRU, FIFO, Random and tree-PLRU replacement) and for the parts of
 //! **SESC** the paper actually uses (a CMP front end that interleaves the
 //! reference streams of concurrently running applications onto a shared
-//! L2, with optional private L1s).
+//! L2).
 //!
 //! The crate defines the [`CacheModel`] trait that *both* the traditional
 //! caches here and the molecular cache in `molcache-core` implement, so
 //! every experiment harness is generic over the cache under test. It also
 //! defines [`Activity`] — the activity-event counts that
 //! `molcache-power` converts into dynamic energy.
-//!
-//! Extension baselines from the paper's related-work section are included:
-//! column caching (way partitioning) and Suh et al.'s Modified-LRU
-//! partitioning ([`partition`]).
 //!
 //! ## Example: measure a benchmark's miss rate on a 1 MB 4-way L2
 //!
@@ -33,13 +29,9 @@
 //! ```
 
 pub mod cmp;
-pub mod coherence;
 pub mod config;
 pub mod error;
-pub mod hierarchy;
-pub mod l1;
 pub mod model;
-pub mod partition;
 pub mod replacement;
 pub mod set_assoc;
 pub mod stage;

@@ -106,33 +106,6 @@ impl SetPolicy {
         }
     }
 
-    /// Chooses a victim among an allowed subset of ways (used by column
-    /// caching / Modified-LRU partitioning). Falls back to the first
-    /// allowed way if the policy's preferred victim is excluded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `allowed` is empty.
-    pub fn victim_among(&mut self, allowed: &[usize], rng: &mut Rng) -> usize {
-        assert!(!allowed.is_empty(), "victim_among needs candidates");
-        match self.policy {
-            Policy::Lru | Policy::Fifo => allowed
-                .iter()
-                .copied()
-                .min_by_key(|&w| self.meta[w])
-                .expect("non-empty candidates"),
-            Policy::Random => allowed[rng.gen_index(allowed.len())],
-            Policy::PlruTree => {
-                let v = self.plru_victim();
-                if allowed.contains(&v) {
-                    v
-                } else {
-                    allowed[rng.gen_index(allowed.len())]
-                }
-            }
-        }
-    }
-
     // Tree PLRU: bits of meta[0] encode internal nodes; bit = 0 means the
     // "cold" side is the left subtree.
     fn touch_plru(&mut self, way: usize) {
@@ -242,18 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn victim_among_restricts() {
-        let mut p = SetPolicy::new(Policy::Lru, 4);
-        for w in 0..4 {
-            p.on_fill(w);
-        }
-        let mut rng = Rng::seeded(5);
-        // Way 0 is globally LRU, but only {2,3} are allowed.
-        let v = p.victim_among(&[2, 3], &mut rng);
-        assert_eq!(v, 2);
-    }
-
-    #[test]
     #[should_panic(expected = "power-of-two")]
     fn plru_rejects_non_power_of_two() {
         SetPolicy::new(Policy::PlruTree, 3);
@@ -280,8 +241,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// After any interleaving of hits and fills, every policy's victim
-        /// is a valid way index, and `victim_among` only ever picks from
-        /// the allowed subset.
+        /// is a valid way index.
         #[test]
         fn victims_stay_in_bounds(
             tag in 0u8..4,
@@ -289,7 +249,6 @@ mod tests {
             ops in proptest::collection::vec(
                 (proptest::bool::ANY, proptest::num::u64::ANY), 0..64),
             seed in proptest::num::u64::ANY,
-            allowed_mask in proptest::num::u64::ANY,
         ) {
             let policy = policy_from(tag);
             let ways = 1usize << ways_log2; // power of two so PLRU is legal
@@ -306,12 +265,6 @@ mod tests {
 
             let v = p.victim(&mut rng);
             prop_assert!(v < ways, "victim {v} out of {ways} ways");
-
-            let allowed: Vec<usize> =
-                (0..ways).filter(|w| allowed_mask & (1 << w) != 0).collect();
-            prop_assume!(!allowed.is_empty());
-            let v = p.victim_among(&allowed, &mut rng);
-            prop_assert!(allowed.contains(&v), "victim {v} not in {allowed:?}");
         }
     }
 }

@@ -5,23 +5,20 @@ use crate::model::{AccessOutcome, Activity, CacheModel, Request};
 use crate::replacement::{Policy, SetPolicy};
 use crate::stats::CacheStats;
 use molcache_trace::rng::Rng;
-use molcache_trace::Asid;
 
 /// One line frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LineSlot {
-    pub tag: u64,
-    pub valid: bool,
-    pub dirty: bool,
-    pub asid: Asid,
+struct LineSlot {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
 }
 
 impl LineSlot {
-    pub(crate) const EMPTY: LineSlot = LineSlot {
+    const EMPTY: LineSlot = LineSlot {
         tag: 0,
         valid: false,
         dirty: false,
-        asid: Asid::NONE,
     };
 }
 
@@ -94,35 +91,6 @@ impl SetAssocCache {
         let sets = self.cfg.num_sets();
         ((line % sets) as usize, line / sets)
     }
-
-    fn set_slots(&mut self, set: usize) -> &mut [LineSlot] {
-        let assoc = self.cfg.assoc() as usize;
-        &mut self.lines[set * assoc..(set + 1) * assoc]
-    }
-
-    /// Looks up without modifying replacement state or stats
-    /// (diagnostic / coherence probe).
-    pub fn probe(&self, req: Request) -> bool {
-        let (set, tag) = self.index_and_tag(req.addr);
-        let assoc = self.cfg.assoc() as usize;
-        self.lines[set * assoc..(set + 1) * assoc]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Invalidates a line if present; returns whether it was dirty.
-    pub fn invalidate(&mut self, req: Request) -> Option<bool> {
-        let (set, tag) = self.index_and_tag(req.addr);
-        let slots = self.set_slots(set);
-        for slot in slots.iter_mut() {
-            if slot.valid && slot.tag == tag {
-                let dirty = slot.dirty;
-                *slot = LineSlot::EMPTY;
-                return Some(dirty);
-            }
-        }
-        None
-    }
 }
 
 impl CacheModel for SetAssocCache {
@@ -173,7 +141,6 @@ impl CacheModel for SetAssocCache {
             tag,
             valid: true,
             dirty: req.kind.is_write() && self.cfg.write_policy() == WritePolicy::WriteBack,
-            asid: req.asid,
         };
         self.policies[set].on_fill(way);
         self.activity.line_fills += 1;
@@ -210,7 +177,7 @@ impl CacheModel for SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use molcache_trace::{AccessKind, Address};
+    use molcache_trace::{AccessKind, Address, Asid};
 
     fn read(addr: u64) -> Request {
         Request {
@@ -322,25 +289,6 @@ mod tests {
         assert_eq!(a.accesses, 2);
         assert_eq!(a.ways_probed, 4); // 2 accesses x 2 ways
         assert_eq!(a.line_fills, 1);
-    }
-
-    #[test]
-    fn probe_does_not_disturb() {
-        let mut c = tiny();
-        c.access(read(0));
-        let before = c.stats().clone();
-        assert!(c.probe(read(0)));
-        assert!(!c.probe(read(64)));
-        assert_eq!(*c.stats(), before);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.access(write(0));
-        assert_eq!(c.invalidate(read(0)), Some(true));
-        assert_eq!(c.invalidate(read(0)), None);
-        assert!(!c.access(read(0)).hit);
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub struct EpochActivity {
     pub ulmo_searches: u64,
     /// Unallocated molecules at epoch close.
     pub free_molecules: usize,
-    /// References served by the memoization front-end (always 0 when the
-    /// `memo-front` feature is off or disabled). Diagnostic only: it is
+    /// References served by the memoization front-end (always 0 while the
+    /// memo is disabled at runtime). Diagnostic only: it is
     /// deliberately **excluded** from the canonical JSON export so that
     /// telemetry documents stay byte-identical with memoization on or
     /// off. Surfaced by `molstat --memo` and molbench instead.
