@@ -29,17 +29,12 @@
 //! `--stages` prints the pipeline-stage breakdown of the whole run and
 //! self-checks the staging contract — the per-stage cycles must sum to
 //! the total access latency the statistics reported — exiting 1 on any
-//! mismatch, which makes it usable as a CI smoke check. The table carries
-//! a `host-ns` column: in builds with the `stage-profiler` feature it
-//! holds the sampled wall time per stage (every 64th access timed) and a
-//! second exit-gated self-check requires the sampled stage wall-times to
-//! sum to no more than the run's measured wall time; default builds show
-//! `-` and stay bit-identical.
+//! mismatch, which makes it usable as a CI smoke check.
 
 use molcache_bench::experiments::table2;
 use molcache_bench::harness::{run_workload_recorded, Engine};
 use molcache_bench::tourney::TourneyDoc;
-use molcache_core::{MemoStats, MolecularCache, RegionPolicy, StageWallProfile};
+use molcache_core::{MemoStats, MolecularCache, RegionPolicy};
 use molcache_power::calibrate::molecule_report;
 use molcache_power::tech::TechNode;
 use molcache_power::EnergyMeter;
@@ -134,7 +129,12 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if args.policies.is_empty() || args.refs == 0 || args.epoch == 0 || args.period == 0 {
+    if args.policies.is_empty()
+        || args.refs == 0
+        || args.epoch == 0
+        || args.period == 0
+        || args.jobs == 0
+    {
         usage();
     }
     args
@@ -147,12 +147,6 @@ struct RunResult {
     resize_rounds: u64,
     free_molecules: usize,
     activity: Activity,
-    /// Wall-clock time of the whole run (host observability only; never
-    /// part of the deterministic text/JSON comparisons).
-    wall_ns: u64,
-    /// Sampled host-time stage split — `Some` only in builds with the
-    /// `stage-profiler` feature, rendered as `-` otherwise.
-    wall_profile: Option<StageWallProfile>,
     /// Memo front-end counters.
     memo: MemoStats,
 }
@@ -198,26 +192,21 @@ fn report_stages(run: &RunResult, meter: Option<&EnergyMeter>) -> bool {
     let energy = meter.map(|m| m.stage_energy_nj(&run.activity));
     println!("pipeline stages ({}):", run.policy);
     print!(
-        "  {:<12} {:>14} {:>14} {:>12} {:>10} {:>12}",
-        "stage", "cycles", "asid-compares", "tag-probes", "frames", "host-ns"
+        "  {:<12} {:>14} {:>14} {:>12} {:>10}",
+        "stage", "cycles", "asid-compares", "tag-probes", "frames"
     );
     if energy.is_some() {
         print!(" {:>14}", "energy-nJ");
     }
     println!();
     for (stage, totals) in run.activity.stages.iter() {
-        let host = match &run.wall_profile {
-            Some(p) => p.stage_ns_of(stage).to_string(),
-            None => "-".to_string(),
-        };
         print!(
-            "  {:<12} {:>14} {:>14} {:>12} {:>10} {:>12}",
+            "  {:<12} {:>14} {:>14} {:>12} {:>10}",
             stage.name(),
             totals.cycles,
             totals.asid_compares,
             totals.tag_probes,
             totals.frames_touched,
-            host,
         );
         if let Some(e) = &energy {
             print!(" {:>14.1}", e.stage(stage));
@@ -226,7 +215,7 @@ fn report_stages(run: &RunResult, meter: Option<&EnergyMeter>) -> bool {
     }
     let stage_cycles = run.activity.stages.total_cycles();
     let latency = run.summary.total_latency();
-    let mut ok = if stage_cycles == latency {
+    if stage_cycles == latency {
         println!("  stage cycles {stage_cycles} == total access latency: ok");
         true
     } else {
@@ -235,26 +224,7 @@ fn report_stages(run: &RunResult, meter: Option<&EnergyMeter>) -> bool {
             run.policy
         );
         false
-    };
-    // Host-time sanity: the sampled per-stage wall times cover a subset
-    // of the run's accesses, so their sum can never exceed the measured
-    // wall time of the whole run.
-    if let Some(profile) = &run.wall_profile {
-        let sampled = profile.total_sampled_ns();
-        if sampled <= run.wall_ns {
-            println!(
-                "  sampled stage wall {sampled} ns <= run wall {} ns: ok",
-                run.wall_ns
-            );
-        } else {
-            eprintln!(
-                "molstat: stage wall-time self-check failed for {}: sampled {sampled} ns > run wall {} ns",
-                run.policy, run.wall_ns
-            );
-            ok = false;
-        }
     }
-    ok
 }
 
 /// Renders a `molcache-serve-v1` replay record: run parameters,
@@ -349,12 +319,7 @@ fn main() {
         move |policy, sink| {
             let mut cache: MolecularCache =
                 table2::molecular_6mb_with_period(policy, seed, period).with_sink(sink.clone());
-            // No-op in default builds; with the `stage-profiler` feature
-            // every 64th access is timed per stage for the host-ns column.
-            cache.enable_stage_profiler(64);
-            let wall = std::time::Instant::now();
             let summary = run_workload_recorded(&Benchmark::MIXED12, &mut cache, refs, seed, &sink);
-            let wall_ns = wall.elapsed().as_nanos() as u64;
             RunResult {
                 policy,
                 summary,
@@ -362,8 +327,6 @@ fn main() {
                 resize_rounds: cache.resize_rounds(),
                 free_molecules: cache.free_molecules(),
                 activity: cache.activity(),
-                wall_ns,
-                wall_profile: cache.stage_wall_profile(),
                 memo: cache.memo_stats().unwrap_or_default(),
             }
         },

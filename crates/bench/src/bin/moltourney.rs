@@ -18,8 +18,7 @@
 //! grid fills in, never what it holds.
 
 use molcache_bench::harness::Engine;
-use molcache_bench::report::today_utc;
-use molcache_bench::tourney::{score_cell, TourneyDoc};
+use molcache_bench::tourney::{score_cell, today_utc, TourneyDoc};
 use molcache_bench::workloads::{build_workload, tourney_workloads};
 use molcache_core::policy::POLICY_NAMES;
 
@@ -101,7 +100,7 @@ fn parse_args() -> Args {
     if args.smoke && !refs_set {
         args.refs = 20_000;
     }
-    if args.refs == 0 || args.policies.is_empty() || args.workloads.is_empty() {
+    if args.refs == 0 || args.jobs == 0 || args.policies.is_empty() || args.workloads.is_empty() {
         usage();
     }
     args

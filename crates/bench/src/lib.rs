@@ -23,12 +23,10 @@
 pub mod experiments;
 pub mod harness;
 pub mod machine;
-pub mod report;
 pub mod stopwatch;
 pub mod tourney;
 pub mod workloads;
 
 pub use harness::{molecular_config, run_workload_on, Engine, ExperimentScale};
 pub use machine::MachineInfo;
-pub use report::{compare, BenchDoc, WorkloadResult, BENCH_SCHEMA, REGRESSION_TOLERANCE};
 pub use tourney::{TourneyDoc, TourneyEntry, TOURNEY_SCHEMA};

@@ -1,15 +1,16 @@
-//! Host machine identification for `BENCH_*.json` records.
+//! Host machine identification for perfbench's `# machine:` line, which
+//! every `BENCH_*.json` record copies.
 //!
-//! A throughput number is meaningless without the machine that produced
-//! it, so every bench record carries the CPU model, logical core count,
-//! rustc version and git revision. Detection is best-effort: anything
+//! A timing is meaningless without the machine that produced it, so
+//! every benchmark run names the CPU model, logical core count, rustc
+//! version and git revision. Detection is best-effort: anything
 //! that cannot be determined (no `/proc/cpuinfo`, no `git` in PATH, a
 //! stripped container) degrades to `"unknown"` rather than failing the
 //! run.
 
 use molcache_metrics::json::Value;
 
-/// What produced a bench record: CPU, cores, toolchain, revision.
+/// What produced a benchmark run: CPU, cores, toolchain, revision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineInfo {
     /// CPU model string (`model name` from `/proc/cpuinfo`).
@@ -38,7 +39,8 @@ impl MachineInfo {
         }
     }
 
-    /// The JSON object stored under `"machine"` in a bench record.
+    /// The machine as a JSON object (`cpu_model`, `cores`, `rustc`,
+    /// `git_sha`, `os`).
     pub fn to_value(&self) -> Value {
         Value::Object(vec![
             ("cpu_model".into(), Value::String(self.cpu_model.clone())),
@@ -49,7 +51,8 @@ impl MachineInfo {
         ])
     }
 
-    /// Rebuilds the info from a parsed `"machine"` object.
+    /// Rebuilds the info from an object [`to_value`](Self::to_value)
+    /// wrote.
     pub fn from_value(v: &Value) -> Option<MachineInfo> {
         Some(MachineInfo {
             cpu_model: v.get("cpu_model")?.as_str()?.to_string(),

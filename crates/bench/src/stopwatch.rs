@@ -1,5 +1,4 @@
-//! Wall-clock benchmark runner shared by the `benches/` targets and the
-//! `molbench` harness.
+//! Wall-clock benchmark runner for the `benches/` targets (`cargo bench`).
 //!
 //! The workspace builds without crates.io access, so timing is done with
 //! `std::time::Instant` instead of an external harness. [`measure`] warms
@@ -9,10 +8,10 @@
 //! iteration's overshoot past the budget is a full sample of its own
 //! rather than silently skewing a window-wide mean.
 //!
-//! [`bench()`] and [`bench_throughput`] keep their original signatures for
-//! the `benches/` targets; both now route through [`measure`] and print a
-//! trailing machine-readable `#BENCH` line ([`machine_line`]) that shares
-//! its [`Timing`] plumbing with `molbench`'s `BENCH_*.json` records.
+//! [`bench()`] and [`bench_throughput`] route through [`measure`] and
+//! print a trailing machine-readable `#BENCH` line ([`machine_line`]).
+//! The repository's benchmark of record is `perfbench/`, not these
+//! micro-benchmarks.
 
 use std::time::{Duration, Instant};
 
@@ -29,11 +28,6 @@ pub struct Timing {
 }
 
 impl Timing {
-    /// Wraps an explicit sample list (tests, replayed records).
-    pub fn from_samples(samples_ns: Vec<u64>) -> Timing {
-        Timing { samples_ns }
-    }
-
     /// Number of timed iterations.
     pub fn count(&self) -> usize {
         self.samples_ns.len()
@@ -42,11 +36,6 @@ impl Timing {
     /// Fastest iteration in nanoseconds (0 when no samples exist).
     pub fn min_ns(&self) -> u64 {
         self.samples_ns.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Slowest iteration in nanoseconds (0 when no samples exist).
-    pub fn max_ns(&self) -> u64 {
-        self.samples_ns.iter().copied().max().unwrap_or(0)
     }
 
     /// Mean iteration time in nanoseconds over the individual samples.
@@ -71,11 +60,6 @@ impl Timing {
         } else {
             sorted[mid] as f64
         }
-    }
-
-    /// Total nanoseconds across all timed iterations.
-    pub fn total_ns(&self) -> u64 {
-        self.samples_ns.iter().sum()
     }
 }
 
@@ -102,48 +86,7 @@ pub fn measure<F: FnMut()>(max_samples: usize, budget: Duration, f: &mut F) -> T
     Timing { samples_ns }
 }
 
-/// Paired variant of [`measure`] for A/B floor gates on hosts whose
-/// clock frequency drifts between slow modes: warms both closures up,
-/// then alternates single timed samples of `a` and `b` so the two
-/// sides see the same host conditions sample for sample — cross-run
-/// A/B comparisons on such hosts swing by ±15 %-class, which is
-/// exactly the drift the interleaving cancels. `budget` bounds the
-/// combined timed work; each side always gets at least one sample and
-/// both always end with equally many.
-pub fn measure_paired<A: FnMut(), B: FnMut()>(
-    max_samples: usize,
-    budget: Duration,
-    a: &mut A,
-    b: &mut B,
-) -> (Timing, Timing) {
-    a(); // Warm-up iterations, excluded from timing.
-    b();
-    let max_samples = max_samples.max(1);
-    let budget = budget.as_nanos();
-    let (mut sa, mut sb) = (Vec::new(), Vec::new());
-    let mut total: u128 = 0;
-    loop {
-        let start = Instant::now();
-        a();
-        let ns = start.elapsed().as_nanos();
-        total += ns;
-        sa.push(u64::try_from(ns).unwrap_or(u64::MAX));
-
-        let start = Instant::now();
-        b();
-        let ns = start.elapsed().as_nanos();
-        total += ns;
-        sb.push(u64::try_from(ns).unwrap_or(u64::MAX));
-
-        if sa.len() >= max_samples || total >= budget {
-            break;
-        }
-    }
-    (Timing::from_samples(sa), Timing::from_samples(sb))
-}
-
-/// One machine-readable result line, shared by the `benches/` targets
-/// and `molbench`:
+/// One machine-readable result line of a `benches/` target:
 ///
 /// ```text
 /// #BENCH name=<..> samples=<..> min_ns=<..> median_ns=<..> mean_ns=<..>
@@ -242,8 +185,7 @@ mod tests {
         let t = measure(8, Duration::from_secs(60), &mut || runs += 1);
         assert_eq!(t.count(), 8, "sample cap bounds the run");
         assert_eq!(runs, 9, "8 timed samples plus one warm-up");
-        assert!(t.min_ns() <= t.max_ns());
-        assert!(t.total_ns() >= t.max_ns());
+        assert!(t.min_ns() as f64 <= t.median_ns());
     }
 
     #[test]
@@ -257,12 +199,15 @@ mod tests {
 
     #[test]
     fn timing_statistics() {
-        let t = Timing::from_samples(vec![40, 10, 20, 30]);
+        let t = Timing {
+            samples_ns: vec![40, 10, 20, 30],
+        };
         assert_eq!(t.min_ns(), 10);
-        assert_eq!(t.max_ns(), 40);
         assert_eq!(t.mean_ns(), 25.0);
         assert_eq!(t.median_ns(), 25.0, "midpoint of 20 and 30");
-        let odd = Timing::from_samples(vec![7, 1, 9]);
+        let odd = Timing {
+            samples_ns: vec![7, 1, 9],
+        };
         assert_eq!(odd.median_ns(), 7.0);
         assert_eq!(Timing::default().median_ns(), 0.0);
         assert_eq!(Timing::default().mean_ns(), 0.0);
@@ -270,26 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn measure_paired_alternates_and_balances_samples() {
-        let (mut na, mut nb) = (0u32, 0u32);
-        let (ta, tb) = measure_paired(4, Duration::from_secs(3600), &mut || na += 1, &mut || {
-            nb += 1
-        });
-        // One warm-up each plus exactly max_samples timed iterations.
-        assert_eq!(na, 5);
-        assert_eq!(nb, 5);
-        assert_eq!(ta.count(), 4);
-        assert_eq!(tb.count(), 4);
-
-        // A zero budget still takes one interleaved sample per side.
-        let (ta, tb) = measure_paired(64, Duration::ZERO, &mut || {}, &mut || {});
-        assert_eq!(ta.count(), 1);
-        assert_eq!(tb.count(), 1);
-    }
-
-    #[test]
     fn machine_line_shape() {
-        let t = Timing::from_samples(vec![1_000, 3_000]);
+        let t = Timing {
+            samples_ns: vec![1_000, 3_000],
+        };
         assert_eq!(
             machine_line("x", None, &t),
             "#BENCH name=x samples=2 min_ns=1000 median_ns=2000 mean_ns=2000"

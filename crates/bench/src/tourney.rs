@@ -366,10 +366,51 @@ fn reduce(policy: &str, workload: &str, cache: &MolecularCache) -> TourneyEntry 
     }
 }
 
+/// Today's UTC date as `YYYY-MM-DD` (the workspace builds without
+/// chrono, so the civil-date conversion is hand-rolled).
+pub fn today_utc() -> String {
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    date_from_unix(secs)
+}
+
+/// `YYYY-MM-DD` (UTC) of a Unix timestamp in seconds.
+fn date_from_unix(secs: u64) -> String {
+    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
+    format!("{y:04}-{m:02}-{d:02}")
+}
+
+/// Days-since-epoch to (year, month, day), via Howard Hinnant's
+/// `civil_from_days` algorithm.
+fn civil_from_days(z: i64) -> (i64, u32, u32) {
+    let z = z + 719_468;
+    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
+    let doe = (z - era * 146_097) as u64;
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let y = yoe as i64 + era * 400;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
+    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
+    (if m <= 2 { y + 1 } else { y }, m, d)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workloads::build_workload;
+
+    #[test]
+    fn dates_from_unix_seconds() {
+        assert_eq!(date_from_unix(0), "1970-01-01");
+        assert_eq!(date_from_unix(86_399), "1970-01-01");
+        assert_eq!(date_from_unix(86_400), "1970-01-02");
+        assert_eq!(date_from_unix(1_704_067_200), "2024-01-01");
+        // Leap day: 2024-02-29 00:00:00 UTC.
+        assert_eq!(date_from_unix(1_709_164_800), "2024-02-29");
+    }
 
     fn entry(policy: &str, workload: &str) -> TourneyEntry {
         TourneyEntry {

@@ -1,12 +1,12 @@
-//! Shared workload builders for the wall-clock harness (`molbench`) and
-//! the policy tournament (`moltourney`).
+//! Workload builders for the policy tournament (`moltourney`) and the
+//! `miss_storm` workload of the `perfbench` benchmark.
 //!
-//! Both drivers run the same suite — `single:<bm>`, `mixed12`,
-//! `miss_storm`, `serve_mt` — and their numbers are only comparable if
-//! the request streams and cache geometries are built identically, so
-//! the builders live here rather than in either binary. Every builder
-//! is a pure function of `(refs, seed)`: two calls with the same
-//! arguments produce bit-identical streams on any host.
+//! The tournament suite is `single:<bm>`, `mixed12`, `miss_storm` and
+//! `serve_mt`; `perfbench` builds its `miss_storm` cache and stream with
+//! the same functions, so the two measure the same request stream and
+//! cache geometry. Every builder is a pure function of `(refs, seed)`:
+//! two calls with the same arguments produce bit-identical streams on
+//! any host.
 
 use crate::experiments::table2;
 use crate::harness::{molecular_cache, workload_requests};

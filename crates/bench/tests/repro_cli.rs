@@ -1,6 +1,6 @@
 //! `repro`'s command line: every word it does not know is an error,
-//! never a silently ignored target or flag. `molsim` rejects bad flag
-//! values the same way.
+//! never a silently ignored target or flag. `molsim`, `molstat` and
+//! `moltourney` reject bad flag values the same way.
 
 use std::process::{Command, Output};
 
@@ -47,21 +47,37 @@ fn bad_flag_values_are_rejected() {
     assert_rejected(&["--scale", "huge"], "unknown scale `huge`");
 }
 
+/// `name` (built at `bin`) exited 2 with its usage text on stderr and
+/// printed nothing on stdout.
+fn assert_usage_exit(bin: &str, name: &str, args: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {name}")),
+        "{name} {args:?}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{name} {args:?} ran");
+}
+
 #[test]
 fn molsim_rejects_zero_refs() {
     for args in [
         &["--refs", "0"][..],
         &["--cache", "setassoc", "--refs", "0"],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_molsim"))
-            .args(args)
-            .output()
-            .expect("molsim runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("usage: molsim"), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
+        assert_usage_exit(env!("CARGO_BIN_EXE_molsim"), "molsim", args);
     }
+}
+
+#[test]
+fn molstat_and_moltourney_reject_zero_jobs() {
+    assert_usage_exit(env!("CARGO_BIN_EXE_molstat"), "molstat", &["--jobs", "0"]);
+    assert_usage_exit(
+        env!("CARGO_BIN_EXE_moltourney"),
+        "moltourney",
+        &["--smoke", "--no-write", "--jobs", "0"],
+    );
 }
 
 #[test]

@@ -13,7 +13,6 @@ use crate::config::MolecularConfig;
 use crate::ids::{ClusterId, MoleculeId, TileId};
 use crate::molecule::Molecule;
 use crate::policy::{PaperAlgorithm1, ResizeEvent, ResizePolicy};
-use crate::profiler::StageWallProfile;
 use crate::region::Region;
 use crate::region_table::RegionTable;
 use crate::stats::RegionSnapshot;
@@ -71,10 +70,6 @@ pub struct MolecularCache {
     /// (off = rebuild the list and rescan every gate on every access,
     /// the pre-cache behaviour).
     pub(crate) search_cache_enabled: bool,
-    /// Wall-time stage sampler (only with the `stage-profiler` feature;
-    /// default builds carry no sampler state at all).
-    #[cfg(feature = "stage-profiler")]
-    pub(crate) sampler: crate::profiler::StageSampler,
     /// Way/molecule memoization front-end (see [`crate::pipeline::memo`]).
     pub(crate) memo: crate::pipeline::memo::MemoTable,
     /// Memo hits at the last epoch close, so epoch samples carry the
@@ -138,8 +133,6 @@ impl MolecularCache {
             epoch_activity_base: Activity::default(),
             structure_generation: 1,
             search_cache_enabled: true,
-            #[cfg(feature = "stage-profiler")]
-            sampler: crate::profiler::StageSampler::default(),
             memo: crate::pipeline::memo::MemoTable::new(1),
             epoch_memo_base: 0,
         }
@@ -165,35 +158,6 @@ impl MolecularCache {
     #[inline]
     pub(crate) fn note_structural_change(&mut self) {
         self.structure_generation += 1;
-    }
-
-    /// Enables the sampling wall-time stage profiler: every
-    /// `sample_every`-th access is timed with `Instant` around each
-    /// pipeline stage, so profiler overhead stays bounded at ten clock
-    /// reads per `sample_every` accesses. `sample_every == 0` disables
-    /// sampling again.
-    ///
-    /// A no-op unless the crate is built with the `stage-profiler`
-    /// feature — default builds never read the clock on the access path.
-    pub fn enable_stage_profiler(&mut self, sample_every: u64) {
-        #[cfg(feature = "stage-profiler")]
-        {
-            self.sampler.sample_every = sample_every;
-            self.sampler.profile.sample_every = sample_every;
-        }
-        #[cfg(not(feature = "stage-profiler"))]
-        let _ = sample_every;
-    }
-
-    /// The sampled wall-time stage profile, when the `stage-profiler`
-    /// feature is compiled in and sampling was enabled; `None` otherwise,
-    /// which callers render as a `-` column.
-    pub fn stage_wall_profile(&self) -> Option<StageWallProfile> {
-        #[cfg(feature = "stage-profiler")]
-        if self.sampler.sample_every > 0 {
-            return Some(self.sampler.profile);
-        }
-        None
     }
 
     /// Attaches a telemetry sink. The cache publishes per-partition epoch
@@ -474,31 +438,6 @@ impl CacheModel for MolecularCache {
     }
 }
 
-/// Times `$body` (one pipeline-stage call) into the sampler's slot
-/// `$idx` when `$sampled` is set. Expands to the bare `$body` without the
-/// `stage-profiler` feature, so default builds gain no code on the access
-/// path.
-#[cfg(feature = "stage-profiler")]
-macro_rules! timed_stage {
-    ($cache:expr, $sampled:expr, $idx:expr, $body:expr) => {{
-        if $sampled {
-            let __start = std::time::Instant::now();
-            let __out = $body;
-            $cache.sampler.profile.stage_ns[$idx] += __start.elapsed().as_nanos() as u64;
-            __out
-        } else {
-            $body
-        }
-    }};
-}
-#[cfg(not(feature = "stage-profiler"))]
-macro_rules! timed_stage {
-    ($cache:expr, $sampled:expr, $idx:expr, $body:expr) => {{
-        let _ = $sampled;
-        $body
-    }};
-}
-
 impl MolecularCache {
     /// Drives one request through the five-stage pipeline.
     ///
@@ -513,10 +452,6 @@ impl MolecularCache {
         let asid = req.asid;
         let line = req.addr.line(self.cfg.line_size());
         let is_write = req.kind.is_write();
-        #[cfg(feature = "stage-profiler")]
-        let sampled = self.sampler.begin_access();
-        #[cfg(not(feature = "stage-profiler"))]
-        let sampled = false;
 
         // Stage 0 — memoization front-end: a verified memo hit replays
         // the gate/lookup counters the full pipeline would emit and
@@ -525,7 +460,7 @@ impl MolecularCache {
         if self.memo.enabled {
             if let Some((mol, gate_count)) = self.memo.lookup(asid, line, self.structure_generation)
             {
-                let verified = timed_stage!(self, sampled, 1, self.tags.probe(mol, line, is_write));
+                let verified = self.tags.probe(mol, line, is_write);
                 if verified {
                     self.memo.note_hit();
                     self.molecules[mol.index()].record_hit();
@@ -548,30 +483,15 @@ impl MolecularCache {
         stages.asid_gate.cycles = self.cfg.asid_stage_cycles;
         stages.home_lookup.cycles = self.cfg.hit_latency;
         let mut latency = self.cfg.asid_stage_cycles + self.cfg.hit_latency;
-        timed_stage!(
-            self,
-            sampled,
-            0,
-            self.asid_gate(asid, 0, &mut stages.asid_gate)
-        );
-        if let Some(hit_mol) = timed_stage!(
-            self,
-            sampled,
-            1,
-            self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup)
-        ) {
+        self.asid_gate(asid, 0, &mut stages.asid_gate);
+        if let Some(hit_mol) = self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup) {
             self.memo_note_home_hit(asid, line, hit_mol);
             return self.finish_hit(asid, hit_mol, latency, stages);
         }
 
         // Stage 3 — Ulmo cross-tile search (charges its penalty to its
         // trace only when the region actually spans tiles).
-        let remote_hit = timed_stage!(
-            self,
-            sampled,
-            2,
-            self.ulmo_search(asid, line, is_write, &mut stages.ulmo_search)
-        );
+        let remote_hit = self.ulmo_search(asid, line, is_write, &mut stages.ulmo_search);
         latency += stages.ulmo_search.cycles;
         if let Some(hit_mol) = remote_hit {
             return self.finish_hit(asid, hit_mol, latency, stages);
@@ -583,8 +503,7 @@ impl MolecularCache {
         let region = self.regions.get_mut(&asid).expect("region");
         region.record_access(true);
         let lines_fetched = region.line_factor();
-        let Some(victim) = timed_stage!(self, sampled, 3, self.victim_select(asid, req.addr, home))
-        else {
+        let Some(victim) = self.victim_select(asid, req.addr, home) else {
             // No region molecules and no shared fallback: the request
             // bypasses the cache entirely (fill stage touches no frame).
             self.stats.record(asid, false, false, latency);
@@ -598,12 +517,7 @@ impl MolecularCache {
             };
         };
         self.molecules[victim.index()].record_replacement_miss();
-        let writeback = timed_stage!(
-            self,
-            sampled,
-            4,
-            self.fill_block(asid, victim, line, is_write, &mut stages.fill)
-        );
+        let writeback = self.fill_block(asid, victim, line, is_write, &mut stages.fill);
         self.stats.record(asid, false, writeback, latency);
         self.activity.record_stages(&stages);
         AccessOutcome {

@@ -63,7 +63,6 @@ pub mod molecule;
 mod observe;
 pub mod pipeline;
 pub mod policy;
-pub mod profiler;
 pub mod region;
 pub mod region_table;
 pub mod resize;
@@ -77,5 +76,4 @@ pub use config::{InitialAllocation, MolecularConfig, MolecularConfigBuilder, Reg
 pub use error::CoreError;
 pub use pipeline::{Lfsr16, MemoStats, VictimPolicy};
 pub use policy::ResizePolicy;
-pub use profiler::StageWallProfile;
 pub use resize::ResizeTrigger;

@@ -40,8 +40,8 @@
 //! Hit/miss/latency/energy statistics and telemetry JSON are therefore
 //! byte-identical with the front-end on or off; the equivalence suites
 //! and `memo_property` proptests enforce it. The memo's own counters are
-//! reported out-of-band ([`MemoStats`], `molstat --memo`, molbench) and
-//! never enter the canonical telemetry export.
+//! reported out-of-band ([`MemoStats`], `molstat --memo`, perfbench's
+//! `core.memo_*` metrics) and never enter the canonical telemetry export.
 
 use crate::cache::MolecularCache;
 use crate::ids::MoleculeId;
@@ -53,7 +53,7 @@ use molcache_trace::{Asid, LineAddr};
 pub const MEMO_SLOTS: usize = 509;
 
 /// Lifetime counters of the memoization front-end, for `molstat --memo`
-/// and molbench's memo-hit-rate report.
+/// and perfbench's `core.memo_*` metrics.
 ///
 /// Produced by `MolecularCache::memo_stats`. These counters are
 /// diagnostics only: they are deliberately kept out of the canonical
@@ -262,7 +262,7 @@ impl MolecularCache {
     /// Enables or disables the memoization front-end at runtime.
     ///
     /// The toggle exists so one binary can compare memo-on and memo-off
-    /// runs (the equivalence suites and `molbench --no-memo` do). It is
+    /// runs (the equivalence suites and `memo_property` do). It is
     /// not a structural event and leaves the table's entries alone:
     /// within one structure generation the home tile and gate set an
     /// entry replays are constant, and every memo hit is re-verified by

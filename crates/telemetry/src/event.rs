@@ -61,7 +61,7 @@ pub struct EpochActivity {
     /// memo is disabled at runtime). Diagnostic only: it is
     /// deliberately **excluded** from the canonical JSON export so that
     /// telemetry documents stay byte-identical with memoization on or
-    /// off. Surfaced by `molstat --memo` and molbench instead.
+    /// off. Surfaced by `molstat --memo` instead.
     pub memo_hits: u64,
     /// Per-pipeline-stage deltas of the counters above (all-zero for
     /// caches without a staged pipeline).
