@@ -20,7 +20,6 @@ use molcache_power::calibrate::molecule_report;
 use molcache_power::leakage::leakage_w;
 use molcache_power::tech::TechNode;
 use molcache_sim::cmp::run_accesses;
-use molcache_sim::replacement::Policy;
 use molcache_sim::{CacheConfig, CacheModel, SetAssocCache};
 use molcache_trace::din::DinSource;
 use molcache_trace::gen::BoxedSource;
@@ -272,7 +271,7 @@ fn main() {
                 eprintln!("bad cache geometry: {e}");
                 std::process::exit(1);
             });
-            let mut cache = SetAssocCache::new(cfg, Policy::Lru);
+            let mut cache = SetAssocCache::new(cfg);
             let summary = run_accesses(stream, &mut cache, args.refs);
             report(&cache, &args, &summary);
         }

@@ -13,7 +13,6 @@ use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger
 use molcache_metrics::deviation::{average_deviation, MissRateGoal};
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::{fmt_f64, Table};
-use molcache_sim::replacement::Policy;
 use molcache_sim::{CacheConfig, Request, SetAssocCache};
 use molcache_trace::presets::Benchmark;
 use molcache_trace::Asid;
@@ -133,7 +132,7 @@ pub fn run_point(graph: Graph, requests: &[Request], size: u64, config: Config) 
     let summary = match config {
         Config::Traditional(assoc) => {
             let cfg = CacheConfig::new(size, assoc, 64).expect("figure geometry valid");
-            replay_warmed(requests, &mut SetAssocCache::new(cfg, Policy::Lru))
+            replay_warmed(requests, &mut SetAssocCache::new(cfg))
         }
         Config::Molecular(policy) => {
             replay_warmed(requests, &mut molecular_for(graph, size, policy))

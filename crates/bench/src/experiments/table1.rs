@@ -30,7 +30,7 @@ pub struct Table1 {
 }
 
 fn shared_l2() -> SetAssocCache {
-    SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).expect("1MB 4-way is valid"))
+    SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).expect("1MB 4-way is valid"))
 }
 
 /// Runs the Table 1 experiment serially.

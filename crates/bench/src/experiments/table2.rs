@@ -12,7 +12,6 @@ use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger
 use molcache_metrics::deviation::{average_deviation, MissRateGoal};
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::{fmt_f64, Table};
-use molcache_sim::replacement::Policy;
 use molcache_sim::{CacheConfig, Request, SetAssocCache};
 use molcache_trace::presets::Benchmark;
 
@@ -107,7 +106,7 @@ pub fn run_config(requests: &[Request], config: Config) -> Row {
     let summary = match config {
         Config::Traditional(size, assoc) => {
             let cfg = CacheConfig::new(size, assoc, 64).expect("table 2 geometry");
-            replay_warmed(requests, &mut SetAssocCache::new(cfg, Policy::Lru))
+            replay_warmed(requests, &mut SetAssocCache::new(cfg))
         }
         Config::Molecular(policy) => replay_warmed(requests, &mut molecular_6mb(policy, 7)),
     };

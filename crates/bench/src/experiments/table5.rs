@@ -107,14 +107,6 @@ pub fn run_from_table2(t2: &table2::Table2) -> Table5 {
 }
 
 impl Table5 {
-    /// Whether the molecular cache wins every row (the paper's claim:
-    /// "consistently better").
-    pub fn molecular_consistently_better(&self) -> bool {
-        self.rows
-            .iter()
-            .all(|r| r.molecular_pdp < r.traditional_pdp)
-    }
-
     /// Renders the paper-style table.
     pub fn render(&self) -> String {
         let mut t = Table::new(vec![

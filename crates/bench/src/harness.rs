@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn run_workload_attributes_all_apps() {
-        let mut cache = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap());
+        let mut cache = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap());
         let summary = run_workload_on(&Benchmark::SPEC4, &mut cache, 20_000, 42);
         assert_eq!(summary.per_app.len(), 4);
         assert_eq!(summary.accesses(), 20_000);
@@ -366,7 +366,7 @@ mod tests {
     fn replay_warmed_matches_streaming_warmup() {
         use crate::experiments::fig5::{molecular_for, Graph};
         assert_replay_matches_stream(|| {
-            SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap())
+            SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap())
         });
         assert_replay_matches_stream(|| molecular_for(Graph::A, 1 << 20, RegionPolicy::Randy));
     }

@@ -23,7 +23,6 @@
 pub mod experiments;
 pub mod harness;
 pub mod machine;
-pub mod stopwatch;
 pub mod tourney;
 pub mod workloads;
 

@@ -8,8 +8,6 @@
 //! stripped container) degrades to `"unknown"` rather than failing the
 //! run.
 
-use molcache_metrics::json::Value;
-
 /// What produced a benchmark run: CPU, cores, toolchain, revision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineInfo {
@@ -37,30 +35,6 @@ impl MachineInfo {
             git_sha: command_output("git", &["rev-parse", "--short=12", "HEAD"]),
             os: std::env::consts::OS.to_string(),
         }
-    }
-
-    /// The machine as a JSON object (`cpu_model`, `cores`, `rustc`,
-    /// `git_sha`, `os`).
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("cpu_model".into(), Value::String(self.cpu_model.clone())),
-            ("cores".into(), Value::Number(self.cores as f64)),
-            ("rustc".into(), Value::String(self.rustc.clone())),
-            ("git_sha".into(), Value::String(self.git_sha.clone())),
-            ("os".into(), Value::String(self.os.clone())),
-        ])
-    }
-
-    /// Rebuilds the info from an object [`to_value`](Self::to_value)
-    /// wrote.
-    pub fn from_value(v: &Value) -> Option<MachineInfo> {
-        Some(MachineInfo {
-            cpu_model: v.get("cpu_model")?.as_str()?.to_string(),
-            cores: v.get("cores")?.as_f64()? as usize,
-            rustc: v.get("rustc")?.as_str()?.to_string(),
-            git_sha: v.get("git_sha")?.as_str()?.to_string(),
-            os: v.get("os")?.as_str()?.to_string(),
-        })
     }
 }
 
@@ -101,30 +75,6 @@ mod tests {
         assert!(!m.rustc.is_empty());
         assert!(!m.git_sha.is_empty());
         assert!(!m.os.is_empty());
-    }
-
-    #[test]
-    fn value_round_trip() {
-        let m = MachineInfo {
-            cpu_model: "Example CPU @ 2.0GHz".into(),
-            cores: 8,
-            rustc: "rustc 1.0.0".into(),
-            git_sha: "abcdef123456".into(),
-            os: "linux".into(),
-        };
-        assert_eq!(MachineInfo::from_value(&m.to_value()), Some(m));
-    }
-
-    #[test]
-    fn from_value_rejects_malformed_objects() {
-        assert_eq!(MachineInfo::from_value(&Value::Null), None);
-        assert_eq!(
-            MachineInfo::from_value(&Value::Object(vec![(
-                "cpu_model".into(),
-                Value::String("x".into())
-            )])),
-            None
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! resizing live in [`crate::resize`]; telemetry publishing in the
 //! `observe` module.
 
-use crate::config::MolecularConfig;
+use crate::config::{MolecularConfig, ASID_STAGE_CYCLES, HIT_LATENCY, MISS_PENALTY};
 use crate::ids::{ClusterId, MoleculeId, TileId};
 use crate::molecule::Molecule;
 use crate::policy::{PaperAlgorithm1, ResizeEvent, ResizePolicy};
@@ -22,7 +22,6 @@ use molcache_sim::{
     AccessOutcome, Activity, BatchOutcome, CacheModel, CacheStats, Request, StageBreakdown,
 };
 use molcache_telemetry::SinkHandle;
-use molcache_trace::rng::Rng;
 use molcache_trace::Asid;
 
 pub use crate::pipeline::victim::Lfsr16;
@@ -46,7 +45,6 @@ pub struct MolecularCache {
     /// The installed resize decision policy (see [`crate::policy`]);
     /// defaults to [`PaperAlgorithm1`] on the configured trigger.
     pub(crate) resize_policy: Box<dyn ResizePolicy>,
-    pub(crate) rng: Rng,
     pub(crate) lfsr: Lfsr16,
     pub(crate) stats: CacheStats,
     pub(crate) activity: Activity,
@@ -66,10 +64,6 @@ pub struct MolecularCache {
     /// memo its entries; a stale stamp forces a lazy rebuild or a memo
     /// miss. Starts at 1 so a 0 stamp always reads as stale.
     pub(crate) structure_generation: u64,
-    /// Runtime toggle for the cached Ulmo search lists and gate masks
-    /// (off = rebuild the list and rescan every gate on every access,
-    /// the pre-cache behaviour).
-    pub(crate) search_cache_enabled: bool,
     /// Way/molecule memoization front-end (see [`crate::pipeline::memo`]).
     pub(crate) memo: crate::pipeline::memo::MemoTable,
     /// Memo hits at the last epoch close, so epoch samples carry the
@@ -105,7 +99,6 @@ impl MolecularCache {
             clusters.push(TileCluster::new(cluster, cluster_tiles));
         }
         let resize_policy: Box<dyn ResizePolicy> = Box::new(PaperAlgorithm1::new(cfg.trigger()));
-        let rng = Rng::seeded(cfg.seed);
         let lfsr = Lfsr16::new(cfg.seed as u16);
         let clusters_count = cfg.clusters();
         let tile_molecules = cfg.tile_molecules();
@@ -118,7 +111,6 @@ impl MolecularCache {
             clusters,
             regions: RegionTable::new(),
             resize_policy,
-            rng,
             lfsr,
             stats: CacheStats::new(),
             activity: Activity::default(),
@@ -132,7 +124,6 @@ impl MolecularCache {
             epoch_stats_base: CacheStats::new(),
             epoch_activity_base: Activity::default(),
             structure_generation: 1,
-            search_cache_enabled: true,
             memo: crate::pipeline::memo::MemoTable::new(1),
             epoch_memo_base: 0,
         }
@@ -191,13 +182,6 @@ impl MolecularCache {
             policy.register_app(*asid);
         }
         self.resize_policy = policy;
-    }
-
-    /// Builder-style [`set_resize_policy`](Self::set_resize_policy).
-    #[must_use]
-    pub fn with_resize_policy(mut self, policy: Box<dyn ResizePolicy>) -> Self {
-        self.set_resize_policy(policy);
-        self
     }
 
     /// Stable name of the installed resize policy.
@@ -271,14 +255,6 @@ impl MolecularCache {
     /// Snapshots of all regions, in ASID order.
     pub fn snapshots(&self) -> Vec<RegionSnapshot> {
         self.regions.values().map(|r| self.snapshot_of(r)).collect()
-    }
-
-    /// The replacement-view row sizes of one region (diagnostics: the
-    /// non-uniform way sizes of Figure 4).
-    pub fn region_row_sizes(&self, asid: Asid) -> Option<Vec<usize>> {
-        self.regions
-            .get(&asid)
-            .map(|r| (0..r.num_rows()).map(|i| r.row(i).len()).collect())
     }
 
     fn snapshot_of(&self, r: &Region) -> RegionSnapshot {
@@ -465,11 +441,11 @@ impl MolecularCache {
                     self.memo.note_hit();
                     self.molecules[mol.index()].record_hit();
                     let mut stages = StageBreakdown::default();
-                    stages.asid_gate.cycles = self.cfg.asid_stage_cycles;
+                    stages.asid_gate.cycles = ASID_STAGE_CYCLES;
                     stages.asid_gate.asid_compares = self.cfg.tile_molecules() as u32;
-                    stages.home_lookup.cycles = self.cfg.hit_latency;
+                    stages.home_lookup.cycles = HIT_LATENCY;
                     stages.home_lookup.tag_probes = gate_count;
-                    let latency = self.cfg.asid_stage_cycles + self.cfg.hit_latency;
+                    let latency = ASID_STAGE_CYCLES + HIT_LATENCY;
                     return self.finish_hit(asid, mol, latency, stages);
                 }
                 self.memo.note_stale(asid, line);
@@ -480,9 +456,9 @@ impl MolecularCache {
         let mut stages = StageBreakdown::default();
 
         // Stage 1 — ASID gate, stage 2 — home-tile tag probe.
-        stages.asid_gate.cycles = self.cfg.asid_stage_cycles;
-        stages.home_lookup.cycles = self.cfg.hit_latency;
-        let mut latency = self.cfg.asid_stage_cycles + self.cfg.hit_latency;
+        stages.asid_gate.cycles = ASID_STAGE_CYCLES;
+        stages.home_lookup.cycles = HIT_LATENCY;
+        let mut latency = ASID_STAGE_CYCLES + HIT_LATENCY;
         self.asid_gate(asid, 0, &mut stages.asid_gate);
         if let Some(hit_mol) = self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup) {
             self.memo_note_home_hit(asid, line, hit_mol);
@@ -498,8 +474,8 @@ impl MolecularCache {
         }
 
         // Miss: stage 4 — victim selection, stage 5 — block fill.
-        latency += self.cfg.miss_penalty;
-        stages.fill.cycles = self.cfg.miss_penalty;
+        latency += MISS_PENALTY;
+        stages.fill.cycles = MISS_PENALTY;
         let region = self.regions.get_mut(&asid).expect("region");
         region.record_access(true);
         let lines_fetched = region.line_factor();

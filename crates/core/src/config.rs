@@ -32,23 +32,14 @@ impl std::fmt::Display for RegionPolicy {
     }
 }
 
-/// The random-number source hardware uses for victim selection (§3.3).
-///
-/// The paper notes that Random replacement's quality "is highly dependent
-/// on the entropy of the random number generator implemented in
-/// hardware". [`VictimRng::Lfsr16`] models the cheap linear-feedback
-/// shift register a real cache controller would use — its correlated,
-/// low-entropy draws hurt Random (which reduces one draw modulo the whole
-/// region) far more than Randy (which only needs it within one row).
-/// [`VictimRng::HighQuality`] is an idealized generator (xoshiro256**)
-/// for sensitivity studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VictimRng {
-    /// 16-bit Galois LFSR (hardware-realistic; the default).
-    Lfsr16,
-    /// Idealized high-entropy generator.
-    HighQuality,
-}
+/// Molecule hit latency in cycles.
+pub(crate) const HIT_LATENCY: u32 = 4;
+/// The ASID-compare stage every lookup passes first, in cycles.
+pub(crate) const ASID_STAGE_CYCLES: u32 = 1;
+/// Ulmo's remote-search penalty in cycles (§3.2).
+pub(crate) const ULMO_PENALTY: u32 = 8;
+/// Memory miss penalty in cycles.
+pub(crate) const MISS_PENALTY: u32 = 200;
 
 /// How many molecules a new partition starts with (§3.4, "Ground Zero").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,11 +72,6 @@ pub struct MolecularConfig {
     pub(crate) trigger: ResizeTrigger,
     pub(crate) row_max: usize,
     pub(crate) app_clusters: BTreeMap<Asid, usize>,
-    pub(crate) hit_latency: u32,
-    pub(crate) asid_stage_cycles: u32,
-    pub(crate) ulmo_penalty: u32,
-    pub(crate) miss_penalty: u32,
-    pub(crate) victim_rng: VictimRng,
     pub(crate) seed: u64,
 }
 
@@ -184,11 +170,6 @@ impl MolecularConfig {
     pub fn app_cluster(&self, asid: Asid) -> Option<usize> {
         self.app_clusters.get(&asid).copied()
     }
-
-    /// The victim-selection random source.
-    pub fn victim_rng(&self) -> VictimRng {
-        self.victim_rng
-    }
 }
 
 /// Builder for [`MolecularConfig`] (see [`MolecularConfig::builder`]).
@@ -208,11 +189,6 @@ pub struct MolecularConfigBuilder {
     trigger: ResizeTrigger,
     row_max: usize,
     app_clusters: BTreeMap<Asid, usize>,
-    hit_latency: u32,
-    asid_stage_cycles: u32,
-    ulmo_penalty: u32,
-    miss_penalty: u32,
-    victim_rng: VictimRng,
     seed: u64,
 }
 
@@ -235,11 +211,6 @@ impl Default for MolecularConfigBuilder {
             },
             row_max: 8,
             app_clusters: BTreeMap::new(),
-            hit_latency: 4,
-            asid_stage_cycles: 1,
-            ulmo_penalty: 8,
-            miss_penalty: 200,
-            victim_rng: VictimRng::Lfsr16,
             seed: 0x4D01_EC01_u64,
         }
     }
@@ -331,24 +302,7 @@ impl MolecularConfigBuilder {
         self
     }
 
-    /// Sets the timing parameters (cycles): molecule hit latency, the
-    /// extra ASID-compare stage, the Ulmo remote-search penalty and the
-    /// memory miss penalty.
-    pub fn latencies(&mut self, hit: u32, asid_stage: u32, ulmo: u32, miss: u32) -> &mut Self {
-        self.hit_latency = hit;
-        self.asid_stage_cycles = asid_stage;
-        self.ulmo_penalty = ulmo;
-        self.miss_penalty = miss;
-        self
-    }
-
-    /// Selects the victim-selection random source.
-    pub fn victim_rng(&mut self, rng: VictimRng) -> &mut Self {
-        self.victim_rng = rng;
-        self
-    }
-
-    /// Seeds the cache's internal RNG (replacement randomness).
+    /// Seeds the cache's victim-selection LFSR.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.seed = seed;
         self
@@ -437,11 +391,6 @@ impl MolecularConfigBuilder {
             trigger: self.trigger,
             row_max: self.row_max,
             app_clusters: self.app_clusters.clone(),
-            hit_latency: self.hit_latency,
-            asid_stage_cycles: self.asid_stage_cycles,
-            ulmo_penalty: self.ulmo_penalty,
-            miss_penalty: self.miss_penalty,
-            victim_rng: self.victim_rng,
             seed: self.seed,
         })
     }

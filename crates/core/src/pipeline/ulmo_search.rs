@@ -59,7 +59,7 @@ impl MolecularCache {
             return None;
         }
         self.activity.ulmo_searches += 1;
-        trace.cycles += self.cfg.ulmo_penalty;
+        trace.cycles += crate::config::ULMO_PENALTY;
         // Lookup slot `1 + i` is search tile `i`; the list cannot change
         // mid-search (gating and probing are structurally read-only).
         for slot in 1..=tiles {

@@ -3,8 +3,8 @@
 //! On a miss the replacement view of the region picks the molecule to
 //! fill into. The Random / Randy / LRU-Direct policies live behind the
 //! [`VictimPolicy`] trait; [`Region::select_victim`] dispatches through
-//! it. The raw random draw comes from whatever generator the cache
-//! models in hardware — the cheap, correlated [`Lfsr16`] by default.
+//! it. The raw random draw comes from the generator the cache models in
+//! hardware, the cheap, correlated [`Lfsr16`].
 //!
 //! Selection is pure bookkeeping that overlaps the miss handling, so the
 //! stage contributes zero cycles to the access latency and leaves its
@@ -12,10 +12,10 @@
 //! because it sits between lookup and fill in the hardware pipeline and
 //! because its draw order is part of the bit-identical contract (one
 //! draw per miss, consumed even when the region turns out to be empty,
-//! plus one LFSR draw for the shared-molecule fallback).
+//! plus one more for the shared-molecule fallback).
 
 use crate::cache::MolecularCache;
-use crate::config::{RegionPolicy, VictimRng};
+use crate::config::RegionPolicy;
 use crate::ids::{MoleculeId, TileId};
 use crate::region::Region;
 use molcache_trace::{Address, Asid};
@@ -52,7 +52,7 @@ impl Lfsr16 {
 /// A replacement policy over a region's replacement view (Figure 4's 2-D
 /// sparse matrix of rows with non-uniform molecule counts).
 ///
-/// `draw` is one raw random value from the victim RNG; policies that do
+/// `draw` is one raw random value from the [`Lfsr16`]; policies that do
 /// not need it (LRU-Direct) ignore it, but the driver consumes a draw
 /// per miss regardless so that switching policies never perturbs the
 /// RNG stream of unrelated decisions.
@@ -169,12 +169,11 @@ pub fn policy_of(policy: RegionPolicy) -> &'static dyn VictimPolicy {
 impl MolecularCache {
     /// Runs the victim-selection stage for a miss by `asid` on `addr`.
     ///
-    /// One draw is consumed from the configured victim RNG *before* the
-    /// region is consulted (the hardware generator free-runs whether or
-    /// not the region turns out to be empty). If the region owns no
-    /// molecules, falls back to the home tile's shared molecules — §3.1's
-    /// shared bit accepts fills from every application — indexed by a
-    /// second, LFSR draw. Returns `None` when there is no shared
+    /// One LFSR draw is consumed *before* the region is consulted (the
+    /// hardware generator free-runs whether or not the region turns out
+    /// to be empty). If the region owns no molecules, falls back to the
+    /// home tile's shared molecules — §3.1's shared bit accepts fills
+    /// from every application — indexed by a second draw. Returns `None` when there is no shared
     /// fallback either (the request will bypass the cache).
     pub(crate) fn victim_select(
         &mut self,
@@ -182,10 +181,7 @@ impl MolecularCache {
         addr: Address,
         home: TileId,
     ) -> Option<MoleculeId> {
-        let draw = match self.cfg.victim_rng() {
-            VictimRng::Lfsr16 => self.lfsr.next_u16() as u64,
-            VictimRng::HighQuality => self.rng.next_u64(),
-        };
+        let draw = self.lfsr.next_u16() as u64;
         let molecule_size = self.cfg.molecule_size();
         let region = self.regions.get_mut(&asid).expect("region");
         let victim = region.select_victim(addr, molecule_size, draw);

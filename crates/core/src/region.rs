@@ -276,9 +276,8 @@ impl Region {
 
     /// Selects the victim molecule for a replacement (§3.3).
     ///
-    /// `draw` is one raw random value from whatever generator the cache
-    /// models in hardware (see
-    /// [`VictimRng`](crate::config::VictimRng)): Random reduces it modulo
+    /// `draw` is one raw random value from the cache's hardware
+    /// generator (see [`Lfsr16`](crate::Lfsr16)): Random reduces it modulo
     /// the whole region, Randy modulo the addressed row — which is why
     /// Randy "reduces the reliance on random numbers" (the paper, §3.3).
     ///

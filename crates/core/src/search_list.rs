@@ -16,10 +16,9 @@
 //! * [`MolecularCache::note_structural_change`] bumps the generation, so
 //!   a stale stamp is detected lazily on the region's next access and
 //!   the list rebuilt once, not per miss;
-//! * with the runtime toggle off
-//!   ([`set_search_cache`](MolecularCache::set_search_cache)) every
-//!   access rebuilds — exactly the pre-cache behaviour — which the
-//!   `search_list_property` suite uses to prove on-vs-off equivalence.
+//! * [`MolecularCache::reference_search_list`] derives the list from
+//!   membership directly, the oracle the `search_list_property` suite
+//!   checks every current-stamped list against after every operation.
 //!
 //! The same stamp guards the region's **gate masks**. The §3.1 ASID
 //! gate's match set on a tile changes only when a molecule's ASID lane
@@ -29,8 +28,7 @@
 //! [`GateMask`] per tile its lookups visit — the home tile, then each
 //! search tile in list order — filled by [`TagStore::gate_scan`] the
 //! first time the gate stage uses it after a bump, and the rebuild
-//! that renews the list drops them. With the toggle off every gate is
-//! rescanned each time it is used.
+//! that renews the list drops them.
 //!
 //! Ascending-sorted insertion reproduces the reference derivation's
 //! `sort_unstable` + `dedup` order exactly, so the search visits remote
@@ -128,7 +126,7 @@ impl Region {
     }
 
     /// The structural generation the cached list was built under
-    /// (0 = never built, or built with caching disabled — never current).
+    /// (0 = never built, so never current).
     #[inline]
     pub(crate) fn search_generation(&self) -> u64 {
         self.search_generation
@@ -200,37 +198,15 @@ impl MolecularCache {
     /// The list and masks then stay current for the rest of the access:
     /// gating and probing are structurally read-only.
     pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) -> TileId {
-        let generation = if self.search_cache_enabled {
-            self.structure_generation
-        } else {
-            0
-        };
+        let generation = self.structure_generation;
         // Disjoint field borrows: membership is read from the region
         // while the list inside the same region is rewritten.
         let molecules = &self.molecules;
         let region = self.regions.get_mut(&asid).expect("region");
-        if generation == 0 || region.search_generation() != generation {
+        if region.search_generation() != generation {
             region.rebuild_search_list(generation, |id| molecules[id.index()].tile());
         }
         region.home_tile()
-    }
-
-    /// Enables or disables the cached Ulmo search lists and gate masks
-    /// at runtime.
-    ///
-    /// Disabled, every access rebuilds its region's list from
-    /// membership and rescans each gate it uses — the pre-cache
-    /// behaviour the `search_list_property` equivalence suite compares
-    /// against. The toggle itself is not a structural event; re-enabling
-    /// simply lets still-current stamps be trusted again (a list built
-    /// with caching off is stamped 0 and can never read as current).
-    pub fn set_search_cache(&mut self, enabled: bool) {
-        self.search_cache_enabled = enabled;
-    }
-
-    /// Whether cached Ulmo search lists and gate masks are in use.
-    pub fn search_cache_enabled(&self) -> bool {
-        self.search_cache_enabled
     }
 
     /// The live structural-topology generation (diagnostics; bumped on

@@ -136,7 +136,7 @@ fn lane_range(base: usize, count: usize) -> (usize, usize, u64, u64) {
 }
 
 /// `log2(n)` when `n` is a power of two, else `u32::MAX`, which selects
-/// the generic div/mod path where the shift is used.
+/// the generic `%` path in `frame0`.
 fn shift_of(n: usize) -> u32 {
     if n.is_power_of_two() {
         n.trailing_zeros()
@@ -164,9 +164,7 @@ fn shift_of(n: usize) -> u32 {
 pub struct TagStore {
     /// Line frames per molecule (uniform across the cache).
     frames_per_molecule: usize,
-    /// `log2(frames_per_molecule)`, or `u32::MAX` (see [`shift_of`]).
-    /// Every config the builder accepts has power-of-two molecule and
-    /// line sizes, so the shift is the universal case.
+    /// `log2(frames_per_molecule)`.
     frame_shift: u32,
     /// Molecules per tile (uniform across the cache).
     tile_molecules: usize,
@@ -192,17 +190,22 @@ impl TagStore {
     ///
     /// # Panics
     ///
-    /// Panics if `frames_per_molecule == 0`, `tile_molecules == 0`, or
-    /// `molecules` is not a whole number of tiles.
+    /// Panics unless `frames_per_molecule` is a power of two (every
+    /// config the builder accepts has power-of-two molecule and line
+    /// sizes), or if `tile_molecules == 0` or `molecules` is not a whole
+    /// number of tiles.
     pub fn new(molecules: usize, frames_per_molecule: usize, tile_molecules: usize) -> Self {
-        assert!(frames_per_molecule > 0, "molecule needs at least one frame");
+        assert!(
+            frames_per_molecule.is_power_of_two(),
+            "a molecule needs at least one frame, and a power of two of them"
+        );
         assert!(
             tile_molecules > 0 && molecules.is_multiple_of(tile_molecules),
             "molecules must form whole tiles"
         );
         TagStore {
             frames_per_molecule,
-            frame_shift: shift_of(frames_per_molecule),
+            frame_shift: frames_per_molecule.trailing_zeros(),
             tile_molecules,
             tile_shift: shift_of(tile_molecules),
             words: vec![0; molecules * frames_per_molecule],
@@ -222,12 +225,8 @@ impl TagStore {
     /// every molecule: frames are direct-mapped).
     #[inline]
     fn tag_frame(&self, line: LineAddr) -> (u64, usize) {
-        let f = self.frames_per_molecule as u64;
-        let (tag, frame) = if self.frame_shift != u32::MAX {
-            (line.0 >> self.frame_shift, line.0 & (f - 1))
-        } else {
-            (line.0 / f, line.0 % f)
-        };
+        let tag = line.0 >> self.frame_shift;
+        let frame = line.0 & (self.frames_per_molecule as u64 - 1);
         debug_assert!(tag & !TAG_MASK == 0, "tag overflows the 62 packed bits");
         (tag, frame as usize)
     }
@@ -590,17 +589,9 @@ mod tests {
     }
 
     #[test]
-    fn non_power_of_two_frames_take_the_generic_slot_path() {
-        // 12 frames per molecule: the shift fast path must disengage and
-        // the div/mod path must agree on placement and tags.
-        let mut t = TagStore::new(3, 12, 3);
-        let m = MoleculeId(1);
-        t.fill(m, LineAddr(12 + 5), true); // frame 5, tag 1
-        assert!(t.lookup(m, LineAddr(17)));
-        assert!(!t.lookup(m, LineAddr(5)), "tag 0 is a different line");
-        let lines: Vec<u64> = t.resident_lines(m).map(|l| l.0).collect();
-        assert_eq!(lines, vec![17]);
-        assert_eq!(t.invalidate(m, LineAddr(17)), Some(true));
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_frames_are_rejected() {
+        TagStore::new(3, 12, 3);
     }
 
     #[test]

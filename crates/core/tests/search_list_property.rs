@@ -1,10 +1,9 @@
 //! Property tests for the cached Ulmo search lists and ASID-gate masks
-//! (`search_list`): arbitrary access/grow/shrink/release/re-home/
-//! shared-bit/flush/admit interleavings produce identical global and
-//! per-app statistics with the search cache on vs off, a current
-//! generation stamp always implies agreement with the membership-derived
-//! reference list and with a fresh gate scan of every cached tile, and
-//! no stale list survives a structural-generation bump as current.
+//! (`search_list`): under arbitrary access/grow/shrink/release/re-home/
+//! shared-bit/flush/admit interleavings, a current generation stamp
+//! always implies agreement with the membership-derived reference list
+//! and with a fresh gate scan of every cached tile, and no stale list
+//! survives a structural-generation bump as current.
 
 use molcache_core::config::InitialAllocation;
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
@@ -125,54 +124,6 @@ fn apply(c: &mut MolecularCache, op: Op) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any interleaving of accesses, explicit grows/shrinks,
-    /// trigger-driven resizes and revocations yields bit-identical
-    /// stats, activity and region state with the search cache on vs
-    /// off.
-    #[test]
-    fn search_cache_is_stat_invisible_under_arbitrary_interleavings(
-        ops in proptest::collection::vec(
-            (proptest::num::u64::ANY, proptest::num::u64::ANY), 50..400),
-    ) {
-        let mut on = MolecularCache::new(torture_config());
-        let mut off = MolecularCache::new(torture_config());
-        on.set_search_cache(true);
-        off.set_search_cache(false);
-        for &(sel, payload) in &ops {
-            let op = decode(sel, payload);
-            apply(&mut on, op);
-            apply(&mut off, op);
-        }
-        prop_assert_eq!(on.stats(), off.stats());
-        prop_assert_eq!(on.activity(), off.activity());
-        prop_assert_eq!(on.snapshots(), off.snapshots());
-        prop_assert_eq!(on.free_molecules(), off.free_molecules());
-        prop_assert_eq!(on.find_duplicate_line(), None);
-    }
-
-    /// Per-app breakdown of the same property: every application's
-    /// hit/miss counters agree between the two runs.
-    #[test]
-    fn search_cache_keeps_every_apps_counters_identical(
-        ops in proptest::collection::vec(
-            (proptest::num::u64::ANY, proptest::num::u64::ANY), 50..250),
-    ) {
-        let mut on = MolecularCache::new(torture_config());
-        let mut off = MolecularCache::new(torture_config());
-        on.set_search_cache(true);
-        off.set_search_cache(false);
-        for &(sel, payload) in &ops {
-            let op = decode(sel, payload);
-            apply(&mut on, op);
-            apply(&mut off, op);
-        }
-        for asid in 1u16..=3 {
-            let a = on.stats().app(Asid::new(asid));
-            let b = off.stats().app(Asid::new(asid));
-            prop_assert_eq!(a, b, "per-app stats diverged for ASID {}", asid);
-        }
-    }
-
     /// The search-list and gate-mask invalidation contract, checked
     /// after every op:
     ///
@@ -191,7 +142,6 @@ proptest! {
             (proptest::num::u64::ANY, proptest::num::u64::ANY), 50..300),
     ) {
         let mut c = MolecularCache::new(torture_config());
-        c.set_search_cache(true);
         let mut generation = c.structure_generation();
 
         for &(sel, payload) in &ops {
@@ -248,5 +198,6 @@ proptest! {
                 }
             }
         }
+        prop_assert_eq!(c.find_duplicate_line(), None);
     }
 }

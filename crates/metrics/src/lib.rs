@@ -1,14 +1,18 @@
 //! # molcache-metrics — QoS metrics and paper-style reporting
 //!
-//! The paper evaluates caches with three metrics, all implemented here:
+//! The paper evaluates caches with three metrics. Two are implemented
+//! here:
 //!
 //! * **Average deviation from the miss-rate goal** ([`deviation`]) — the
 //!   per-application `|miss_rate − goal|`, averaged over the workload
 //!   (Figure 5, Table 2).
-//! * **Hits per molecule** ([`hpm`]) — hit rate divided by molecules
-//!   used; Figure 6's replacement-policy efficiency metric.
 //! * **Power-deviation product** ([`power_deviation`]) — Table 5's
 //!   combined QoS/power figure of merit.
+//!
+//! The third, Figure 6's **hits per molecule** (hit rate divided by
+//! molecules used), needs a region's allocation history, so the
+//! molecular cache computes it itself (`Region::hits_per_molecule` in
+//! `molcache-core`).
 //!
 //! Plus [`table`] — fixed-width ASCII tables and CSV emitters so the
 //! benchmark harness prints output shaped like the paper's tables — and
@@ -17,12 +21,10 @@
 
 pub mod chart;
 pub mod deviation;
-pub mod hpm;
 pub mod json;
 pub mod power_deviation;
 pub mod record;
 pub mod table;
 
 pub use deviation::{average_deviation, deviation_from_goal, MissRateGoal};
-pub use hpm::hits_per_molecule;
 pub use power_deviation::power_deviation_product;

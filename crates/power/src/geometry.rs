@@ -58,11 +58,6 @@ pub fn data_dims(cfg: &CacheConfig, org: Organization) -> Option<SubarrayDims> {
     )
 }
 
-/// Derives the tag-array subarray dimensions for a `tag_width`-bit tag.
-pub fn tag_dims(cfg: &CacheConfig, tag_width: u64, org: Organization) -> Option<SubarrayDims> {
-    dims(cfg.num_sets(), tag_width * cfg.assoc() as u64, org)
-}
-
 /// Minimum rows/columns of a practical subarray.
 pub const MIN_DIM: u64 = 32;
 /// Maximum rows/columns of a practical subarray.

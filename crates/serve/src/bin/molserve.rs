@@ -85,6 +85,12 @@ fn parse_args() -> Result<Args, String> {
     if args.refs == 0 {
         return Err("--refs must be at least 1".into());
     }
+    if args.threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    if args.chunk == 0 {
+        return Err("--chunk must be at least 1".into());
+    }
     Ok(args)
 }
 

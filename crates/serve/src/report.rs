@@ -7,7 +7,6 @@ use crate::replay::ReplayReport;
 use molcache_metrics::json::{self, JsonError, Value};
 use molcache_sim::AppStats;
 use molcache_telemetry::ShardContention;
-use molcache_trace::Asid;
 
 /// Schema tag for serve replay documents.
 pub const SERVE_SCHEMA: &str = "molcache-serve-v1";
@@ -236,11 +235,6 @@ fn parse_shard(v: &Value) -> Result<ShardContention, String> {
         accesses: num("accesses")?,
         hits: num("hits")?,
     })
-}
-
-/// Convenience: the ASID a tenant row refers to.
-pub fn record_asid(record: &TenantRecord) -> Asid {
-    Asid::new(record.asid)
 }
 
 #[cfg(test)]

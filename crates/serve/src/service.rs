@@ -274,15 +274,6 @@ impl CacheService {
         Ok(cache.stats().app(handle.asid))
     }
 
-    /// Current molecule count of the tenant's region.
-    pub fn tenant_region_size(&self, handle: &TenantHandle) -> Result<usize, ServeError> {
-        let cache = self.lock_shard(handle.shard);
-        self.check(handle)?;
-        Ok(cache
-            .region_size(handle.asid)
-            .expect("active tenancy implies a region"))
-    }
-
     /// Runs `f` against one shard's cache under its lock — the
     /// inspection hook tests and renderers use.
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&MolecularCache) -> R) -> R {

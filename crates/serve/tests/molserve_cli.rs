@@ -19,4 +19,6 @@ fn bad_flag_values_are_rejected() {
     assert_rejected(&["--refs", "0"], "--refs must be at least 1");
     assert_rejected(&["--refs", "0", "--verify"], "--refs must be at least 1");
     assert_rejected(&["--tenants", "0"], "--tenants must be between 1 and 32767");
+    assert_rejected(&["--threads", "0"], "--threads must be at least 1");
+    assert_rejected(&["--chunk", "0"], "--chunk must be at least 1");
 }

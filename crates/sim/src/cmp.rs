@@ -201,30 +201,6 @@ where
     Ok(run_accesses(workload.round_robin(), cache, limit))
 }
 
-/// Like [`run_shared`], but reports every access to `obs`.
-///
-/// # Errors
-///
-/// Propagates [`molcache_trace::TraceError`] from workload construction.
-pub fn run_shared_observed<C, O>(
-    sources: Vec<BoxedSource>,
-    cache: &mut C,
-    limit: u64,
-    obs: &mut O,
-) -> Result<RunSummary, molcache_trace::TraceError>
-where
-    C: CacheModel + ?Sized,
-    O: AccessObserver + ?Sized,
-{
-    let workload = Workload::new(sources)?;
-    Ok(run_accesses_observed(
-        workload.round_robin(),
-        cache,
-        limit,
-        obs,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +214,7 @@ mod tests {
     #[test]
     fn run_source_counts_window_only() {
         let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
-        let mut cache = SetAssocCache::lru(cfg);
+        let mut cache = SetAssocCache::new(cfg);
         let src = StrideSource::new(Asid::new(1), Address::new(0), 32 * 1024, 64, 0.0, 1);
         let first = run_source(src, &mut cache, 1_000);
         assert_eq!(first.accesses(), 1_000);
@@ -251,7 +227,7 @@ mod tests {
     #[test]
     fn shared_run_attributes_per_app() {
         let cfg = CacheConfig::new(256 * 1024, 4, 64).unwrap();
-        let mut cache = SetAssocCache::lru(cfg);
+        let mut cache = SetAssocCache::new(cfg);
         let a = Benchmark::Ammp.source(Asid::new(1), 3);
         let b = Benchmark::Mcf.source(Asid::new(2), 4);
         let summary = run_shared(vec![a, b], &mut cache, 100_000).unwrap();
@@ -267,13 +243,14 @@ mod tests {
     #[test]
     fn avg_latency_reflects_miss_rate() {
         let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
-        let mut cache = SetAssocCache::lru(cfg.with_hit_latency(10).with_miss_penalty(100));
+        let mut cache = SetAssocCache::new(cfg);
         // Stream fits entirely: after warmup, latency approaches hit cost.
         let src = StrideSource::new(Asid::new(1), Address::new(0), 16 * 1024, 64, 0.0, 1);
         run_source(src, &mut cache, 256); // warm
         let src2 = StrideSource::new(Asid::new(1), Address::new(0), 16 * 1024, 64, 0.0, 1);
         let s = run_source(src2, &mut cache, 1024);
-        assert!((s.avg_latency() - 10.0).abs() < 1e-9, "{}", s.avg_latency());
+        let hit = f64::from(CacheConfig::HIT_LATENCY);
+        assert!((s.avg_latency() - hit).abs() < 1e-9, "{}", s.avg_latency());
     }
 
     #[test]
@@ -282,9 +259,9 @@ mod tests {
         // slice is partial.
         const LIMIT: u64 = 2_500;
         let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
-        let mut batched = SetAssocCache::lru(cfg);
+        let mut batched = SetAssocCache::new(cfg);
         let summary = run_source(Benchmark::Ammp.source(Asid::new(1), 5), &mut batched, LIMIT);
-        let mut serial = SetAssocCache::lru(cfg);
+        let mut serial = SetAssocCache::new(cfg);
         let mut src = Benchmark::Ammp.source(Asid::new(1), 5);
         let mut total_latency = 0u64;
         for _ in 0..LIMIT {
@@ -301,7 +278,7 @@ mod tests {
         const LIMIT: u64 = 2_500;
         let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
 
-        let mut batched = SetAssocCache::lru(cfg);
+        let mut batched = SetAssocCache::new(cfg);
         let plain = run_source(Benchmark::Mcf.source(Asid::new(1), 9), &mut batched, LIMIT);
 
         struct Counting {
@@ -318,7 +295,7 @@ mod tests {
             events: 0,
             latency: 0,
         };
-        let mut observed = SetAssocCache::lru(cfg);
+        let mut observed = SetAssocCache::new(cfg);
         let seen = run_source_observed(
             Benchmark::Mcf.source(Asid::new(1), 9),
             &mut observed,
@@ -336,7 +313,7 @@ mod tests {
     fn request_slice_driver_matches_streaming_driver() {
         const LIMIT: usize = 2_500;
         let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
-        let mut streamed = SetAssocCache::lru(cfg);
+        let mut streamed = SetAssocCache::new(cfg);
         let expected = run_source(
             Benchmark::Ammp.source(Asid::new(1), 5),
             &mut streamed,
@@ -348,7 +325,7 @@ mod tests {
             .into_iter()
             .map(Request::from)
             .collect();
-        let mut replayed = SetAssocCache::lru(cfg);
+        let mut replayed = SetAssocCache::new(cfg);
         assert_eq!(run_requests(&requests, &mut replayed), expected);
         assert_eq!(replayed.stats(), streamed.stats());
     }
@@ -356,7 +333,7 @@ mod tests {
     #[test]
     fn limit_zero_is_empty_summary() {
         let cfg = CacheConfig::new(64 * 1024, 4, 64).unwrap();
-        let mut cache = SetAssocCache::lru(cfg);
+        let mut cache = SetAssocCache::new(cfg);
         let src = StrideSource::new(Asid::new(1), Address::new(0), 1024, 64, 0.0, 1);
         let s = run_source(src, &mut cache, 0);
         assert_eq!(s.accesses(), 0);

@@ -3,28 +3,6 @@
 use crate::error::SimError;
 use std::fmt;
 
-/// What happens on a store hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WritePolicy {
-    /// Mark the line dirty; write back on eviction (the default, and what
-    /// the paper's L2s do).
-    #[default]
-    WriteBack,
-    /// Propagate every store to the next level immediately; lines are
-    /// never dirty.
-    WriteThrough,
-}
-
-/// What happens on a store miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WriteMissPolicy {
-    /// Fetch the line and install it (the default).
-    #[default]
-    WriteAllocate,
-    /// Forward the store without installing the line.
-    NoWriteAllocate,
-}
-
 /// Geometry and timing of a set-associative cache.
 ///
 /// ```
@@ -38,18 +16,15 @@ pub struct CacheConfig {
     size_bytes: u64,
     assoc: u32,
     line_size: u64,
-    hit_latency: u32,
-    miss_penalty: u32,
     ports: u32,
-    write_policy: WritePolicy,
-    write_miss_policy: WriteMissPolicy,
 }
 
 impl CacheConfig {
-    /// Default hit latency in cycles (L2-class array).
-    pub const DEFAULT_HIT_LATENCY: u32 = 12;
-    /// Default miss penalty in cycles (memory access).
-    pub const DEFAULT_MISS_PENALTY: u32 = 200;
+    /// Hit latency in cycles (L2-class array).
+    pub const HIT_LATENCY: u32 = 12;
+    /// Miss penalty in cycles (memory access), added on top of the hit
+    /// latency.
+    pub const MISS_PENALTY: u32 = 200;
 
     /// Creates a configuration.
     ///
@@ -95,46 +70,13 @@ impl CacheConfig {
             size_bytes,
             assoc,
             line_size,
-            hit_latency: Self::DEFAULT_HIT_LATENCY,
-            miss_penalty: Self::DEFAULT_MISS_PENALTY,
             ports: 1,
-            write_policy: WritePolicy::WriteBack,
-            write_miss_policy: WriteMissPolicy::WriteAllocate,
         })
-    }
-
-    /// A direct-mapped configuration.
-    pub fn direct_mapped(size_bytes: u64, line_size: u64) -> Result<Self, SimError> {
-        CacheConfig::new(size_bytes, 1, line_size)
-    }
-
-    /// Sets the hit latency (cycles), returning the modified config.
-    pub fn with_hit_latency(mut self, cycles: u32) -> Self {
-        self.hit_latency = cycles;
-        self
-    }
-
-    /// Sets the miss penalty (cycles), returning the modified config.
-    pub fn with_miss_penalty(mut self, cycles: u32) -> Self {
-        self.miss_penalty = cycles;
-        self
     }
 
     /// Sets the number of read/write ports (used by the power model).
     pub fn with_ports(mut self, ports: u32) -> Self {
         self.ports = ports.max(1);
-        self
-    }
-
-    /// Sets the store-hit policy.
-    pub fn with_write_policy(mut self, policy: WritePolicy) -> Self {
-        self.write_policy = policy;
-        self
-    }
-
-    /// Sets the store-miss policy.
-    pub fn with_write_miss_policy(mut self, policy: WriteMissPolicy) -> Self {
-        self.write_miss_policy = policy;
         self
     }
 
@@ -163,29 +105,9 @@ impl CacheConfig {
         self.size_bytes / self.line_size
     }
 
-    /// Hit latency in cycles.
-    pub fn hit_latency(&self) -> u32 {
-        self.hit_latency
-    }
-
-    /// Miss penalty in cycles (added on top of the hit latency).
-    pub fn miss_penalty(&self) -> u32 {
-        self.miss_penalty
-    }
-
     /// Read/write ports.
     pub fn ports(&self) -> u32 {
         self.ports
-    }
-
-    /// The store-hit policy.
-    pub fn write_policy(&self) -> WritePolicy {
-        self.write_policy
-    }
-
-    /// The store-miss policy.
-    pub fn write_miss_policy(&self) -> WriteMissPolicy {
-        self.write_miss_policy
     }
 }
 
@@ -248,31 +170,14 @@ mod tests {
             "8MB 4way 64B-line"
         );
         assert_eq!(
-            CacheConfig::direct_mapped(8 << 10, 64).unwrap().to_string(),
+            CacheConfig::new(8 << 10, 1, 64).unwrap().to_string(),
             "8KB DM 64B-line"
         );
     }
 
     #[test]
     fn builder_setters() {
-        let cfg = CacheConfig::new(1 << 20, 2, 64)
-            .unwrap()
-            .with_hit_latency(5)
-            .with_miss_penalty(100)
-            .with_ports(4)
-            .with_write_policy(WritePolicy::WriteThrough)
-            .with_write_miss_policy(WriteMissPolicy::NoWriteAllocate);
-        assert_eq!(cfg.hit_latency(), 5);
-        assert_eq!(cfg.miss_penalty(), 100);
+        let cfg = CacheConfig::new(1 << 20, 2, 64).unwrap().with_ports(4);
         assert_eq!(cfg.ports(), 4);
-        assert_eq!(cfg.write_policy(), WritePolicy::WriteThrough);
-        assert_eq!(cfg.write_miss_policy(), WriteMissPolicy::NoWriteAllocate);
-    }
-
-    #[test]
-    fn default_policies_are_writeback_allocate() {
-        let cfg = CacheConfig::new(1 << 20, 2, 64).unwrap();
-        assert_eq!(cfg.write_policy(), WritePolicy::WriteBack);
-        assert_eq!(cfg.write_miss_policy(), WriteMissPolicy::WriteAllocate);
     }
 }

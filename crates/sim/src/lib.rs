@@ -1,12 +1,12 @@
 //! # molcache-sim — trace-driven cache simulation substrate
 //!
 //! This crate plays the role of the paper's simulation infrastructure:
-//! a feature-equivalent replacement for the modified **Dinero** cache
-//! simulator (set-associative caches of any size/associativity/line size
-//! with LRU, FIFO, Random and tree-PLRU replacement) and for the parts of
-//! **SESC** the paper actually uses (a CMP front end that interleaves the
-//! reference streams of concurrently running applications onto a shared
-//! L2).
+//! a replacement for the modified **Dinero** cache simulator in the one
+//! configuration the paper's baselines use (write-back, write-allocate
+//! LRU set-associative caches of any power-of-two size, associativity
+//! and line size) and for the parts of **SESC** the paper actually uses
+//! (a CMP front end that interleaves the reference streams of
+//! concurrently running applications onto a shared L2).
 //!
 //! The crate defines the [`CacheModel`] trait that *both* the traditional
 //! caches here and the molecular cache in `molcache-core` implement, so
@@ -21,7 +21,7 @@
 //! use molcache_trace::{presets::Benchmark, Asid};
 //!
 //! let cfg = CacheConfig::new(1 << 20, 4, 64)?;
-//! let mut l2 = SetAssocCache::lru(cfg);
+//! let mut l2 = SetAssocCache::new(cfg);
 //! let src = Benchmark::Ammp.source(Asid::new(1), 42);
 //! let summary = run_source(src, &mut l2, 200_000);
 //! assert!(summary.global.miss_rate() < 0.20);
@@ -32,7 +32,6 @@ pub mod cmp;
 pub mod config;
 pub mod error;
 pub mod model;
-pub mod replacement;
 pub mod set_assoc;
 pub mod stage;
 pub mod stats;

@@ -1,39 +1,44 @@
 //! The classic set-associative cache (the "Dinero" role).
 
-use crate::config::{CacheConfig, WriteMissPolicy, WritePolicy};
+use crate::config::CacheConfig;
 use crate::model::{AccessOutcome, Activity, CacheModel, Request};
-use crate::replacement::{Policy, SetPolicy};
 use crate::stats::CacheStats;
-use molcache_trace::rng::Rng;
 
 /// One line frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineSlot {
     tag: u64,
-    valid: bool,
+    /// When the frame was last filled or hit, from the cache-wide clock;
+    /// 0 = the frame was never filled.
+    stamp: u64,
     dirty: bool,
 }
 
 impl LineSlot {
     const EMPTY: LineSlot = LineSlot {
         tag: 0,
-        valid: false,
+        stamp: 0,
         dirty: false,
     };
 }
 
-/// A set-associative, write-back / write-allocate cache.
+/// A set-associative, write-back / write-allocate LRU cache.
 ///
-/// Supports any power-of-two geometry and the policies in
-/// [`Policy`]. This is the baseline model for every
-/// traditional-cache configuration in the paper (direct mapped through
-/// 8-way, 1–8 MB).
+/// Supports any power-of-two geometry. This is the baseline model for
+/// every traditional-cache configuration in the paper (direct mapped
+/// through 8-way, 1–8 MB).
+///
+/// Recency is one cache-wide clock: every fill or hit stamps its frame
+/// with the next tick. Within a set the stamps order the ways exactly as
+/// a per-set clock would, and a never-filled frame's 0 sorts first, so
+/// the miss path takes the set's smallest stamp — the first empty way
+/// while one is left, the least recently used way once the set is full.
 ///
 /// ```
 /// use molcache_sim::{CacheConfig, SetAssocCache, Request, CacheModel};
 /// use molcache_trace::{Address, Asid, AccessKind};
 ///
-/// let mut c = SetAssocCache::lru(CacheConfig::new(64 * 1024, 4, 64)?);
+/// let mut c = SetAssocCache::new(CacheConfig::new(64 * 1024, 4, 64)?);
 /// let req = Request { asid: Asid::new(1), addr: Address::new(0x1000), kind: AccessKind::Read };
 /// assert!(!c.access(req).hit);   // cold miss
 /// assert!(c.access(req).hit);    // now resident
@@ -42,33 +47,23 @@ impl LineSlot {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    policy_kind: Policy,
     lines: Vec<LineSlot>,
-    policies: Vec<SetPolicy>,
-    rng: Rng,
+    /// The last stamp handed out.
+    clock: u64,
     stats: CacheStats,
     activity: Activity,
 }
 
 impl SetAssocCache {
-    /// Creates a cache with the given replacement policy.
-    pub fn new(cfg: CacheConfig, policy: Policy) -> Self {
-        let sets = cfg.num_sets() as usize;
-        let assoc = cfg.assoc() as usize;
+    /// Creates an empty cache.
+    pub fn new(cfg: CacheConfig) -> Self {
         SetAssocCache {
             cfg,
-            policy_kind: policy,
-            lines: vec![LineSlot::EMPTY; sets * assoc],
-            policies: (0..sets).map(|_| SetPolicy::new(policy, assoc)).collect(),
-            rng: Rng::seeded(0x5E7A_550C ^ cfg.size_bytes()),
+            lines: vec![LineSlot::EMPTY; cfg.num_lines() as usize],
+            clock: 0,
             stats: CacheStats::new(),
             activity: Activity::default(),
         }
-    }
-
-    /// Creates an LRU cache (the common baseline).
-    pub fn lru(cfg: CacheConfig) -> Self {
-        SetAssocCache::new(cfg, Policy::Lru)
     }
 
     /// The cache's geometry.
@@ -76,14 +71,9 @@ impl SetAssocCache {
         &self.cfg
     }
 
-    /// The replacement policy in use.
-    pub fn policy(&self) -> Policy {
-        self.policy_kind
-    }
-
     /// Number of valid lines currently resident (test/diagnostic helper).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.stamp != 0).count()
     }
 
     fn index_and_tag(&self, addr: molcache_trace::Address) -> (usize, u64) {
@@ -95,65 +85,42 @@ impl SetAssocCache {
 
 impl CacheModel for SetAssocCache {
     fn access(&mut self, req: Request) -> AccessOutcome {
+        const MISS_LATENCY: u32 = CacheConfig::HIT_LATENCY + CacheConfig::MISS_PENALTY;
         let (set, tag) = self.index_and_tag(req.addr);
         let assoc = self.cfg.assoc() as usize;
         self.activity.accesses += 1;
         // A traditional cache probes all ways of the indexed set in
         // parallel, every access.
         self.activity.ways_probed += assoc as u64;
+        self.clock += 1;
+        let write = req.kind.is_write();
 
-        // Hit path.
         let slots = &mut self.lines[set * assoc..(set + 1) * assoc];
-        if let Some(way) = slots.iter().position(|l| l.valid && l.tag == tag) {
-            if req.kind.is_write() && self.cfg.write_policy() == WritePolicy::WriteBack {
-                slots[way].dirty = true;
-            }
-            self.policies[set].on_hit(way);
+        if let Some(slot) = slots.iter_mut().find(|l| l.stamp != 0 && l.tag == tag) {
+            slot.stamp = self.clock;
+            slot.dirty |= write;
             self.stats
-                .record(req.asid, true, false, self.cfg.hit_latency());
-            return AccessOutcome::hit(self.cfg.hit_latency());
+                .record(req.asid, true, false, CacheConfig::HIT_LATENCY);
+            return AccessOutcome::hit(CacheConfig::HIT_LATENCY);
         }
 
-        // Store miss under no-write-allocate: forward without installing.
-        if req.kind.is_write() && self.cfg.write_miss_policy() == WriteMissPolicy::NoWriteAllocate {
-            self.stats.record(
-                req.asid,
-                false,
-                false,
-                self.cfg.hit_latency() + self.cfg.miss_penalty(),
-            );
-            return AccessOutcome {
-                hit: false,
-                latency: self.cfg.hit_latency() + self.cfg.miss_penalty(),
-                writeback: false,
-                lines_fetched: 0,
-                stages: None,
-            };
-        }
-
-        // Miss path: pick a frame (invalid first, else victim).
-        let way = match slots.iter().position(|l| !l.valid) {
-            Some(w) => w,
-            None => self.policies[set].victim(&mut self.rng),
-        };
-        let writeback = slots[way].valid && slots[way].dirty;
-        slots[way] = LineSlot {
+        // Miss: the smallest stamp is the first empty way, else the LRU.
+        let slot = slots
+            .iter_mut()
+            .min_by_key(|l| l.stamp)
+            .expect("a set has at least one way");
+        let writeback = slot.stamp != 0 && slot.dirty;
+        *slot = LineSlot {
             tag,
-            valid: true,
-            dirty: req.kind.is_write() && self.cfg.write_policy() == WritePolicy::WriteBack,
+            stamp: self.clock,
+            dirty: write,
         };
-        self.policies[set].on_fill(way);
         self.activity.line_fills += 1;
         if writeback {
             self.activity.writebacks += 1;
         }
-        self.stats.record(
-            req.asid,
-            false,
-            writeback,
-            self.cfg.hit_latency() + self.cfg.miss_penalty(),
-        );
-        AccessOutcome::miss(self.cfg.hit_latency() + self.cfg.miss_penalty(), writeback)
+        self.stats.record(req.asid, false, writeback, MISS_LATENCY);
+        AccessOutcome::miss(MISS_LATENCY, writeback)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -170,7 +137,7 @@ impl CacheModel for SetAssocCache {
     }
 
     fn describe(&self) -> String {
-        format!("{} {}", self.cfg, self.policy_kind)
+        format!("{} LRU", self.cfg)
     }
 }
 
@@ -197,7 +164,7 @@ mod tests {
 
     fn tiny() -> SetAssocCache {
         // 4 sets x 2 ways x 64B = 512B.
-        SetAssocCache::lru(CacheConfig::new(512, 2, 64).unwrap())
+        SetAssocCache::new(CacheConfig::new(512, 2, 64).unwrap())
     }
 
     #[test]
@@ -303,42 +270,14 @@ mod tests {
     }
 
     #[test]
-    fn write_through_never_writes_back() {
-        let cfg = CacheConfig::new(512, 2, 64)
-            .unwrap()
-            .with_write_policy(WritePolicy::WriteThrough);
-        let mut c = SetAssocCache::lru(cfg);
-        c.access(write(0));
-        c.access(write(0)); // hit; still not dirty
-        c.access(read(4 * 64));
-        let out = c.access(read(8 * 64)); // evicts line 0
-        assert!(!out.writeback, "write-through lines are never dirty");
-        assert_eq!(c.stats().global.writebacks, 0);
-    }
-
-    #[test]
-    fn no_write_allocate_skips_install() {
-        let cfg = CacheConfig::new(512, 2, 64)
-            .unwrap()
-            .with_write_miss_policy(WriteMissPolicy::NoWriteAllocate);
-        let mut c = SetAssocCache::lru(cfg);
-        let out = c.access(write(0));
-        assert!(!out.hit);
-        assert_eq!(out.lines_fetched, 0, "store miss not installed");
-        assert!(!c.access(read(0)).hit, "line was never brought in");
-        // Read misses still allocate.
-        assert!(c.access(read(0)).hit);
-    }
-
-    #[test]
     fn describe_mentions_geometry_and_policy() {
-        let c = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap(), Policy::Random);
-        assert_eq!(c.describe(), "1MB 4way 64B-line Random");
+        let c = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap());
+        assert_eq!(c.describe(), "1MB 4way 64B-line LRU");
     }
 
     #[test]
     fn direct_mapped_conflicts() {
-        let mut c = SetAssocCache::lru(CacheConfig::direct_mapped(256, 64).unwrap());
+        let mut c = SetAssocCache::new(CacheConfig::new(256, 1, 64).unwrap());
         // 4 sets; lines 0 and 4 collide.
         c.access(read(0));
         assert!(!c.access(read(4 * 64)).hit);

@@ -100,17 +100,6 @@ impl StageBreakdown {
         }
     }
 
-    /// Mutable trace of one stage.
-    pub fn stage_mut(&mut self, stage: Stage) -> &mut StageTrace {
-        match stage {
-            Stage::AsidGate => &mut self.asid_gate,
-            Stage::HomeLookup => &mut self.home_lookup,
-            Stage::UlmoSearch => &mut self.ulmo_search,
-            Stage::Victim => &mut self.victim,
-            Stage::Fill => &mut self.fill,
-        }
-    }
-
     /// Stages with their traces, in pipeline order.
     pub fn iter(&self) -> impl Iterator<Item = (Stage, &StageTrace)> {
         Stage::ALL.iter().map(move |&s| (s, self.stage(s)))
@@ -279,14 +268,6 @@ mod tests {
         assert_eq!(b.total_asid_compares(), 24);
         assert_eq!(b.total_tag_probes(), 5);
         assert_eq!(b.stage(Stage::Fill).frames_touched, 4);
-    }
-
-    #[test]
-    fn stage_mut_addresses_the_named_stage() {
-        let mut b = StageBreakdown::default();
-        b.stage_mut(Stage::Victim).cycles = 7;
-        assert_eq!(b.victim.cycles, 7);
-        assert_eq!(b.total_cycles(), 7);
     }
 
     #[test]

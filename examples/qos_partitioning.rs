@@ -27,7 +27,7 @@ fn workload() -> Vec<molecular_caches::trace::gen::BoxedSource> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Baseline 1: ammp alone on a 1 MB 4-way cache.
-    let mut solo = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64)?);
+    let mut solo = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64)?);
     let s = run_shared(
         vec![Benchmark::Ammp.source(Asid::new(1), 7)],
         &mut solo,
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ammp alone on 1MB 4-way:        miss rate {solo_mr:.4}");
 
     // Baseline 2: shared with mcf — interference.
-    let mut shared = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64)?);
+    let mut shared = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64)?);
     let s = run_shared(workload(), &mut shared, REFS)?;
     let shared_mr = s.app_miss_rate(Asid::new(1));
     println!("ammp sharing 1MB 4-way with mcf: miss rate {shared_mr:.4}");

@@ -7,7 +7,7 @@
 //! `DESIGN.md` / `EXPERIMENTS.md` for the reproduction details.
 //!
 //! * [`trace`] — synthetic workload generation ([`molcache_trace`]).
-//! * [`sim`] — traditional cache simulators and the CMP driver
+//! * [`sim`] — the traditional set-associative cache and the CMP driver
 //!   ([`molcache_sim`]).
 //! * [`power`] — CACTI-like energy/timing model ([`molcache_power`]).
 //! * [`core`] — the molecular cache itself ([`molcache_core`]).

@@ -22,7 +22,7 @@ fn same_trace_through_every_model() {
     let trace = recorded_trace(60_000);
     let mut results = Vec::new();
 
-    let mut set_assoc = SetAssocCache::lru(CacheConfig::new(512 << 10, 4, 64).unwrap());
+    let mut set_assoc = SetAssocCache::new(CacheConfig::new(512 << 10, 4, 64).unwrap());
     results.push((
         set_assoc.describe(),
         run_accesses(trace.iter().copied(), &mut set_assoc, u64::MAX),
@@ -90,7 +90,7 @@ fn measured_activity_prices_to_sane_power() {
 
     // Traditional comparison at the same frequency via its own meter.
     let trad_cfg = CacheConfig::new(2 << 20, 4, 64).unwrap().with_ports(4);
-    let mut trad = SetAssocCache::lru(trad_cfg);
+    let mut trad = SetAssocCache::new(trad_cfg);
     run_source(
         Benchmark::Twolf.source(Asid::new(1), 13),
         &mut trad,

@@ -12,7 +12,7 @@ use molecular_caches::trace::Asid;
 const REFS: u64 = 400_000;
 
 fn ammp_solo_miss_rate() -> f64 {
-    let mut cache = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap());
+    let mut cache = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap());
     let src = Benchmark::Ammp.source(Asid::new(1), 9);
     run_source(src, &mut cache, REFS / 2).app_miss_rate(Asid::new(1))
 }
@@ -28,7 +28,7 @@ fn spec4_sources() -> Vec<molecular_caches::trace::gen::BoxedSource> {
 #[test]
 fn shared_cache_inflates_small_apps() {
     let solo = ammp_solo_miss_rate();
-    let mut shared = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap());
+    let mut shared = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap());
     let summary = run_shared(spec4_sources(), &mut shared, REFS).unwrap();
     let ammp_shared = summary.app_miss_rate(Asid::new(2)); // ammp is 2nd in SPEC4
     assert!(
@@ -40,14 +40,14 @@ fn shared_cache_inflates_small_apps() {
 #[test]
 fn cache_hungry_neighbours_barely_affected() {
     // mcf misses heavily regardless of who it runs with (Table 1).
-    let mut solo_cache = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap());
+    let mut solo_cache = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap());
     let solo = run_source(
         Benchmark::Mcf.source(Asid::new(1), 9),
         &mut solo_cache,
         REFS / 2,
     )
     .app_miss_rate(Asid::new(1));
-    let mut shared = SetAssocCache::lru(CacheConfig::new(1 << 20, 4, 64).unwrap());
+    let mut shared = SetAssocCache::new(CacheConfig::new(1 << 20, 4, 64).unwrap());
     let summary = run_shared(spec4_sources(), &mut shared, REFS).unwrap();
     let shared_mr = summary.app_miss_rate(Asid::new(3)); // mcf is 3rd
     assert!(

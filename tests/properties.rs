@@ -3,7 +3,6 @@
 use molecular_caches::core::{
     InitialAllocation, MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger,
 };
-use molecular_caches::sim::replacement::{Policy, SetPolicy};
 use molecular_caches::sim::{CacheConfig, CacheModel, Request, SetAssocCache};
 use molecular_caches::trace::rng::Rng;
 use molecular_caches::trace::{AccessKind, Address, Asid};
@@ -14,9 +13,10 @@ fn arbitrary_trace(max_line: u64, len: usize) -> impl Strategy<Value = Vec<(u16,
     proptest::collection::vec((1u16..4, 0u64..max_line, proptest::bool::ANY), 1..len)
 }
 
-/// A trivially-correct reference model of a set-associative LRU cache.
+/// A trivially-correct reference model of a set-associative,
+/// write-back, write-allocate LRU cache.
 struct RefLru {
-    sets: Vec<VecDeque<u64>>, // per set, line numbers in LRU order
+    sets: Vec<VecDeque<(u64, bool)>>, // per set, (line, dirty) in LRU order
     assoc: usize,
     line_size: u64,
 }
@@ -30,20 +30,19 @@ impl RefLru {
         }
     }
 
-    fn access(&mut self, addr: Address) -> bool {
+    /// Returns (hit, writeback).
+    fn access(&mut self, addr: Address, write: bool) -> (bool, bool) {
         let line = addr.raw() / self.line_size;
         let set = (line % self.sets.len() as u64) as usize;
         let q = &mut self.sets[set];
-        if let Some(pos) = q.iter().position(|&l| l == line) {
-            q.remove(pos);
-            q.push_back(line);
-            true
+        if let Some(pos) = q.iter().position(|&(l, _)| l == line) {
+            let (_, dirty) = q.remove(pos).expect("position is in range");
+            q.push_back((line, dirty || write));
+            (true, false)
         } else {
-            if q.len() == self.assoc {
-                q.pop_front();
-            }
-            q.push_back(line);
-            false
+            let writeback = q.len() == self.assoc && q.pop_front().is_some_and(|(_, d)| d);
+            q.push_back((line, write));
+            (false, writeback)
         }
     }
 }
@@ -51,23 +50,34 @@ impl RefLru {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The production set-associative cache agrees hit-for-hit with the
-    /// naive reference LRU on arbitrary traces.
+    /// The production set-associative cache agrees hit-for-hit and
+    /// writeback-for-writeback with the naive reference LRU on arbitrary
+    /// traces, at every associativity the experiments use (1, 2, 4 and 8
+    /// ways) and 1 to 64 sets.
     #[test]
-    fn set_assoc_matches_reference_lru(trace in arbitrary_trace(512, 400)) {
-        let cfg = CacheConfig::new(16 * 1024, 4, 64).unwrap();
-        let mut cache = SetAssocCache::lru(cfg);
+    fn set_assoc_matches_reference_lru(
+        ways_log2 in 0u32..4,
+        sets_log2 in 0u32..7,
+        trace in arbitrary_trace(1 << 16, 400),
+    ) {
+        let (ways, sets) = (1u64 << ways_log2, 1u64 << sets_log2);
+        let cfg = CacheConfig::new(sets * ways * 64, ways as u32, 64).unwrap();
+        let mut cache = SetAssocCache::new(cfg);
         let mut reference = RefLru::new(&cfg);
         for (asid, line, is_write) in trace {
+            // A footprint of three times the capacity mixes hits,
+            // conflict misses and dirty evictions.
+            let line = line % (3 * sets * ways);
             let addr = Address::new(line * 64);
             let req = Request {
                 asid: Asid::new(asid),
                 addr,
                 kind: if is_write { AccessKind::Write } else { AccessKind::Read },
             };
-            let got = cache.access(req).hit;
-            let want = reference.access(addr);
-            prop_assert_eq!(got, want, "divergence at line {}", line);
+            let out = cache.access(req);
+            let (hit, writeback) = reference.access(addr, is_write);
+            prop_assert_eq!(out.hit, hit, "hit divergence at line {}", line);
+            prop_assert_eq!(out.writeback, writeback, "writeback divergence at line {}", line);
         }
     }
 
@@ -75,7 +85,7 @@ proptest! {
     #[test]
     fn stats_are_conserved(trace in arbitrary_trace(4096, 300)) {
         let cfg = CacheConfig::new(32 * 1024, 2, 64).unwrap();
-        let mut cache = SetAssocCache::lru(cfg);
+        let mut cache = SetAssocCache::new(cfg);
         for (asid, line, is_write) in &trace {
             cache.access(Request {
                 asid: Asid::new(*asid),
@@ -121,23 +131,6 @@ proptest! {
         // Stats conservation for the molecular model too.
         let stats = cache.stats();
         prop_assert_eq!(stats.global.hits + stats.global.misses, stats.global.accesses);
-    }
-
-    /// Every replacement policy only ever returns in-range victims, and
-    /// LRU/FIFO victims are unique until every way has been refilled.
-    #[test]
-    fn replacement_victims_in_range(ways in 1usize..16, draws in 1usize..64) {
-        for policy in [Policy::Lru, Policy::Fifo, Policy::Random] {
-            let mut p = SetPolicy::new(policy, ways);
-            let mut rng = Rng::seeded(7);
-            for w in 0..ways {
-                p.on_fill(w);
-            }
-            for _ in 0..draws {
-                let v = p.victim(&mut rng);
-                prop_assert!(v < ways, "{policy:?} victim {v} out of range");
-            }
-        }
     }
 
     /// The deterministic RNG produces identical streams for equal seeds
@@ -277,7 +270,7 @@ fn quantum_interleaving_changes_interference_not_totals() {
             Benchmark::Crc.source(Asid::new(2), 3),
         ];
         let workload = Workload::new(sources).unwrap();
-        let mut cache = SetAssocCache::lru(CacheConfig::new(256 << 10, 4, 64).unwrap());
+        let mut cache = SetAssocCache::new(CacheConfig::new(256 << 10, 4, 64).unwrap());
         if quantum == 1 {
             run_accesses(workload.round_robin(), &mut cache, 400_000)
         } else {
