@@ -298,7 +298,7 @@ pub fn score_cell(policy: &str, mut built: BuiltWorkload) -> Option<TourneyEntry
 
     // Oracle phase annotations: each application's true line footprint,
     // declared up front (see `molcache_trace::annotate`).
-    let line = built.cache.config().line_size();
+    let line = molcache_core::config::LINE_SIZE;
     let trace: Vec<MemAccess> = built
         .requests
         .iter()

@@ -1,6 +1,8 @@
 //! `repro`'s command line: every word it does not know is an error,
 //! never a silently ignored target or flag. `molsim`, `molstat` and
-//! `moltourney` reject bad flag values the same way.
+//! `moltourney` reject bad flag values the same way, and `molsim`
+//! rejects a din trace with a bad line. `molstat`'s telemetry export is
+//! pinned byte for byte.
 
 use std::process::{Command, Output};
 
@@ -101,4 +103,55 @@ fn known_target_writes_its_record() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table 4"));
     assert!(written.expect("table4.json written").contains("\"table4\""));
+}
+
+#[test]
+fn molsim_rejects_a_malformed_din_trace() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("molsim-bad-{}.din", std::process::id()));
+    std::fs::write(&path, "0 40\n1 80\n0 c0\ngarbage line\n0 100\n").expect("trace written");
+    let name = path.to_str().expect("temp path is UTF-8");
+    for extra in [&[][..], &["--analyze"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_molsim"))
+            .args(["--din", name])
+            .args(extra)
+            .output()
+            .expect("molsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(name) && stderr.contains("line 4"),
+            "{extra:?}: stderr was {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("refs:"), "{extra:?} reported {stdout}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The telemetry JSON export is a bit-identity fixed point: CI's
+/// `molstat` smoke command, plus `--power`, must keep printing exactly
+/// these bytes (the epoch activity, per-stage series and energy fields
+/// included).
+#[test]
+fn molstat_telemetry_export_is_pinned() {
+    let out = Command::new(env!("CARGO_BIN_EXE_molstat"))
+        .args(["--refs", "60000", "--period", "2000", "--epoch", "5000"])
+        .args(["--policy", "randy,random", "--power", "--json"])
+        .output()
+        .expect("molstat runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout.len(), 184_386);
+    assert_eq!(fnv1a64(&out.stdout), 0x2668_5a0a_a76b_6e4a);
 }

@@ -1,39 +1,16 @@
 //! Pipeline staging contract over a real workload: for every access the
-//! Table 2 mixed workload produces, the per-stage cycle breakdown on the
-//! outcome must sum exactly to the reported latency — the breakdown is a
-//! decomposition of the measured number, never a second estimate — and
-//! the lifetime stage totals must tile the aggregate activity counters.
+//! Table 2 mixed workload produces, the stage cycles the access adds to
+//! the cache's activity must sum exactly to its reported latency — the
+//! breakdown is a decomposition of the measured number, never a second
+//! estimate — and the lifetime stage totals must tile the aggregate
+//! activity counters.
 
 use molcache_bench::experiments::table2;
 use molcache_bench::harness::run_workload_on;
 use molcache_core::{MolecularCache, RegionPolicy};
-use molcache_sim::cmp::run_accesses_observed;
-use molcache_sim::{AccessObserver, AccessOutcome, CacheModel, Request};
+use molcache_sim::{CacheModel, Request};
 use molcache_trace::interleave::Workload;
 use molcache_trace::presets::Benchmark;
-
-/// Checks every outcome as it happens and accumulates what a correct
-/// staging must reproduce in aggregate.
-#[derive(Default)]
-struct StageAuditor {
-    accesses: u64,
-    total_latency: u64,
-    violations: u64,
-}
-
-impl AccessObserver for StageAuditor {
-    fn on_access(&mut self, _req: &Request, out: &AccessOutcome) {
-        self.accesses += 1;
-        self.total_latency += u64::from(out.latency);
-        let Some(stages) = out.stages.as_ref() else {
-            self.violations += 1; // the molecular cache always stages
-            return;
-        };
-        if stages.total_cycles() != out.latency {
-            self.violations += 1;
-        }
-    }
-}
 
 fn mixed12_sources(seed: u64) -> Workload {
     let sources = molcache_trace::presets::workload(&Benchmark::MIXED12, seed)
@@ -45,28 +22,27 @@ fn mixed12_sources(seed: u64) -> Workload {
 
 #[test]
 fn every_mixed12_access_decomposes_into_stage_cycles() {
-    const REFS: u64 = 60_000;
+    const REFS: usize = 60_000;
     let mut cache: MolecularCache =
         table2::molecular_6mb_with_period(RegionPolicy::Randy, 7, 5_000);
-    let mut auditor = StageAuditor::default();
-    let summary = run_accesses_observed(
-        mixed12_sources(7).round_robin(),
-        &mut cache,
-        REFS,
-        &mut auditor,
-    );
-
-    assert_eq!(auditor.accesses, REFS);
-    assert_eq!(
-        auditor.violations, 0,
-        "some access's stage cycles did not sum to its latency"
-    );
-    assert_eq!(auditor.total_latency, summary.total_latency());
+    let mut total_latency = 0u64;
+    for (i, acc) in mixed12_sources(7).round_robin().take(REFS).enumerate() {
+        let before = cache.activity().stages;
+        let out = cache.access(Request::from(acc));
+        let stages = cache.activity().stages.since(&before);
+        assert_eq!(
+            stages.total_cycles(),
+            u64::from(out.latency),
+            "access {i}: stage cycles do not sum to the latency"
+        );
+        total_latency += u64::from(out.latency);
+    }
+    assert_eq!(cache.activity().accesses, REFS as u64);
 
     // Lifetime stage totals tile the aggregate counters.
     let activity = cache.activity();
     let s = &activity.stages;
-    assert_eq!(s.total_cycles(), summary.total_latency());
+    assert_eq!(s.total_cycles(), total_latency);
     assert_eq!(
         s.asid_gate.asid_compares + s.ulmo_search.asid_compares,
         activity.asid_compares

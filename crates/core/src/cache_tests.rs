@@ -3,6 +3,7 @@
 use super::*;
 use crate::config::{InitialAllocation, MolecularConfig};
 use crate::resize::ResizeTrigger;
+use molcache_sim::StageActivity;
 use molcache_telemetry::ResizeKind;
 use molcache_trace::{AccessKind, Address};
 
@@ -32,6 +33,14 @@ fn write(asid: u16, addr: u64) -> Request {
         addr: Address::new(addr),
         kind: AccessKind::Write,
     }
+}
+
+/// Services `req`, returning its outcome and the stage totals it added
+/// to the cache's activity — the access's stage breakdown.
+fn access_staged(c: &mut MolecularCache, req: Request) -> (AccessOutcome, StageActivity) {
+    let before = c.activity().stages;
+    let out = c.access(req);
+    (out, c.activity().stages.since(&before))
 }
 
 #[test]
@@ -135,6 +144,22 @@ fn region_shrinks_when_idle_hot() {
     let snap = c.region_snapshot(Asid::new(1)).unwrap();
     assert!(snap.molecules < 8, "partition must have shrunk");
     assert!(snap.molecules >= 1, "never below one molecule");
+}
+
+/// Every miss that fills a victim counts once against that molecule for
+/// the current resize window (§3.4's "where to remove?" counter);
+/// closing the window clears every counter.
+#[test]
+fn replacement_misses_count_per_window() {
+    let mut c = MolecularCache::new(small_config());
+    for i in 0..200u64 {
+        c.access(read(1, i * 64));
+    }
+    let counted: u64 = c.replacement_misses.iter().sum();
+    assert_eq!(counted, c.stats().global.misses);
+    assert!(counted > 0);
+    c.resize_all();
+    assert!(c.replacement_misses.iter().all(|&m| m == 0));
 }
 
 #[test]
@@ -405,25 +430,6 @@ fn lru_direct_cache_end_to_end() {
 }
 
 #[test]
-fn non_default_line_size() {
-    // 128-byte base lines: two 64-byte offsets share a line.
-    let cfg = MolecularConfig::builder()
-        .molecule_size(2048)
-        .line_size(128)
-        .tile_molecules(4)
-        .tiles_per_cluster(1)
-        .clusters(1)
-        .trigger(ResizeTrigger::Constant { period: 1_000_000 })
-        .build()
-        .unwrap();
-    let mut c = MolecularCache::new(cfg);
-    assert_eq!(c.config().frames_per_molecule(), 16);
-    assert!(!c.access(read(1, 0)).hit);
-    assert!(c.access(read(1, 64)).hit, "same 128B line");
-    assert!(!c.access(read(1, 128)).hit, "next 128B line");
-}
-
-#[test]
 fn block_fill_marks_only_accessed_line_dirty() {
     let cfg = MolecularConfig::builder()
         .molecule_size(1024)
@@ -572,7 +578,7 @@ fn telemetry_sink_observes_without_perturbing() {
     let rec = recorder.lock().unwrap();
     // 2000 accesses / 500-long epochs = 4 epoch records.
     assert_eq!(rec.epochs().len(), 4);
-    let total: u64 = rec.epochs().iter().map(|e| e.accesses).sum();
+    let total: u64 = rec.epochs().iter().map(|e| e.activity.accesses).sum();
     assert_eq!(total, 2_000, "epoch activity deltas tile the run");
     assert_eq!(rec.partitions().len(), 4, "one app, one sample per epoch");
     let sampled: u64 = rec.partitions().iter().map(|s| s.accesses).sum();
@@ -587,8 +593,8 @@ fn telemetry_sink_observes_without_perturbing() {
     for r in rec.resizes() {
         assert_eq!(r.trigger, "constant");
         match r.kind {
-            ResizeKind::Grow => assert_eq!(r.after, r.before + r.applied),
-            ResizeKind::Shrink => assert_eq!(r.after, r.before - r.applied),
+            ResizeKind::Grow => assert_eq!(r.after, r.inputs.current + r.applied),
+            ResizeKind::Shrink => assert_eq!(r.after, r.inputs.current - r.applied),
         }
         assert!(r.applied <= r.requested);
     }
@@ -602,7 +608,11 @@ fn telemetry_sink_observes_without_perturbing() {
 
     // Per-stage epoch series: each epoch's stage cycles tile the run and
     // agree with the cache-wide stage totals.
-    let stage_cycles: u64 = rec.epochs().iter().map(|e| e.stages.total_cycles()).sum();
+    let stage_cycles: u64 = rec
+        .epochs()
+        .iter()
+        .map(|e| e.activity.stages.total_cycles())
+        .sum();
     assert_eq!(stage_cycles, observed.activity().stages.total_cycles());
     assert!(stage_cycles > 0);
 }
@@ -625,7 +635,7 @@ fn reset_stats_restarts_epoch_time() {
     assert_eq!(rec.epochs().len(), 2);
     assert_eq!(rec.epochs()[0].epoch, 0);
     assert_eq!(rec.epochs()[1].epoch, 0, "epoch index restarts on reset");
-    assert_eq!(rec.epochs()[1].accesses, 100);
+    assert_eq!(rec.epochs()[1].activity.accesses, 100);
 }
 
 #[test]
@@ -649,21 +659,19 @@ fn snapshots_sorted_by_asid() {
 // ---- stage-breakdown contract ------------------------------------------
 
 /// Every access path — home hit, Ulmo remote hit, miss with fill,
-/// bypass — must carry a breakdown whose stage cycles sum exactly to the
-/// reported latency.
+/// bypass — must add stage cycles that sum exactly to the reported
+/// latency.
 #[test]
 fn stage_cycles_sum_to_latency_on_every_path() {
     let mut c = MolecularCache::new(small_config());
     for i in 0..2_000u64 {
-        let out = c.access(read(1, (i % 300) * 64));
-        let stages = out.stages.expect("molecular accesses carry stages");
-        assert_eq!(stages.total_cycles(), out.latency, "access {i}");
+        let (out, stages) = access_staged(&mut c, read(1, (i % 300) * 64));
+        assert_eq!(stages.total_cycles(), u64::from(out.latency), "access {i}");
     }
     // Remote hits via rehoming.
     c.rehome_app(Asid::new(1), 1);
-    let out = c.access(read(1, 0));
-    let stages = out.stages.unwrap();
-    assert_eq!(stages.total_cycles(), out.latency);
+    let (out, stages) = access_staged(&mut c, read(1, 0));
+    assert_eq!(stages.total_cycles(), u64::from(out.latency));
 
     // Bypass path (no region molecules, no shared fallback).
     let cfg = MolecularConfig::builder()
@@ -677,9 +685,8 @@ fn stage_cycles_sum_to_latency_on_every_path() {
         .unwrap();
     let mut c = MolecularCache::new(cfg);
     c.access(read(1, 0));
-    let out = c.access(read(2, 1 << 20));
-    let stages = out.stages.expect("bypassed accesses still carry stages");
-    assert_eq!(stages.total_cycles(), out.latency);
+    let (out, stages) = access_staged(&mut c, read(2, 1 << 20));
+    assert_eq!(stages.total_cycles(), u64::from(out.latency));
     assert_eq!(stages.fill.frames_touched, 0, "bypass fills nothing");
 }
 
@@ -717,14 +724,12 @@ fn stage_totals_tile_activity_counters() {
 #[test]
 fn stage_cycle_attribution_matches_config() {
     let mut c = MolecularCache::new(small_config());
-    let miss = c.access(read(1, 0));
-    let s = miss.stages.unwrap();
-    assert_eq!(s.asid_gate.cycles, crate::config::ASID_STAGE_CYCLES);
-    assert_eq!(s.home_lookup.cycles, crate::config::HIT_LATENCY);
+    let (_, s) = access_staged(&mut c, read(1, 0));
+    assert_eq!(s.asid_gate.cycles, u64::from(ASID_STAGE_CYCLES));
+    assert_eq!(s.home_lookup.cycles, u64::from(HIT_LATENCY));
     assert_eq!(s.ulmo_search.cycles, 0, "single-tile region: no launch");
-    assert_eq!(s.fill.cycles, crate::config::MISS_PENALTY);
-    let hit = c.access(read(1, 0));
-    let s = hit.stages.unwrap();
+    assert_eq!(s.fill.cycles, u64::from(MISS_PENALTY));
+    let (_, s) = access_staged(&mut c, read(1, 0));
     assert_eq!(s.fill.cycles, 0, "hits never reach the fill stage");
     assert_eq!(s.fill.frames_touched, 0);
 }
@@ -735,7 +740,7 @@ fn stage_cycle_attribution_matches_config() {
 /// overlapping strides and writes (hits, conflict evictions, stale memo
 /// entries), a tight resize trigger (generation bumps mid-stream), plus
 /// explicit re-home / shared-grant / teardown structural events.
-fn memo_torture(c: &mut MolecularCache) -> Vec<AccessOutcome> {
+fn memo_torture(c: &mut MolecularCache) -> Vec<(AccessOutcome, StageActivity)> {
     let mut out = Vec::new();
     for i in 0..6_000u64 {
         let asid = (i % 3 + 1) as u16;
@@ -751,7 +756,7 @@ fn memo_torture(c: &mut MolecularCache) -> Vec<AccessOutcome> {
         } else {
             read(asid, addr)
         };
-        out.push(c.access(req));
+        out.push(access_staged(c, req));
         match i {
             1_500 => {
                 c.make_shared(1, 2);
@@ -769,7 +774,7 @@ fn memo_torture(c: &mut MolecularCache) -> Vec<AccessOutcome> {
 }
 
 /// The bit-identity contract of the memo front-end: every per-access
-/// outcome (hit/latency/writeback/stage breakdown), the lifetime stats
+/// outcome (hit/latency/writeback) and stage breakdown, the lifetime stats
 /// and activity counters, the region snapshots and the full telemetry
 /// JSON export are byte-identical with memoization on and off.
 #[test]
@@ -858,8 +863,7 @@ fn memo_front_keeps_batch_bit_identical() {
 #[test]
 fn memo_structural_events_invalidate_entries() {
     let mut c = MolecularCache::new(small_config());
-    let line_size = c.config().line_size();
-    let line_of = move |addr: u64| Address::new(addr).line(line_size);
+    let line_of = |addr: u64| Address::new(addr).line(LINE_SIZE);
 
     // Two accesses to the same line: the second is a home hit that
     // writes a memo entry.

@@ -32,6 +32,9 @@ impl std::fmt::Display for RegionPolicy {
     }
 }
 
+/// The base line size in bytes: 64, as in the paper (§3, Table 3). A
+/// region's line *factor* (§3.2) fetches whole multiples of it.
+pub const LINE_SIZE: u64 = 64;
 /// Molecule hit latency in cycles.
 pub(crate) const HIT_LATENCY: u32 = 4;
 /// The ASID-compare stage every lookup passes first, in cycles.
@@ -59,7 +62,6 @@ pub enum InitialAllocation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MolecularConfig {
     pub(crate) molecule_size: u64,
-    pub(crate) line_size: u64,
     pub(crate) tile_molecules: usize,
     pub(crate) tiles_per_cluster: usize,
     pub(crate) clusters: usize,
@@ -86,14 +88,9 @@ impl MolecularConfig {
         self.molecule_size
     }
 
-    /// Base line size in bytes.
-    pub fn line_size(&self) -> u64 {
-        self.line_size
-    }
-
     /// Line frames per molecule.
     pub fn frames_per_molecule(&self) -> usize {
-        (self.molecule_size / self.line_size) as usize
+        (self.molecule_size / LINE_SIZE) as usize
     }
 
     /// Molecules per tile.
@@ -176,7 +173,6 @@ impl MolecularConfig {
 #[derive(Debug, Clone)]
 pub struct MolecularConfigBuilder {
     molecule_size: u64,
-    line_size: u64,
     tile_molecules: usize,
     tiles_per_cluster: usize,
     clusters: usize,
@@ -196,7 +192,6 @@ impl Default for MolecularConfigBuilder {
     fn default() -> Self {
         MolecularConfigBuilder {
             molecule_size: 8 * 1024,
-            line_size: 64,
             tile_molecules: 64,
             tiles_per_cluster: 4,
             clusters: 1,
@@ -220,12 +215,6 @@ impl MolecularConfigBuilder {
     /// Sets the molecule capacity in bytes (8–32 KB in the paper).
     pub fn molecule_size(&mut self, bytes: u64) -> &mut Self {
         self.molecule_size = bytes;
-        self
-    }
-
-    /// Sets the base line size in bytes (64 in the paper).
-    pub fn line_size(&mut self, bytes: u64) -> &mut Self {
-        self.line_size = bytes;
         self
     }
 
@@ -322,10 +311,7 @@ impl MolecularConfigBuilder {
         if self.molecule_size == 0 || !self.molecule_size.is_power_of_two() {
             return Err(err("molecule_size", "must be a non-zero power of two"));
         }
-        if self.line_size == 0 || !self.line_size.is_power_of_two() {
-            return Err(err("line_size", "must be a non-zero power of two"));
-        }
-        if self.molecule_size < self.line_size {
+        if self.molecule_size < LINE_SIZE {
             return Err(err("molecule_size", "must hold at least one line"));
         }
         if self.tile_molecules == 0 {
@@ -349,7 +335,7 @@ impl MolecularConfigBuilder {
             if *factor == 0 || !factor.is_power_of_two() {
                 return Err(err("line_factor", "must be a non-zero power of two"));
             }
-            if *factor as usize > (self.molecule_size / self.line_size) as usize {
+            if *factor as usize > (self.molecule_size / LINE_SIZE) as usize {
                 return Err(err("line_factor", "block must fit inside a molecule"));
             }
         }
@@ -378,7 +364,6 @@ impl MolecularConfigBuilder {
             .max(1);
         Ok(MolecularConfig {
             molecule_size: self.molecule_size,
-            line_size: self.line_size,
             tile_molecules: self.tile_molecules,
             tiles_per_cluster: self.tiles_per_cluster,
             clusters: self.clusters,
@@ -438,10 +423,8 @@ mod tests {
             .molecule_size(3000)
             .build()
             .is_err());
-        assert!(MolecularConfig::builder().line_size(0).build().is_err());
         assert!(MolecularConfig::builder()
             .molecule_size(32)
-            .line_size(64)
             .build()
             .is_err());
         assert!(MolecularConfig::builder()

@@ -10,10 +10,6 @@ pub struct MoleculeId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(pub u32);
 
-/// Index of a tile cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ClusterId(pub u32);
-
 impl MoleculeId {
     /// Array index.
     pub const fn index(self) -> usize {
@@ -22,13 +18,6 @@ impl MoleculeId {
 }
 
 impl TileId {
-    /// Array index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl ClusterId {
     /// Array index.
     pub const fn index(self) -> usize {
         self.0 as usize
@@ -47,12 +36,6 @@ impl fmt::Display for TileId {
     }
 }
 
-impl fmt::Display for ClusterId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cluster:{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,13 +44,11 @@ mod tests {
     fn displays() {
         assert_eq!(MoleculeId(3).to_string(), "mol:3");
         assert_eq!(TileId(1).to_string(), "tile:1");
-        assert_eq!(ClusterId(0).to_string(), "cluster:0");
     }
 
     #[test]
     fn index_roundtrip() {
         assert_eq!(MoleculeId(7).index(), 7);
         assert_eq!(TileId(2).index(), 2);
-        assert_eq!(ClusterId(5).index(), 5);
     }
 }

@@ -5,12 +5,13 @@
 //! Heterogeneous cache regions"* (MICRO 2006).
 //!
 //! A molecular cache is built from **molecules** — small (8–32 KB)
-//! direct-mapped caching units with 64-byte lines ([`molecule`]).
-//! Molecules are physically grouped into **tiles** (one read/write port
-//! each) and tiles into **tile clusters**, each managed by a controller
-//! called **Ulmo** ([`tile`]). A subset of molecules forms an
-//! application-exclusive **cache region** bound by ASID ([`region`]),
-//! with:
+//! direct-mapped caching units with 64-byte lines, whose frames, ASID
+//! and shared bit live in one flat tag store ([`tags`]). Molecules are
+//! physically grouped into **tiles** (one read/write port each) and
+//! tiles into **tile clusters**, each managed by a controller called
+//! **Ulmo**; the grouping is fixed, so it is index arithmetic
+//! ([`tile`]). A subset of molecules forms an application-exclusive
+//! **cache region** bound by ASID ([`region`]), with:
 //!
 //! * ASID-gated molecule access (§3.1) — only molecules configured with
 //!   the requestor's ASID proceed past address decode;
@@ -59,7 +60,6 @@ pub mod config;
 pub mod error;
 pub mod ids;
 mod lifecycle;
-pub mod molecule;
 mod observe;
 pub mod pipeline;
 pub mod policy;

@@ -73,11 +73,11 @@ impl MolecularCache {
         // while molecule counters and tags mutate — no collected id
         // list. Reconfiguring to the same owner is a flush in place.
         let region = &self.regions[&asid];
-        let molecules = &mut self.molecules;
+        let misses = &mut self.replacement_misses;
         let tags = &mut self.tags;
         let mut flushed = 0;
         for id in region.molecules() {
-            molecules[id.index()].reset_window_counters();
+            misses[id.index()] = 0;
             flushed += tags.configure(id, asid);
         }
         self.activity.writebacks += flushed;
@@ -123,13 +123,10 @@ impl MolecularCache {
         self.note_structural_change();
         let mut removed = 0;
         for _ in 0..n {
-            let Some(id) = region.remove_coldest(|m| self.molecules[m.index()].miss_count()) else {
+            let Some(id) = region.remove_coldest(|m| self.replacement_misses[m.index()]) else {
                 break;
             };
-            let flushed = self.configure_molecule(id, Asid::NONE);
-            self.activity.writebacks += flushed;
-            let tile = self.molecules[id.index()].tile();
-            self.tiles[tile.index()].release(id);
+            self.free_molecule(id);
             removed += 1;
         }
         self.regions.insert(asid, region);

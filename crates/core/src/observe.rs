@@ -13,7 +13,6 @@ use crate::region::Region;
 use molcache_telemetry::{
     EpochActivity, EpochSample, Event, ResizeDecisionInputs, ResizeKind, ResizeRecord,
 };
-use molcache_trace::Asid;
 
 impl MolecularCache {
     /// Fraction of a region's line frames holding valid lines.
@@ -58,22 +57,14 @@ impl MolecularCache {
                 }
             })
             .collect();
-        let base = self.epoch_activity_base;
         // Memo hits are a diagnostic side-channel: carried on the sample
         // but excluded from the canonical JSON export (which must be
         // byte-identical memo-on vs memo-off).
-        let memo_hits = self.memo.hits() - self.epoch_memo_base;
         let activity = EpochActivity {
             epoch,
-            accesses: self.activity.accesses - base.accesses,
-            ways_probed: self.activity.ways_probed - base.ways_probed,
-            line_fills: self.activity.line_fills - base.line_fills,
-            writebacks: self.activity.writebacks - base.writebacks,
-            asid_compares: self.activity.asid_compares - base.asid_compares,
-            ulmo_searches: self.activity.ulmo_searches - base.ulmo_searches,
+            activity: self.activity.since(&self.epoch_activity_base),
             free_molecules: self.free_molecules(),
-            memo_hits,
-            stages: self.activity.stages.since(&base.stages),
+            memo_hits: self.memo.hits() - self.epoch_memo_base,
         };
         for sample in &samples {
             self.sink.emit(Event::Partition(sample));
@@ -85,18 +76,14 @@ impl MolecularCache {
         self.epoch_memo_base = self.memo.hits();
     }
 
-    /// Publishes one applied resize decision, tagged with the policy
-    /// that fired it and the full decision-input snapshot it saw.
-    #[allow(clippy::too_many_arguments)]
+    /// Publishes one applied resize decision — `requested` molecules
+    /// asked for, `applied` granted or withdrawn — tagged with the policy
+    /// that fired it and the decision-input snapshot it saw.
     pub(crate) fn publish_resize(
         &self,
-        asid: Asid,
         kind: ResizeKind,
         requested: usize,
         applied: usize,
-        before: usize,
-        window_miss_rate: f64,
-        goal: f64,
         inputs: &DecisionInputs,
     ) {
         if !self.sink.is_enabled() {
@@ -105,14 +92,11 @@ impl MolecularCache {
         let record = ResizeRecord {
             at_access: self.activity.accesses,
             trigger: self.resize_policy.trigger_label().to_string(),
-            asid,
+            asid: inputs.asid,
             kind,
             requested,
             applied,
-            before,
-            after: self.regions[&asid].size(),
-            window_miss_rate,
-            goal,
+            after: self.regions[&inputs.asid].size(),
             policy: self.resize_policy.name().to_string(),
             inputs: ResizeDecisionInputs {
                 window_accesses: inputs.window_accesses,

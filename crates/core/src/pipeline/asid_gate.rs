@@ -32,17 +32,17 @@ impl MolecularCache {
     ///
     /// [`GateMask`]: crate::tags::GateMask
     pub(crate) fn asid_gate(&mut self, asid: Asid, slot: usize, trace: &mut StageTrace) {
-        let region = self.regions.get_mut(&asid).expect("region");
-        let tile = &self.tiles[region.lookup_tile(slot).index()];
-        let capacity = tile.capacity();
+        let topo = self.topo;
+        let capacity = topo.tile_molecules();
         trace.asid_compares += capacity as u32;
+        let region = self.regions.get_mut(&asid).expect("region");
         // The tile's gate state is a dense lane range of the packed
         // ASID words (molecule ids are tile-contiguous), so the
         // hardware's parallel compare is modeled by the SWAR kernel:
         // four molecules per word, matches out as a bitmask.
+        let base = topo.tile_base(region.lookup_tile(slot));
         if let Some(mask) = region.gate_to_fill(slot) {
-            self.tags
-                .gate_scan(tile.molecule_base(), capacity, asid, mask);
+            self.tags.gate_scan(base, capacity, asid, mask);
         }
     }
 }

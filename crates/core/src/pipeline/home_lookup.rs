@@ -35,8 +35,6 @@ impl MolecularCache {
     ) -> Option<MoleculeId> {
         let gate = self.regions[&asid].gate(slot);
         trace.tag_probes += gate.count();
-        let hit = self.tags.probe_gated(gate, line, is_write)?;
-        self.molecules[hit.index()].record_hit();
-        Some(hit)
+        self.tags.probe_gated(gate, line, is_write)
     }
 }

@@ -25,12 +25,12 @@ impl MolecularCache {
     pub fn find_duplicate_line(&self) -> Option<Asid> {
         let mut seen: std::collections::HashSet<(Asid, LineAddr)> =
             std::collections::HashSet::new();
-        for m in &self.molecules {
-            let asid = self.tags.asid_of(m.id());
+        for m in (0..self.cfg.total_molecules()).map(|i| MoleculeId(i as u32)) {
+            let asid = self.tags.asid_of(m);
             if asid == Asid::NONE {
                 continue;
             }
-            for line in self.tags.resident_lines(m.id()) {
+            for line in self.tags.resident_lines(m) {
                 if !seen.insert((asid, line)) {
                     return Some(asid);
                 }

@@ -23,16 +23,16 @@
 //!    frames of the victim molecule, stale-copy invalidation, and
 //!    writeback accounting.
 //!
-//! Each stage consumes and produces a typed
+//! Each stage writes what it did into a typed
 //! [`StageTrace`](molcache_sim::StageTrace);
 //! [`MolecularCache::service`](crate::MolecularCache) is a thin driver
-//! that sequences the stages and assembles the traces into the
-//! [`StageBreakdown`](molcache_sim::StageBreakdown) carried on every
-//! [`AccessOutcome`](molcache_sim::AccessOutcome). The contract the
-//! driver keeps — and the determinism tests enforce — is that the staged
-//! decomposition is *observationally free*: stats, latencies and activity
-//! counters are bit-identical to the pre-pipeline monolith, and the stage
-//! cycles of every access sum exactly to its reported latency.
+//! that sequences the stages and folds one access's traces, as a
+//! [`StageBreakdown`](molcache_sim::StageBreakdown), into the cache's
+//! [`Activity`](molcache_sim::Activity). The contract the driver keeps —
+//! and the determinism tests enforce — is that the staged decomposition
+//! is *observationally free* (stats, latencies and activity counters are
+//! bit-identical to the pre-pipeline monolith) and that the stage cycles
+//! each access adds sum exactly to its reported latency.
 //!
 //! [`invariants`] holds cross-stage structural checks and diagnostics
 //! (no line resident twice within a region, block-fill placement).

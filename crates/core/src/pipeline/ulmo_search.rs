@@ -23,7 +23,7 @@ impl MolecularCache {
         let home = region.home_tile();
         let mut tiles: Vec<TileId> = region
             .molecules()
-            .map(|id| self.molecules[id.index()].tile())
+            .map(|id| self.topo.tile_of(id))
             .filter(|t| *t != home)
             .collect();
         tiles.sort_unstable();
@@ -40,13 +40,11 @@ impl MolecularCache {
     /// or `None` on a cache-wide miss or when no search was launched
     /// (distinguishable by `trace.cycles`).
     ///
-    /// The search list is the region's cached [`TileList`]
+    /// The search list is the region's cached list
     /// (`crate::search_list`), which
     /// [`refresh_lookup_cache`](Self::refresh_lookup_cache) brought up
     /// to date at the start of the access — one membership walk per
     /// structural change instead of one allocation + sort per miss.
-    ///
-    /// [`TileList`]: crate::search_list::TileList
     pub(crate) fn ulmo_search(
         &mut self,
         asid: Asid,

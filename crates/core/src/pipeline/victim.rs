@@ -192,8 +192,7 @@ impl MolecularCache {
             // bitmask — no collected candidate list. `nth_shared` walks
             // ascending ids, the same order the old collect produced, so
             // the LFSR draw picks the identical molecule.
-            let tile = &self.tiles[home.index()];
-            let (base, cap) = (tile.molecule_base(), tile.capacity());
+            let (base, cap) = (self.topo.tile_base(home), self.topo.tile_molecules());
             let n = self.tags.count_shared(base, cap);
             if n == 0 {
                 None
@@ -208,10 +207,9 @@ impl MolecularCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ClusterId;
 
     fn region(policy: RegionPolicy) -> Region {
-        Region::new(Asid::new(1), TileId(0), ClusterId(0), policy, 1, 0.1, 4)
+        Region::new(Asid::new(1), TileId(0), policy, 1, 0.1, 4)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cache regions (partitions) and their replacement view (§3.3, Fig. 4).
 
 use crate::config::RegionPolicy;
-use crate::ids::{ClusterId, MoleculeId, TileId};
+use crate::ids::{MoleculeId, TileId};
 use molcache_trace::{Address, Asid};
 
 /// An application-exclusive cache partition.
@@ -16,13 +16,10 @@ use molcache_trace::{Address, Asid};
 /// ```
 /// use molcache_core::region::Region;
 /// use molcache_core::config::RegionPolicy;
-/// use molcache_core::ids::{ClusterId, MoleculeId, TileId};
+/// use molcache_core::ids::{MoleculeId, TileId};
 /// use molcache_trace::{Address, Asid};
 ///
-/// let mut r = Region::new(
-///     Asid::new(1), TileId(0), ClusterId(0),
-///     RegionPolicy::Randy, 1, 0.10, 4,
-/// );
+/// let mut r = Region::new(Asid::new(1), TileId(0), RegionPolicy::Randy, 1, 0.10, 4);
 /// for i in 0..4 {
 ///     r.add_molecule(MoleculeId(i));
 /// }
@@ -35,7 +32,6 @@ use molcache_trace::{Address, Asid};
 pub struct Region {
     asid: Asid,
     home_tile: TileId,
-    cluster: ClusterId,
     policy: RegionPolicy,
     line_factor: u32,
     goal: f64,
@@ -57,8 +53,9 @@ pub struct Region {
     /// Last-hit clock per molecule (LRU-Direct replacement state).
     pub(crate) recency: std::collections::BTreeMap<MoleculeId, u64>,
     // --- cached Ulmo search list and gate masks (see `crate::search_list`) ---
-    /// Remote tiles holding member molecules, sorted ascending.
-    pub(crate) search_tiles: crate::search_list::TileList,
+    /// Remote tiles holding member molecules, sorted ascending. Cleared,
+    /// never dropped, on a rebuild, so steady state does not allocate.
+    pub(crate) search_tiles: Vec<TileId>,
     /// ASID-gate masks of the tiles lookups visit: slot 0 is the home
     /// tile, slot `1 + i` the `i`-th search tile. Only the first
     /// `gates_filled` are current; the rest keep their storage.
@@ -74,7 +71,6 @@ impl Region {
     pub fn new(
         asid: Asid,
         home_tile: TileId,
-        cluster: ClusterId,
         policy: RegionPolicy,
         line_factor: u32,
         goal: f64,
@@ -84,7 +80,6 @@ impl Region {
         Region {
             asid,
             home_tile,
-            cluster,
             policy,
             line_factor,
             goal,
@@ -99,7 +94,7 @@ impl Region {
             lifetime_accesses: 0,
             lifetime_hits: 0,
             recency: std::collections::BTreeMap::new(),
-            search_tiles: crate::search_list::TileList::default(),
+            search_tiles: Vec::new(),
             gates: Vec::new(),
             gates_filled: 0,
             search_generation: 0,
@@ -114,11 +109,6 @@ impl Region {
     /// The tile the owning processor is wired to.
     pub fn home_tile(&self) -> TileId {
         self.home_tile
-    }
-
-    /// The cluster hosting the region.
-    pub fn cluster(&self) -> ClusterId {
-        self.cluster
     }
 
     /// The region's replacement policy.
@@ -409,7 +399,7 @@ mod tests {
     use molcache_trace::rng::Rng;
 
     fn region(policy: RegionPolicy) -> Region {
-        Region::new(Asid::new(1), TileId(0), ClusterId(0), policy, 1, 0.1, 4)
+        Region::new(Asid::new(1), TileId(0), policy, 1, 0.1, 4)
     }
 
     #[test]
@@ -550,7 +540,6 @@ mod tests {
         let mut r = Region::new(
             Asid::new(1),
             TileId(0),
-            ClusterId(0),
             RegionPolicy::LruDirect,
             1,
             0.1,
@@ -576,15 +565,7 @@ mod tests {
 
     #[test]
     fn lru_direct_prefers_never_used_molecules() {
-        let mut r = Region::new(
-            Asid::new(1),
-            TileId(0),
-            ClusterId(0),
-            RegionPolicy::LruDirect,
-            1,
-            0.1,
-            1,
-        );
+        let mut r = Region::new(Asid::new(1), TileId(0), RegionPolicy::LruDirect, 1, 0.1, 1);
         r.add_molecule(MoleculeId(0));
         r.add_molecule(MoleculeId(1));
         r.note_molecule_use(MoleculeId(0), 42);

@@ -149,18 +149,10 @@ impl<'a> IntoIterator for &'a RegionTable {
 mod tests {
     use super::*;
     use crate::config::RegionPolicy;
-    use crate::ids::{ClusterId, TileId};
+    use crate::ids::TileId;
 
     fn region(asid: u16) -> Region {
-        Region::new(
-            Asid::new(asid),
-            TileId(0),
-            ClusterId(0),
-            RegionPolicy::Randy,
-            1,
-            0.1,
-            64,
-        )
+        Region::new(Asid::new(asid), TileId(0), RegionPolicy::Randy, 1, 0.1, 64)
     }
 
     #[test]

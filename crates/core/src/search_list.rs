@@ -1,18 +1,15 @@
 //! Cached Ulmo search lists and ASID-gate masks.
 //!
 //! Ulmo's cross-tile search (§3.2) needs the set of remote tiles that
-//! hold molecules of the requesting region. The seed derived it on every
-//! launched search — collect the tile of every member molecule into a
-//! fresh `Vec`, sort, dedup — which made each home-tile miss allocate
-//! and sort. The set only changes when region *membership* or the home
-//! tile changes, both of which are structural events that already bump
-//! the cache's generation counter, so this module applies the memo
-//! front-end's generation-stamp recipe to the search list itself:
+//! hold molecules of the requesting region. The set only changes when
+//! region *membership* or the home tile changes, both structural events
+//! that bump the cache's generation counter, so this module applies the
+//! memo front-end's generation-stamp recipe to the search list:
 //!
-//! * each [`Region`] carries a [`TileList`] — a small inline array (no
-//!   heap for clusters of up to 16 tiles, the paper-scale case) of its
-//!   remote search tiles in ascending tile order, stamped with the
-//!   structural generation it was built under;
+//! * each [`Region`] carries its remote search tiles in ascending tile
+//!   order, in a `Vec` that a rebuild clears but never drops (so steady
+//!   state allocates nothing), stamped with the structural generation it
+//!   was built under;
 //! * [`MolecularCache::note_structural_change`] bumps the generation, so
 //!   a stale stamp is detected lazily on the region's next access and
 //!   the list rebuilt once, not per miss;
@@ -40,81 +37,8 @@ use crate::cache::MolecularCache;
 use crate::ids::TileId;
 use crate::region::Region;
 use crate::tags::GateMask;
+use crate::tile::Topology;
 use molcache_trace::Asid;
-
-/// Remote tiles kept inline before spilling to the heap: covers every
-/// cluster of up to [`INLINE_TILES`]` + 1` tiles without an allocation.
-pub(crate) const INLINE_TILES: usize = 15;
-
-/// A sorted, deduplicated set of tiles with inline storage — the cached
-/// form of Ulmo's search list.
-///
-/// Stored inline up to [`INLINE_TILES`] entries; a larger cluster spills
-/// the whole list to a `Vec` once and stays there (the spill is kept
-/// across [`clear`](Self::clear), so even spilled steady state does not
-/// re-allocate).
-#[derive(Debug, Clone)]
-pub(crate) struct TileList {
-    inline: [TileId; INLINE_TILES],
-    /// Valid entries of `inline`; unused once spilled.
-    len: usize,
-    /// Overflow storage; non-empty means the whole list lives here.
-    spill: Vec<TileId>,
-    spilled: bool,
-}
-
-impl Default for TileList {
-    fn default() -> Self {
-        TileList {
-            inline: [TileId(0); INLINE_TILES],
-            len: 0,
-            spill: Vec::new(),
-            spilled: false,
-        }
-    }
-}
-
-impl TileList {
-    /// Empties the list (spill capacity is retained).
-    pub(crate) fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-        self.spilled = false;
-    }
-
-    /// The tiles, ascending.
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[TileId] {
-        if self.spilled {
-            &self.spill
-        } else {
-            &self.inline[..self.len]
-        }
-    }
-
-    /// Inserts `t` at its sorted position unless already present.
-    pub(crate) fn insert(&mut self, t: TileId) {
-        if self.spilled {
-            if let Err(pos) = self.spill.binary_search(&t) {
-                self.spill.insert(pos, t);
-            }
-            return;
-        }
-        let slice = &self.inline[..self.len];
-        let Err(pos) = slice.binary_search(&t) else {
-            return;
-        };
-        if self.len == INLINE_TILES {
-            self.spill.extend_from_slice(slice);
-            self.spill.insert(pos, t);
-            self.spilled = true;
-            return;
-        }
-        self.inline.copy_within(pos..self.len, pos + 1);
-        self.inline[pos] = t;
-        self.len += 1;
-    }
-}
 
 impl Region {
     /// The cached Ulmo search list (remote tiles, ascending). Valid only
@@ -122,7 +46,7 @@ impl Region {
     /// cache's live structural generation.
     #[inline]
     pub(crate) fn search_tiles(&self) -> &[TileId] {
-        self.search_tiles.as_slice()
+        &self.search_tiles
     }
 
     /// The structural generation the cached list was built under
@@ -135,19 +59,18 @@ impl Region {
     /// Rebuilds the cached search list from the current membership:
     /// every member molecule's tile except the home tile, deduplicated
     /// ascending, stamped with `generation`. Drops every gate mask.
-    pub(crate) fn rebuild_search_list(
-        &mut self,
-        generation: u64,
-        tile_of: impl Fn(crate::ids::MoleculeId) -> TileId,
-    ) {
+    pub(crate) fn rebuild_search_list(&mut self, generation: u64, topo: Topology) {
         self.search_tiles.clear();
         self.gates_filled = 0;
         let home = self.home_tile();
         for row in &self.rows {
             for &id in row {
-                let t = tile_of(id);
-                if t != home {
-                    self.search_tiles.insert(t);
+                let t = topo.tile_of(id);
+                if t == home {
+                    continue;
+                }
+                if let Err(pos) = self.search_tiles.binary_search(&t) {
+                    self.search_tiles.insert(pos, t);
                 }
             }
         }
@@ -199,12 +122,10 @@ impl MolecularCache {
     /// gating and probing are structurally read-only.
     pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) -> TileId {
         let generation = self.structure_generation;
-        // Disjoint field borrows: membership is read from the region
-        // while the list inside the same region is rewritten.
-        let molecules = &self.molecules;
+        let topo = self.topo;
         let region = self.regions.get_mut(&asid).expect("region");
         if region.search_generation() != generation {
-            region.rebuild_search_list(generation, |id| molecules[id.index()].tile());
+            region.rebuild_search_list(generation, topo);
         }
         region.home_tile()
     }
@@ -249,10 +170,9 @@ impl MolecularCache {
     /// A fresh ASID-gate scan of `tile` for `asid` (the reference every
     /// current cached mask must equal).
     pub fn reference_gate(&self, asid: Asid, tile: TileId) -> GateMask {
-        let tile = &self.tiles[tile.index()];
         let mut mask = GateMask::default();
-        self.tags
-            .gate_scan(tile.molecule_base(), tile.capacity(), asid, &mut mask);
+        let (base, count) = (self.topo.tile_base(tile), self.topo.tile_molecules());
+        self.tags.gate_scan(base, count, asid, &mut mask);
         mask
     }
 }
@@ -260,34 +180,29 @@ impl MolecularCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RegionPolicy;
+    use crate::ids::MoleculeId;
 
     #[test]
     fn insert_keeps_sorted_unique() {
-        let mut l = TileList::default();
-        for t in [5u32, 1, 5, 3, 1, 9, 3] {
-            l.insert(TileId(t));
+        // Two molecules on every tile of a 32-tile cluster, added in
+        // descending tile order: the list comes out ascending,
+        // deduplicated and without the home tile.
+        let topo = Topology::new(4, 32);
+        let mut r = Region::new(Asid::new(1), TileId(5), RegionPolicy::Random, 1, 0.1, 4);
+        for k in 0..2 {
+            for t in (0..32u32).rev() {
+                r.add_molecule(MoleculeId(t * 4 + k));
+            }
         }
-        let got: Vec<u32> = l.as_slice().iter().map(|t| t.0).collect();
-        assert_eq!(got, vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn spills_past_inline_capacity_and_stays_sorted() {
-        let mut l = TileList::default();
-        // Descending insertion of twice the inline capacity.
-        for t in (0..(INLINE_TILES as u32 * 2)).rev() {
-            l.insert(TileId(t));
-        }
-        let got: Vec<u32> = l.as_slice().iter().map(|t| t.0).collect();
-        let want: Vec<u32> = (0..INLINE_TILES as u32 * 2).collect();
-        assert_eq!(got, want);
-        // Duplicates still dedup after the spill.
-        l.insert(TileId(7));
-        assert_eq!(l.as_slice().len(), INLINE_TILES * 2);
-        // Clear keeps it usable.
-        l.clear();
-        assert!(l.as_slice().is_empty());
-        l.insert(TileId(2));
-        assert_eq!(l.as_slice(), &[TileId(2)]);
+        r.rebuild_search_list(7, topo);
+        let want: Vec<TileId> = (0..32).filter(|&t| t != 5).map(TileId).collect();
+        assert_eq!(r.search_tiles(), want.as_slice());
+        assert_eq!(r.search_generation(), 7);
+        // A rebuild after a re-home replaces the list in place.
+        r.set_home_tile(TileId(0));
+        r.rebuild_search_list(8, topo);
+        assert_eq!(r.search_tiles().first(), Some(&TileId(1)));
+        assert_eq!(r.search_tiles().len(), 31);
     }
 }

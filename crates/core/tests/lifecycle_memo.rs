@@ -6,7 +6,7 @@
 //! including across a revoke + re-admit of the same ASID, where the
 //! "same" (asid, line) key suddenly refers to a brand-new region.
 
-use molcache_core::config::InitialAllocation;
+use molcache_core::config::{InitialAllocation, LINE_SIZE};
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
 use molcache_sim::{CacheModel, Request};
 use molcache_trace::{AccessKind, Address, Asid, LineAddr};
@@ -29,7 +29,6 @@ fn cache() -> MolecularCache {
 /// Warms a handful of hot lines for `asid` until the memo would replay
 /// them, returning the memoized line addresses.
 fn warm_memo(c: &mut MolecularCache, asid: u16) -> Vec<LineAddr> {
-    let line_size = c.config().line_size();
     let addrs: Vec<u64> = (0..4).map(|i| i * 64).collect();
     for _ in 0..8 {
         for &a in &addrs {
@@ -42,7 +41,7 @@ fn warm_memo(c: &mut MolecularCache, asid: u16) -> Vec<LineAddr> {
     }
     let lines: Vec<LineAddr> = addrs
         .iter()
-        .map(|&a| Address::new(a).line(line_size))
+        .map(|&a| Address::new(a).line(LINE_SIZE))
         .collect();
     assert!(
         lines.iter().any(|&l| c.memo_would_hit(Asid::new(asid), l)),

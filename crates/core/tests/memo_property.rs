@@ -8,7 +8,7 @@
 //! before it stay current after it; the equivalence properties cover
 //! those entries too.
 
-use molcache_core::config::InitialAllocation;
+use molcache_core::config::{InitialAllocation, LINE_SIZE};
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
 use molcache_sim::{CacheModel, Request};
 use molcache_trace::{AccessKind, Address, Asid};
@@ -165,7 +165,6 @@ proptest! {
             (proptest::num::u64::ANY, proptest::num::u64::ANY), 50..300),
     ) {
         let mut c = MolecularCache::new(torture_config());
-        let line_size = c.config().line_size();
         // Keys observed to be memo-hittable since the last bump.
         let mut live: Vec<(u16, u64)> = Vec::new();
         let mut generation = c.memo_stats().unwrap().generation;
@@ -177,7 +176,7 @@ proptest! {
             let now = c.memo_stats().unwrap().generation;
             if now != generation {
                 for &(asid, addr) in &live {
-                    let line = Address::new(addr).line(line_size);
+                    let line = Address::new(addr).line(LINE_SIZE);
                     prop_assert!(
                         !c.memo_would_hit(Asid::new(asid), line),
                         "entry for (asid {}, addr {:#x}) survived a generation bump",
@@ -190,7 +189,7 @@ proptest! {
             }
 
             if let Op::Access { asid, addr, .. } = op {
-                let line = Address::new(addr).line(line_size);
+                let line = Address::new(addr).line(LINE_SIZE);
                 if c.memo_would_hit(Asid::new(asid), line) {
                     live.push((asid, addr));
                 }

@@ -2,21 +2,13 @@
 //! function of the address, and victims never leave the requesting region.
 
 use molcache_core::config::RegionPolicy;
-use molcache_core::ids::{ClusterId, MoleculeId, TileId};
+use molcache_core::ids::{MoleculeId, TileId};
 use molcache_core::region::Region;
 use molcache_trace::{Address, Asid};
 use proptest::prelude::*;
 
 fn region_with(policy: RegionPolicy, row_max: usize, molecules: u32) -> Region {
-    let mut region = Region::new(
-        Asid::new(1),
-        TileId(0),
-        ClusterId(0),
-        policy,
-        1,
-        0.25,
-        row_max,
-    );
+    let mut region = Region::new(Asid::new(1), TileId(0), policy, 1, 0.25, row_max);
     for i in 0..molecules {
         region.add_molecule(MoleculeId(i));
     }

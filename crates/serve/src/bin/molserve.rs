@@ -7,8 +7,9 @@
 //!          [--verify] [--json]
 //! ```
 //!
-//! Defaults: 4 tenants on 4 shards driven by 4 threads, 100k accesses
-//! per tenant. `--policy` assigns resize policies to shards round-robin
+//! Defaults: 4 tenants driven by 4 threads, 100k accesses per tenant,
+//! and one shard per tenant unless `--shards` sets the count (1 to
+//! 32767). `--policy` assigns resize policies to shards round-robin
 //! (one name = homogeneous, a list = heterogeneous service; see
 //! `molcache_core::policy::POLICY_NAMES`). `--verify` re-runs the same
 //! traffic on a fresh, identically configured service with one thread
@@ -43,7 +44,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         tenants: 4,
         threads: 4,
-        shards: 0, // 0 = follow --tenants
+        shards: 0,
         refs: 100_000,
         seed: 0xA51D,
         chunk: 256,
@@ -51,6 +52,7 @@ fn parse_args() -> Result<Args, String> {
         verify: false,
         json: false,
     };
+    let mut shards = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut num = |name: &str| -> Result<u64, String> {
@@ -62,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--tenants" => args.tenants = num("--tenants")? as usize,
             "--threads" => args.threads = num("--threads")? as usize,
-            "--shards" => args.shards = num("--shards")? as usize,
+            "--shards" => shards = Some(num("--shards")? as usize),
             "--refs" => args.refs = num("--refs")?,
             "--seed" => args.seed = num("--seed")?,
             "--chunk" => args.chunk = num("--chunk")? as usize,
@@ -76,11 +78,12 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    if args.shards == 0 {
-        args.shards = args.tenants;
-    }
     if args.tenants == 0 || args.tenants > 0x7FFF {
         return Err("--tenants must be between 1 and 32767".into());
+    }
+    args.shards = shards.unwrap_or(args.tenants);
+    if args.shards == 0 || args.shards > 0x7FFF {
+        return Err("--shards must be between 1 and 32767".into());
     }
     if args.refs == 0 {
         return Err("--refs must be at least 1".into());

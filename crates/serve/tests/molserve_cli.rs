@@ -21,4 +21,9 @@ fn bad_flag_values_are_rejected() {
     assert_rejected(&["--tenants", "0"], "--tenants must be between 1 and 32767");
     assert_rejected(&["--threads", "0"], "--threads must be at least 1");
     assert_rejected(&["--chunk", "0"], "--chunk must be at least 1");
+    assert_rejected(&["--shards", "0"], "--shards must be between 1 and 32767");
+    assert_rejected(
+        &["--shards", "40000"],
+        "--shards must be between 1 and 32767",
+    );
 }

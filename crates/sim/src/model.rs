@@ -37,11 +37,6 @@ pub struct AccessOutcome {
     /// Lines brought in from the next level (0 on a hit; >1 when the
     /// region uses an enlarged line size).
     pub lines_fetched: u32,
-    /// Per-stage breakdown of the access, for caches with a staged
-    /// pipeline (the molecular cache). `None` for models whose access
-    /// path has no stage decomposition. When present, the stage cycles
-    /// sum exactly to `latency`.
-    pub stages: Option<StageBreakdown>,
 }
 
 impl AccessOutcome {
@@ -52,7 +47,6 @@ impl AccessOutcome {
             latency,
             writeback: false,
             lines_fetched: 0,
-            stages: None,
         }
     }
 
@@ -63,15 +57,7 @@ impl AccessOutcome {
             latency,
             writeback,
             lines_fetched: 1,
-            stages: None,
         }
-    }
-
-    /// Attaches a per-stage breakdown.
-    #[must_use]
-    pub const fn with_stages(mut self, stages: StageBreakdown) -> Self {
-        self.stages = Some(stages);
-        self
     }
 }
 
@@ -116,6 +102,20 @@ impl Activity {
         self.asid_compares += other.asid_compares;
         self.ulmo_searches += other.ulmo_searches;
         self.stages.merge(&other.stages);
+    }
+
+    /// The delta since an earlier snapshot of the same counters (epoch
+    /// accounting; the inverse of [`merge`](Self::merge)).
+    pub fn since(&self, base: &Activity) -> Activity {
+        Activity {
+            accesses: self.accesses - base.accesses,
+            ways_probed: self.ways_probed - base.ways_probed,
+            line_fills: self.line_fills - base.line_fills,
+            writebacks: self.writebacks - base.writebacks,
+            asid_compares: self.asid_compares - base.asid_compares,
+            ulmo_searches: self.ulmo_searches - base.ulmo_searches,
+            stages: self.stages.since(&base.stages),
+        }
     }
 
     /// Folds one access's stage breakdown into the record: the per-stage
@@ -301,8 +301,10 @@ mod tests {
             line_fills: 5,
             ..Activity::default()
         };
+        let before = a;
         a.merge(&b);
         assert_eq!(a.accesses, 20);
+        assert_eq!(a.since(&before), b, "since undoes merge");
         assert!((a.probes_per_access() - 3.0).abs() < 1e-12);
         assert_eq!(Activity::default().probes_per_access(), 0.0);
     }

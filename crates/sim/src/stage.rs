@@ -3,11 +3,12 @@
 //! The molecular cache services a request through an explicit pipeline —
 //! ASID gate, home-tile lookup, Ulmo cross-tile search, victim selection,
 //! fill — and each stage reports what it did through a [`StageTrace`].
-//! One access's traces form a [`StageBreakdown`] (carried on
-//! [`AccessOutcome`](crate::AccessOutcome)); a cache's lifetime totals
-//! accumulate in a [`StageActivity`] (carried on
-//! [`Activity`](crate::Activity)), which `molcache-power` prices into
-//! per-stage energy and `molcache-telemetry` publishes as epoch series.
+//! One access's traces form a [`StageBreakdown`], which the cache folds
+//! into the lifetime [`StageActivity`] totals carried on
+//! [`Activity`](crate::Activity); `molcache-power` prices those into
+//! per-stage energy and `molcache-telemetry` publishes them as epoch
+//! series. One access's breakdown is the [`StageActivity::since`] delta
+//! across it.
 //!
 //! The invariant every staged implementation must keep: the stage cycles
 //! of one access sum exactly to that access's reported latency, so the
@@ -70,9 +71,8 @@ pub struct StageTrace {
 
 /// The five stage traces of one serviced request.
 ///
-/// The per-stage `cycles` sum to the access's latency
-/// ([`StageBreakdown::total_cycles`]); the event counters sum to what the
-/// access contributed to the cache-wide
+/// The per-stage `cycles` sum to the access's latency; the event
+/// counters sum to what the access contributed to the cache-wide
 /// [`Activity`](crate::Activity) counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageBreakdown {
@@ -89,35 +89,25 @@ pub struct StageBreakdown {
 }
 
 impl StageBreakdown {
-    /// The trace of one stage.
-    pub fn stage(&self, stage: Stage) -> &StageTrace {
-        match stage {
-            Stage::AsidGate => &self.asid_gate,
-            Stage::HomeLookup => &self.home_lookup,
-            Stage::UlmoSearch => &self.ulmo_search,
-            Stage::Victim => &self.victim,
-            Stage::Fill => &self.fill,
-        }
-    }
-
-    /// Stages with their traces, in pipeline order.
-    pub fn iter(&self) -> impl Iterator<Item = (Stage, &StageTrace)> {
-        Stage::ALL.iter().map(move |&s| (s, self.stage(s)))
-    }
-
-    /// Sum of the per-stage cycles — must equal the access latency.
-    pub fn total_cycles(&self) -> u32 {
-        self.iter().map(|(_, t)| t.cycles).sum()
+    /// The traces in pipeline order.
+    fn traces(&self) -> [&StageTrace; 5] {
+        [
+            &self.asid_gate,
+            &self.home_lookup,
+            &self.ulmo_search,
+            &self.victim,
+            &self.fill,
+        ]
     }
 
     /// Sum of the per-stage ASID comparisons.
     pub fn total_asid_compares(&self) -> u32 {
-        self.iter().map(|(_, t)| t.asid_compares).sum()
+        self.traces().iter().map(|t| t.asid_compares).sum()
     }
 
     /// Sum of the per-stage tag probes.
     pub fn total_tag_probes(&self) -> u32 {
-        self.iter().map(|(_, t)| t.tag_probes).sum()
+        self.traces().iter().map(|t| t.tag_probes).sum()
     }
 }
 
@@ -264,10 +254,8 @@ mod tests {
     #[test]
     fn breakdown_totals() {
         let b = breakdown();
-        assert_eq!(b.total_cycles(), 213);
         assert_eq!(b.total_asid_compares(), 24);
         assert_eq!(b.total_tag_probes(), 5);
-        assert_eq!(b.stage(Stage::Fill).frames_touched, 4);
     }
 
     #[test]

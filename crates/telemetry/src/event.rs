@@ -37,24 +37,15 @@ impl EpochSample {
     }
 }
 
-/// Cache-wide activity accumulated over one epoch — the deltas of the
-/// [`Activity`](molcache_sim::Activity) counters the power model prices.
+/// Cache-wide activity accumulated over one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochActivity {
     /// Epoch index.
     pub epoch: u64,
-    /// References serviced.
-    pub accesses: u64,
-    /// Ways/molecules probed.
-    pub ways_probed: u64,
-    /// Lines brought in.
-    pub line_fills: u64,
-    /// Dirty lines written back.
-    pub writebacks: u64,
-    /// ASID comparisons performed.
-    pub asid_compares: u64,
-    /// Ulmo remote-tile searches launched.
-    pub ulmo_searches: u64,
+    /// The epoch's delta of the [`Activity`](molcache_sim::Activity)
+    /// counters the power model prices, per-stage totals included
+    /// (all-zero stages for caches without a staged pipeline).
+    pub activity: molcache_sim::Activity,
     /// Unallocated molecules at epoch close.
     pub free_molecules: usize,
     /// References served by the memoization front-end (always 0 while the
@@ -63,25 +54,6 @@ pub struct EpochActivity {
     /// telemetry documents stay byte-identical with memoization on or
     /// off. Surfaced by `molstat --memo` instead.
     pub memo_hits: u64,
-    /// Per-pipeline-stage deltas of the counters above (all-zero for
-    /// caches without a staged pipeline).
-    pub stages: molcache_sim::StageActivity,
-}
-
-impl EpochActivity {
-    /// The activity counters as a [`molcache_sim::Activity`], for pricing
-    /// by `molcache-power`'s `EnergyMeter`.
-    pub fn as_activity(&self) -> molcache_sim::Activity {
-        molcache_sim::Activity {
-            accesses: self.accesses,
-            ways_probed: self.ways_probed,
-            line_fills: self.line_fills,
-            writebacks: self.writebacks,
-            asid_compares: self.asid_compares,
-            ulmo_searches: self.ulmo_searches,
-            stages: self.stages,
-        }
-    }
 }
 
 /// Direction of an applied resize decision.
@@ -104,10 +76,11 @@ impl ResizeKind {
 }
 
 /// The decision-input snapshot a resize policy saw when it made the
-/// call, carried on every [`ResizeRecord`]. Diagnostic only: like
-/// [`EpochActivity::memo_hits`], it is deliberately **excluded** from
-/// the canonical JSON export so telemetry documents stay byte-identical
-/// across the policy-trait refactor; `molstat` renders it instead.
+/// call, carried on every [`ResizeRecord`]. The canonical JSON export
+/// carries `current` (under the key `before`), `window_miss_rate` and
+/// `goal`; like [`EpochActivity::memo_hits`], the other inputs are
+/// deliberately **excluded** from it so telemetry documents stay
+/// byte-identical across the policy-trait refactor.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResizeDecisionInputs {
     /// Accesses the partition served in the closing window.
@@ -146,20 +119,15 @@ pub struct ResizeRecord {
     /// Molecules actually added/removed (allocation can fall short of the
     /// request when tiles are full; `0` records a failed grow).
     pub applied: usize,
-    /// Partition size before the decision (molecules).
-    pub before: usize,
-    /// Partition size after the decision (molecules).
+    /// Partition size after the decision (molecules); the size before it
+    /// is `inputs.current`.
     pub after: usize,
-    /// Miss rate of the window that drove the decision.
-    pub window_miss_rate: f64,
-    /// The partition's miss-rate goal.
-    pub goal: f64,
     /// Stable name of the policy that fired the decision (e.g.
     /// `paper-algorithm1`). Diagnostic: excluded from the canonical JSON
     /// export (see [`ResizeDecisionInputs`]).
     pub policy: String,
-    /// The full input snapshot the policy decided from. Diagnostic:
-    /// excluded from the canonical JSON export.
+    /// The full input snapshot the policy decided from, including the
+    /// window miss rate that drove the decision and the partition's goal.
     pub inputs: ResizeDecisionInputs,
 }
 
@@ -205,25 +173,6 @@ mod tests {
         assert!((s.miss_rate() - 0.25).abs() < 1e-12);
         s.accesses = 0;
         assert_eq!(s.miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn epoch_activity_converts() {
-        let e = EpochActivity {
-            epoch: 3,
-            accesses: 10,
-            ways_probed: 20,
-            line_fills: 2,
-            writebacks: 1,
-            asid_compares: 20,
-            ulmo_searches: 4,
-            free_molecules: 7,
-            memo_hits: 0,
-            stages: molcache_sim::StageActivity::default(),
-        };
-        let a = e.as_activity();
-        assert_eq!(a.accesses, 10);
-        assert_eq!(a.ulmo_searches, 4);
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Recorder {
     /// Dynamic energy of one epoch in nanojoules, when a meter is set.
     pub fn epoch_energy_nj(&self, epoch: &EpochActivity) -> Option<f64> {
         self.energy
-            .map(|meter| meter.energy_j(&epoch.as_activity()) * 1e9)
+            .map(|meter| meter.energy_j(&epoch.activity) * 1e9)
     }
 
     /// Samples of one partition, in epoch order.
@@ -132,19 +132,20 @@ impl Recorder {
             .epochs
             .iter()
             .map(|e| {
+                let a = &e.activity;
                 let mut fields = vec![
                     ("epoch".into(), Value::Number(e.epoch as f64)),
-                    ("accesses".into(), Value::Number(e.accesses as f64)),
-                    ("ways_probed".into(), Value::Number(e.ways_probed as f64)),
-                    ("line_fills".into(), Value::Number(e.line_fills as f64)),
-                    ("writebacks".into(), Value::Number(e.writebacks as f64)),
+                    ("accesses".into(), Value::Number(a.accesses as f64)),
+                    ("ways_probed".into(), Value::Number(a.ways_probed as f64)),
+                    ("line_fills".into(), Value::Number(a.line_fills as f64)),
+                    ("writebacks".into(), Value::Number(a.writebacks as f64)),
                     (
                         "asid_compares".into(),
-                        Value::Number(e.asid_compares as f64),
+                        Value::Number(a.asid_compares as f64),
                     ),
                     (
                         "ulmo_searches".into(),
-                        Value::Number(e.ulmo_searches as f64),
+                        Value::Number(a.ulmo_searches as f64),
                     ),
                     (
                         "free_molecules".into(),
@@ -154,10 +155,8 @@ impl Recorder {
                 if let Some(nj) = self.epoch_energy_nj(e) {
                     fields.push(("energy_nj".into(), Value::Number(nj)));
                 }
-                let stage_energy = self
-                    .energy
-                    .map(|meter| meter.stage_energy_nj(&e.as_activity()));
-                let stages: Vec<Value> = e
+                let stage_energy = self.energy.map(|meter| meter.stage_energy_nj(a));
+                let stages: Vec<Value> = a
                     .stages
                     .iter()
                     .map(|(stage, totals)| {
@@ -196,10 +195,13 @@ impl Recorder {
                     ("kind".into(), Value::String(r.kind.name().into())),
                     ("requested".into(), Value::Number(r.requested as f64)),
                     ("applied".into(), Value::Number(r.applied as f64)),
-                    ("before".into(), Value::Number(r.before as f64)),
+                    ("before".into(), Value::Number(r.inputs.current as f64)),
                     ("after".into(), Value::Number(r.after as f64)),
-                    ("window_miss_rate".into(), Value::Number(r.window_miss_rate)),
-                    ("goal".into(), Value::Number(r.goal)),
+                    (
+                        "window_miss_rate".into(),
+                        Value::Number(r.inputs.window_miss_rate),
+                    ),
+                    ("goal".into(), Value::Number(r.inputs.goal)),
                 ])
             })
             .collect();
@@ -300,9 +302,9 @@ impl Recorder {
                     r.kind.name().into(),
                     format!("{}", r.requested),
                     format!("{}", r.applied),
-                    format!("{}->{}", r.before, r.after),
-                    fmt_f64(r.window_miss_rate, 3),
-                    fmt_f64(r.goal, 2),
+                    format!("{}->{}", r.inputs.current, r.after),
+                    fmt_f64(r.inputs.window_miss_rate, 3),
+                    fmt_f64(r.inputs.goal, 2),
                 ]);
             }
             out.push_str(&format!("Resize events ({})\n", self.resizes.len()));
@@ -435,27 +437,28 @@ mod tests {
             goal: 0.25,
         };
         rec.record(&Event::Partition(&sample));
-        let epoch = EpochActivity {
-            epoch: 0,
+        let mut activity = molcache_sim::Activity {
             accesses: 2,
             ways_probed: 8,
             line_fills: 1,
             writebacks: 0,
             asid_compares: 8,
             ulmo_searches: 1,
+            ..molcache_sim::Activity::default()
+        };
+        let s = &mut activity.stages;
+        s.asid_gate.asid_compares = 8;
+        s.asid_gate.cycles = 2;
+        s.home_lookup.tag_probes = 8;
+        s.home_lookup.cycles = 8;
+        s.ulmo_search.cycles = 8;
+        s.fill.frames_touched = 1;
+        s.fill.cycles = 200;
+        let epoch = EpochActivity {
+            epoch: 0,
+            activity,
             free_molecules: 10,
             memo_hits: 0,
-            stages: {
-                let mut s = molcache_sim::StageActivity::default();
-                s.asid_gate.asid_compares = 8;
-                s.asid_gate.cycles = 2;
-                s.home_lookup.tag_probes = 8;
-                s.home_lookup.cycles = 8;
-                s.ulmo_search.cycles = 8;
-                s.fill.frames_touched = 1;
-                s.fill.cycles = 200;
-                s
-            },
         };
         rec.record(&Event::Epoch(&epoch));
         let resize = ResizeRecord {
@@ -465,10 +468,7 @@ mod tests {
             kind: ResizeKind::Grow,
             requested: 4,
             applied: 4,
-            before: 4,
             after: 8,
-            window_miss_rate: 0.5,
-            goal: 0.25,
             policy: "paper-algorithm1".into(),
             inputs: crate::event::ResizeDecisionInputs {
                 window_accesses: 100,
