@@ -71,9 +71,9 @@ fn usage() -> ! {
          \u{20} --power   price epoch activity into energy (70nm CACTI model)\n\
          \u{20} --stages  print the pipeline-stage breakdown and self-check\n\
          \u{20}           that stage cycles sum to the total access latency\n\
-         \u{20} --memo    print the memoization front-end's effectiveness\n\
-         \u{20}           (hits, lookups, hit rate, stale entries, generation\n\
-         \u{20}           bumps)\n\
+         \u{20} --memo    print the line-index front-end's counters (lookups\n\
+         \u{20}           that found the line, hit rate, index slots, generation\n\
+         \u{20}           bumps; stale entries are always 0)\n\
          \u{20} --json    print the merged time-series as JSON on stdout\n\
          \u{20} --serve FILE  render a molserve replay record (molcache-serve-v1\n\
          \u{20}           JSON from `molserve --json`) and exit: per-tenant\n\
@@ -147,11 +147,12 @@ struct RunResult {
     resize_rounds: u64,
     free_molecules: usize,
     activity: Activity,
-    /// Memo front-end counters.
+    /// Line-index front-end counters.
     memo: MemoStats,
 }
 
-/// Renders the memo front-end's effectiveness for one run.
+/// Renders the line-index front-end's counters for one run (the
+/// heading keeps the name "memo front-end").
 /// `epoch_memo_hits` is the per-epoch hit series carried (JSON-excluded)
 /// on the recorder's epoch samples.
 fn report_memo(run: &RunResult, epoch_memo_hits: &[u64]) {

@@ -65,13 +65,15 @@ pub struct MolecularCache {
     /// Structural-topology generation: bumped by
     /// [`note_structural_change`](Self::note_structural_change) on every
     /// grant/shrink/release/re-home/shared-bit/flush event. Regions stamp
-    /// their cached Ulmo search lists and gate masks with it, and the
-    /// memo its entries; a stale stamp forces a lazy rebuild or a memo
-    /// miss. Starts at 1 so a 0 stamp always reads as stale.
+    /// their cached Ulmo search lists, gate masks and probe counts with
+    /// it; a stale stamp forces a lazy rebuild. Starts at 1 so a 0 stamp
+    /// always reads as stale.
     pub(crate) structure_generation: u64,
-    /// Way/molecule memoization front-end (see [`crate::pipeline::memo`]).
-    pub(crate) memo: crate::pipeline::memo::MemoTable,
-    /// Memo hits at the last epoch close, so epoch samples carry the
+    /// The line-index front-end's toggle and counters (see
+    /// [`crate::pipeline::memo`]); the index itself lives in the tag
+    /// store.
+    pub(crate) memo: crate::pipeline::memo::MemoFront,
+    /// Index hits at the last epoch close, so epoch samples carry the
     /// per-epoch delta.
     pub(crate) epoch_memo_base: u64,
 }
@@ -109,7 +111,7 @@ impl MolecularCache {
             epoch_stats_base: CacheStats::new(),
             epoch_activity_base: Activity::default(),
             structure_generation: 1,
-            memo: crate::pipeline::memo::MemoTable::new(1),
+            memo: crate::pipeline::memo::MemoFront::new(1),
             epoch_memo_base: 0,
         }
     }
@@ -131,12 +133,13 @@ impl MolecularCache {
 
     /// Records a structural change to the cache topology — any
     /// grant/shrink/release/re-home/shared-bit/flush event. One bump
-    /// lazily invalidates every region's cached Ulmo search list and
-    /// gate masks and every memo entry: all of them are stamped with
-    /// this generation, and a stale stamp stops matching. Any call that
+    /// lazily invalidates every region's cached Ulmo search list, gate
+    /// masks and probe counts: all of them are stamped with this
+    /// generation, and a stale stamp stops matching. Any call that
     /// writes an ASID lane or a shared bit, or moves a home tile, must
-    /// make it. The runtime memo toggle
-    /// ([`set_memo_front`](Self::set_memo_front)) is *not* structural.
+    /// make it. The line index needs no bump (the tag store keeps it
+    /// exact), and the runtime front-end toggle
+    /// ([`set_memo_front`](Self::set_memo_front)) is not structural.
     #[inline]
     pub(crate) fn note_structural_change(&mut self) {
         self.structure_generation += 1;
@@ -378,8 +381,8 @@ impl CacheModel for MolecularCache {
         self.epoch_index = 0;
         self.epoch_stats_base = CacheStats::new();
         self.epoch_activity_base = Activity::default();
-        // Memo lifetime counters restart too; the memo's entries survive
-        // like cache contents do (a stats reset is not a flush).
+        // The front-end's lifetime counters restart too; the index
+        // survives like cache contents do (a stats reset is not a flush).
         self.memo.reset_counters(self.structure_generation);
         self.epoch_memo_base = 0;
     }
@@ -413,46 +416,28 @@ impl MolecularCache {
         let line = req.addr.line(LINE_SIZE);
         let is_write = req.kind.is_write();
 
-        // Stage 0 — memoization front-end: a verified memo hit replays
-        // the gate/lookup counters the full pipeline would emit and
-        // skips stages 1–3 entirely (see `pipeline::memo` for why the
-        // replay is exact). Falls through on any doubt.
-        if self.memo.enabled {
-            if let Some((mol, gate_count)) = self.memo.lookup(asid, line, self.structure_generation)
-            {
-                let verified = self.tags.probe(mol, line, is_write);
-                if verified {
-                    self.memo.note_hit();
-                    let mut stages = StageBreakdown::default();
-                    stages.asid_gate.cycles = ASID_STAGE_CYCLES;
-                    stages.asid_gate.asid_compares = self.cfg.tile_molecules() as u32;
-                    stages.home_lookup.cycles = HIT_LATENCY;
-                    stages.home_lookup.tag_probes = gate_count;
-                    let latency = ASID_STAGE_CYCLES + HIT_LATENCY;
-                    return self.finish_hit(asid, mol, latency, stages);
-                }
-                self.memo.note_stale(asid, line);
-            }
-        }
-
-        let home = self.refresh_lookup_cache(asid);
+        let (home, indexable) = self.refresh_lookup_cache(asid);
+        let indexed = indexable && self.memo.enabled;
         let mut stages = StageBreakdown::default();
-
-        // Stage 1 — ASID gate, stage 2 — home-tile tag probe.
         stages.asid_gate.cycles = ASID_STAGE_CYCLES;
         stages.home_lookup.cycles = HIT_LATENCY;
-        let mut latency = ASID_STAGE_CYCLES + HIT_LATENCY;
-        self.asid_gate(asid, 0, &mut stages.asid_gate);
-        if let Some(hit_mol) = self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup) {
-            self.memo_note_home_hit(asid, line, hit_mol);
-            return self.finish_hit(asid, hit_mol, latency, stages);
-        }
 
-        // Stage 3 — Ulmo cross-tile search (charges its penalty to its
-        // trace only when the region actually spans tiles).
-        let remote_hit = self.ulmo_search(asid, line, is_write, &mut stages.ulmo_search);
-        latency += stages.ulmo_search.cycles;
-        if let Some(hit_mol) = remote_hit {
+        let hit = if indexed {
+            // Stage 0 — one line-index probe stands in for stages 1–3
+            // and charges what their scan would (see `pipeline::memo`).
+            self.index_lookup(asid, line, is_write, &mut stages)
+        } else {
+            // Stage 1 — ASID gate, stage 2 — home-tile tag probe, then
+            // stage 3 — Ulmo's cross-tile search, which charges its
+            // penalty only when the region actually spans tiles.
+            self.asid_gate(&mut stages.asid_gate);
+            match self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup) {
+                Some(mol) => Some(mol),
+                None => self.ulmo_search(asid, line, is_write, &mut stages.ulmo_search),
+            }
+        };
+        let mut latency = ASID_STAGE_CYCLES + HIT_LATENCY + stages.ulmo_search.cycles;
+        if let Some(hit_mol) = hit {
             return self.finish_hit(asid, hit_mol, latency, stages);
         }
 
@@ -465,7 +450,8 @@ impl MolecularCache {
         let (writeback, lines_fetched) = match self.victim_select(asid, req.addr, home) {
             Some(victim) => {
                 self.replacement_misses[victim.index()] += 1;
-                let writeback = self.fill_block(asid, victim, line, is_write, &mut stages.fill);
+                let writeback =
+                    self.fill_block(asid, victim, line, is_write, indexed, &mut stages.fill);
                 (writeback, line_factor)
             }
             // No region molecules and no shared fallback: the request

@@ -862,42 +862,46 @@ fn memo_front_keeps_batch_bit_identical() {
 
 #[test]
 fn memo_structural_events_invalidate_entries() {
+    // Structural events that flush lines drop them from the index; the
+    // others leave it exact and still answering lookups.
     let mut c = MolecularCache::new(small_config());
     let line_of = |addr: u64| Address::new(addr).line(LINE_SIZE);
+    let exact = |c: &MolecularCache| c.line_index_entries() == c.reference_line_index();
 
-    // Two accesses to the same line: the second is a home hit that
-    // writes a memo entry.
     c.access(read(1, 0x100));
-    c.access(read(1, 0x100));
-    assert!(c.memo_would_hit(Asid::new(1), line_of(0x100)));
+    let mol = c
+        .indexed_molecule(Asid::new(1), line_of(0x100))
+        .expect("a fill indexes its line");
 
-    // Re-homing changes the gate set: the entry must die. (Hits after
-    // the re-home are *remote* — served via Ulmo from the old tile — so
-    // they are never memoized: only home-tile hits are.)
+    // Re-homing moves no line: the entry stays, and the next access is
+    // an Ulmo hit on the old home tile that the index answers.
     assert!(c.rehome_app(Asid::new(1), 1));
-    assert!(!c.memo_would_hit(Asid::new(1), line_of(0x100)));
-    c.access(read(1, 0x100));
-    c.access(read(1, 0x100));
-    assert!(
-        !c.memo_would_hit(Asid::new(1), line_of(0x100)),
-        "remote (Ulmo) hits must not be memoized"
-    );
+    assert_eq!(c.indexed_molecule(Asid::new(1), line_of(0x100)), Some(mol));
+    let hits = c.memo_stats().unwrap().hits;
+    let (out, s) = access_staged(&mut c, read(1, 0x100));
+    assert!(out.hit && s.ulmo_search.cycles > 0, "remote hit");
+    assert_eq!(c.memo_stats().unwrap().hits, hits + 1);
 
-    // Back home, hits are home hits again: re-learn, then tear the
-    // region down: dead again.
-    assert!(c.rehome_app(Asid::new(1), 0));
-    c.access(read(1, 0x100));
-    c.access(read(1, 0x100));
-    assert!(c.memo_would_hit(Asid::new(1), line_of(0x100)));
+    // Teardown flushes the region: its entries go with it.
     c.release_region(Asid::new(1));
-    assert!(!c.memo_would_hit(Asid::new(1), line_of(0x100)));
+    assert_eq!(c.indexed_molecule(Asid::new(1), line_of(0x100)), None);
+    assert!(exact(&c));
 
-    // Shared-bit changes bump too.
+    // An in-place flush drops them too.
     c.access(read(2, 0x200));
+    assert!(c.indexed_molecule(Asid::new(2), line_of(0x200)).is_some());
+    c.flush_region(Asid::new(2));
+    assert_eq!(c.indexed_molecule(Asid::new(2), line_of(0x200)), None);
+
+    // A shared molecule on a lookup tile keeps the entries but sends the
+    // region's lookups to the ordered scan.
     c.access(read(2, 0x200));
-    assert!(c.memo_would_hit(Asid::new(2), line_of(0x200)));
-    c.make_shared(0, 1);
-    assert!(!c.memo_would_hit(Asid::new(2), line_of(0x200)));
+    let home = c.regions[&Asid::new(2)].home_tile();
+    assert_eq!(c.make_shared(home.index(), 1), 1);
+    let lookups = c.memo_stats().unwrap().lookups();
+    assert!(c.access(read(2, 0x200)).hit);
+    assert_eq!(c.memo_stats().unwrap().lookups(), lookups, "scan served it");
+    assert!(exact(&c));
 }
 
 #[test]
@@ -908,7 +912,7 @@ fn memo_toggle_and_stats_surface() {
     c.access(read(1, 0x40));
     c.access(read(1, 0x40));
     let s = c.memo_stats().unwrap();
-    assert!(s.enabled && s.hits >= 1, "repeat hits go through the memo");
+    assert!(s.enabled && s.hits >= 1, "repeat hits go through the index");
     assert!(s.lookups() >= s.hits);
 
     c.set_memo_front(false);
@@ -922,7 +926,7 @@ fn memo_toggle_and_stats_surface() {
         "disabled memo is not consulted"
     );
 
-    // Stats reset clears the memo counters but keeps entries warm.
+    // Stats reset clears the counters but keeps the index.
     c.set_memo_front(true);
     c.access(read(1, 0x40));
     c.reset_stats();

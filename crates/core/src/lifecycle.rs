@@ -5,10 +5,11 @@
 //! Every operation that changes region structure routes through the
 //! same paths Algorithm-1 resizing uses — [`grant_molecules`] for growth
 //! and [`shrink_region`] for withdrawal — so the structure generation the
-//! memoization front-end stamps its entries with is bumped on exactly the
+//! regions' cached lookup state is stamped with is bumped on exactly the
 //! same events regardless of whether a change was goal-driven or
-//! lifecycle-driven. A serving layer can
-//! therefore never observe a stale memo hit across a lifecycle call (the
+//! lifecycle-driven, and every line a call flushes leaves the line index
+//! in the tag store. A serving layer can therefore never be served a
+//! line its tenant no longer holds across a lifecycle call (the
 //! `lifecycle_memo` integration test pins this down).
 //!
 //! [`grant_molecules`]: MolecularCache::grant_molecules
@@ -66,8 +67,8 @@ impl MolecularCache {
         if !self.regions.contains_key(&asid) {
             return None;
         }
-        // Flushing invalidates every resident line: drop all memoized
-        // locations before any of them could be replayed as a hit.
+        // Flushing invalidates every resident line: the cached gate
+        // masks and probe counts of every region must be rebuilt.
         self.note_structural_change();
         // Disjoint field borrows: membership is read from the region
         // while molecule counters and tags mutate — no collected id
@@ -119,7 +120,7 @@ impl MolecularCache {
         let Some(mut region) = self.regions.remove(&asid) else {
             return 0;
         };
-        // Membership is about to change: structural event, memo drop.
+        // Membership is about to change: structural event.
         self.note_structural_change();
         let mut removed = 0;
         for _ in 0..n {

@@ -57,9 +57,9 @@ impl MolecularCache {
                 }
             })
             .collect();
-        // Memo hits are a diagnostic side-channel: carried on the sample
-        // but excluded from the canonical JSON export (which must be
-        // byte-identical memo-on vs memo-off).
+        // Index hits are a diagnostic side-channel: carried on the
+        // sample but excluded from the canonical JSON export (which must
+        // be byte-identical with the front-end on or off).
         let activity = EpochActivity {
             epoch,
             activity: self.activity.since(&self.epoch_activity_base),

@@ -5,8 +5,11 @@
 //! (consecutive lines map to consecutive frames, so an enlarged line
 //! size never straddles molecules or replacement rows). Stale copies of
 //! the block's lines elsewhere in the region are invalidated so a block
-//! fill never duplicates a line, and every dirty eviction or
-//! invalidation is counted as a writeback.
+//! fill never duplicates a line — one line-index probe per line, or a
+//! walk over every member on the reference path — and every dirty
+//! eviction or invalidation is counted as a writeback. That
+//! no-duplicate protocol is also what lets the line index name a single
+//! molecule per (owner, line).
 //!
 //! The stage owns the fill/writeback counters: `Activity::line_fills`
 //! and `Activity::writebacks` are incremented here (and by the
@@ -23,26 +26,23 @@ impl MolecularCache {
     /// victim molecule. Each line landed counts one frame touched on
     /// `trace`. Returns whether any writeback occurred.
     ///
-    /// The no-duplicate invalidation scan over the region's members is
-    /// skipped for the requested line itself: by the time this stage
-    /// runs, no member molecule can hold it. Every member sits either on
-    /// the home tile — where the ASID gate matched it and the probe
-    /// stage checked it — or on a tile of Ulmo's search list (the list
-    /// covers exactly the tiles holding members), where the cross-tile
-    /// search gated and probed it; had any held the line, the access
-    /// would have hit and never reached fill. Shared molecules were
-    /// never part of this scan (it walks region members only), and no
-    /// structural change can intervene between lookup and fill within
-    /// one access, so the skip is exact. With the default
-    /// `line_factor == 1` the entire per-miss member walk disappears;
-    /// for `k > 1` the other block lines still scan, in the same member
-    /// order as before.
+    /// Before each other line of the block lands, the region's copy of
+    /// it elsewhere is invalidated, so a block fill never duplicates a
+    /// line. The protocol keeps a line in at most one member, so with
+    /// `indexed` one line-index probe names that member; otherwise (the
+    /// reference path) every member is probed in membership order. The
+    /// requested line itself needs neither: by the time this stage runs
+    /// no member holds it, since the lookup gated and probed every tile
+    /// holding a member (or the index found none) and no structural
+    /// change can intervene within one access. With the default
+    /// `line_factor == 1` the stage touches no other molecule.
     pub(crate) fn fill_block(
         &mut self,
         region_asid: Asid,
         victim: MoleculeId,
         line: LineAddr,
         is_write: bool,
+        indexed: bool,
         trace: &mut StageTrace,
     ) -> bool {
         // Disjoint field borrows: membership is read straight from the
@@ -56,15 +56,19 @@ impl MolecularCache {
         for j in 0..k {
             let l = LineAddr(block_start.0 + j);
             if l != line {
-                // Invalidate stale copies elsewhere in the region so
-                // that a block fill never duplicates a line.
-                for id in region.molecules() {
-                    if id != victim {
-                        if let Some(dirty) = tags.invalidate(id, l) {
-                            writeback |= dirty;
-                            if dirty {
-                                activity.writebacks += 1;
-                            }
+                // Invalidate the region's other copy of `l`, if any: the
+                // index names it; the reference path probes every member.
+                let holder = if indexed {
+                    tags.indexed(region_asid, l)
+                } else {
+                    None
+                };
+                let members = (!indexed).then(|| region.molecules()).into_iter().flatten();
+                for id in holder.into_iter().chain(members).filter(|&id| id != victim) {
+                    if let Some(dirty) = tags.invalidate(id, l) {
+                        writeback |= dirty;
+                        if dirty {
+                            activity.writebacks += 1;
                         }
                     }
                 }

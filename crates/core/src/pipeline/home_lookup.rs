@@ -5,6 +5,11 @@
 //! tile this *is* the home-lookup stage; Ulmo's cross-tile search
 //! ([`ulmo_search`](crate::pipeline::ulmo_search)) reuses the same
 //! machinery once per remote tile, charging its probes to its own trace.
+//!
+//! The scan runs on the reference path and for regions with a shared
+//! molecule on a lookup tile; otherwise the line-index front-end
+//! ([`memo`](crate::pipeline::memo)) finds the line and charges the
+//! probes this stage would have made from the same gate-mask counts.
 
 use crate::cache::MolecularCache;
 use crate::ids::MoleculeId;

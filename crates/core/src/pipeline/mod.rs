@@ -3,10 +3,13 @@
 //! A molecular cache services a request through an explicit hardware
 //! pipeline, and this module tree mirrors it one file per stage:
 //!
-//! 0. [`memo`] — the way/molecule memoization front-end (on by default,
-//!    switchable at runtime): a 509-slot direct-mapped array keyed by
-//!    (ASID, line) that remembers the last hit location; a memo hit
-//!    bypasses stages 1–3 while replaying their exact counters.
+//! 0. [`memo`] — the line-index front-end (on by default, switchable at
+//!    runtime): one probe of the exact (owner ASID, line) → molecule
+//!    index the tag store keeps finds the line and stands in for stages
+//!    1–3, charging exactly the compares, probes and Ulmo launch their
+//!    ordered scan would. Regions with a shared molecule on a lookup
+//!    tile, and the reference path with the front-end off, run stages
+//!    1–3 themselves.
 //! 1. [`asid_gate`] — the §3.1 ASID-compare stage: every molecule of the
 //!    addressed tile compares the requestor's ASID, and only matching
 //!    molecules proceed to tag lookup. This is the dynamic-power lever —
@@ -20,8 +23,8 @@
 //!    LRU-Direct policies behind the [`VictimPolicy`] trait, the victim
 //!    RNGs ([`Lfsr16`]), and the §3.1 shared-molecule fallback.
 //! 5. [`fill`] — the block fill: line-factor prefetch into consecutive
-//!    frames of the victim molecule, stale-copy invalidation, and
-//!    writeback accounting.
+//!    frames of the victim molecule, stale-copy invalidation (one index
+//!    probe per other line of the block), and writeback accounting.
 //!
 //! Each stage writes what it did into a typed
 //! [`StageTrace`](molcache_sim::StageTrace);
@@ -31,8 +34,9 @@
 //! [`Activity`](molcache_sim::Activity). The contract the driver keeps —
 //! and the determinism tests enforce — is that the staged decomposition
 //! is *observationally free* (stats, latencies and activity counters are
-//! bit-identical to the pre-pipeline monolith) and that the stage cycles
-//! each access adds sum exactly to its reported latency.
+//! bit-identical to the pre-pipeline monolith, and to the ordered scan
+//! whether or not the index answers) and that the stage cycles each
+//! access adds sum exactly to its reported latency.
 //!
 //! [`invariants`] holds cross-stage structural checks and diagnostics
 //! (no line resident twice within a region, block-fill placement).

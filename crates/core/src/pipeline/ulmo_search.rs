@@ -6,6 +6,12 @@
 //! launched only when the region actually spans tiles; an unlaunched
 //! search leaves its [`StageTrace`] all-zero, so the stage cycles of the
 //! access still sum exactly to its latency.
+//!
+//! The walk runs on the reference path and for regions with a shared
+//! molecule on a lookup tile. Otherwise the line-index front-end
+//! ([`memo`](crate::pipeline::memo)) names the hit molecule, and with it
+//! the tile the walk would stop at, and charges the penalty, compares
+//! and probes of every tile the walk would have visited.
 
 use crate::cache::MolecularCache;
 use crate::ids::{MoleculeId, TileId};
@@ -61,7 +67,7 @@ impl MolecularCache {
         // Lookup slot `1 + i` is search tile `i`; the list cannot change
         // mid-search (gating and probing are structurally read-only).
         for slot in 1..=tiles {
-            self.asid_gate(asid, slot, trace);
+            self.asid_gate(trace);
             if let Some(hit_mol) = self.probe_gated(asid, slot, line, is_write, trace) {
                 return Some(hit_mol);
             }

@@ -9,7 +9,7 @@
 //!   partition and cache-wide [`PartitionWindow`] snapshots per round.
 //! - **Mechanism (`crate::resize`)** — how molecules actually move:
 //!   grant/shrink/rehome plumbing on `MolecularCache`, which stays in
-//!   core and keeps bumping the memo/search-list structural generation
+//!   core and keeps bumping the search-list structural generation
 //!   no matter which policy asked for the move.
 //!
 //! The default [`PaperAlgorithm1`] reproduces the paper's behavior

@@ -52,16 +52,22 @@ pub struct Region {
     lifetime_hits: u64,
     /// Last-hit clock per molecule (LRU-Direct replacement state).
     pub(crate) recency: std::collections::BTreeMap<MoleculeId, u64>,
-    // --- cached Ulmo search list and gate masks (see `crate::search_list`) ---
+    // --- cached lookup state (see `crate::search_list`) ---
     /// Remote tiles holding member molecules, sorted ascending. Cleared,
     /// never dropped, on a rebuild, so steady state does not allocate.
     pub(crate) search_tiles: Vec<TileId>,
     /// ASID-gate masks of the tiles lookups visit: slot 0 is the home
-    /// tile, slot `1 + i` the `i`-th search tile. Only the first
-    /// `gates_filled` are current; the rest keep their storage.
+    /// tile, slot `1 + i` the `i`-th search tile. The first
+    /// `1 + search_tiles.len()` are current; the rest keep their storage.
     pub(crate) gates: Vec<crate::tags::GateMask>,
-    pub(crate) gates_filled: usize,
-    /// Structural generation the list and masks were built under
+    /// `probes_through[s]`: the gate-mask counts of lookup slots
+    /// `0..=s` summed — the tag probes a lookup that stops at slot `s`
+    /// charges.
+    pub(crate) probes_through: Vec<u32>,
+    /// Whether the line index may answer this region's lookups: its
+    /// ASID owns molecules and no lookup tile holds a shared molecule.
+    pub(crate) indexable: bool,
+    /// Structural generation the lookup state was built under
     /// (0 = stale).
     pub(crate) search_generation: u64,
 }
@@ -96,7 +102,8 @@ impl Region {
             recency: std::collections::BTreeMap::new(),
             search_tiles: Vec::new(),
             gates: Vec::new(),
-            gates_filled: 0,
+            probes_through: Vec::new(),
+            indexable: false,
             search_generation: 0,
         }
     }

@@ -6,7 +6,7 @@
 //! [`ResizePolicy`](crate::policy::ResizePolicy) decides:
 //! granting molecules from the free pools, withdrawing them through the
 //! one shared shrink path, and closing observation windows. Every
-//! membership change made here bumps the memo/search-list structural
+//! membership change made here bumps the search-list structural
 //! generation via `note_structural_change`, no matter which policy asked
 //! for it.
 //!
@@ -86,7 +86,7 @@ impl MolecularCache {
             self.failed_allocations += 1;
         }
         // Any change to the region's membership (and even a failed grant
-        // round) is a structural event: drop every memoized location.
+        // round) is a structural event: rebuild cached lookup state.
         self.note_structural_change();
         granted
     }

@@ -1,10 +1,10 @@
-//! Cached Ulmo search lists and ASID-gate masks.
+//! Cached Ulmo search lists, ASID-gate masks and probe counts.
 //!
 //! Ulmo's cross-tile search (§3.2) needs the set of remote tiles that
 //! hold molecules of the requesting region. The set only changes when
 //! region *membership* or the home tile changes, both structural events
-//! that bump the cache's generation counter, so this module applies the
-//! memo front-end's generation-stamp recipe to the search list:
+//! that bump the cache's generation counter, so each region caches its
+//! lookup state stamped with that generation:
 //!
 //! * each [`Region`] carries its remote search tiles in ascending tile
 //!   order, in a `Vec` that a rebuild clears but never drops (so steady
@@ -12,7 +12,7 @@
 //!   was built under;
 //! * [`MolecularCache::note_structural_change`] bumps the generation, so
 //!   a stale stamp is detected lazily on the region's next access and
-//!   the list rebuilt once, not per miss;
+//!   the state rebuilt once, not per access;
 //! * [`MolecularCache::reference_search_list`] derives the list from
 //!   membership directly, the oracle the `search_list_property` suite
 //!   checks every current-stamped list against after every operation.
@@ -21,11 +21,13 @@
 //! gate's match set on a tile changes only when a molecule's ASID lane
 //! or shared bit is written, and every path that writes one (grant,
 //! shrink, release, flush, `make_shared`) bumps the generation in the
-//! same call, as does a re-home. So the region keeps one
-//! [`GateMask`] per tile its lookups visit — the home tile, then each
-//! search tile in list order — filled by [`TagStore::gate_scan`] the
-//! first time the gate stage uses it after a bump, and the rebuild
-//! that renews the list drops them.
+//! same call, as does a re-home. So a rebuild runs
+//! [`TagStore::gate_scan`] once over every tile a lookup visits — the
+//! home tile, then each search tile in list order — and keeps the masks,
+//! the running sums of their counts (the tag probes a lookup that stops
+//! at each slot charges, which the line-index front-end replays), and
+//! whether any of those tiles holds a shared molecule (which sends the
+//! region's lookups to the ordered scan).
 //!
 //! Ascending-sorted insertion reproduces the reference derivation's
 //! `sort_unstable` + `dedup` order exactly, so the search visits remote
@@ -36,7 +38,7 @@
 use crate::cache::MolecularCache;
 use crate::ids::TileId;
 use crate::region::Region;
-use crate::tags::GateMask;
+use crate::tags::{GateMask, TagStore};
 use crate::tile::Topology;
 use molcache_trace::Asid;
 
@@ -49,7 +51,7 @@ impl Region {
         &self.search_tiles
     }
 
-    /// The structural generation the cached list was built under
+    /// The structural generation the cached state was built under
     /// (0 = never built, so never current).
     #[inline]
     pub(crate) fn search_generation(&self) -> u64 {
@@ -58,10 +60,9 @@ impl Region {
 
     /// Rebuilds the cached search list from the current membership:
     /// every member molecule's tile except the home tile, deduplicated
-    /// ascending, stamped with `generation`. Drops every gate mask.
+    /// ascending, stamped with `generation`.
     pub(crate) fn rebuild_search_list(&mut self, generation: u64, topo: Topology) {
         self.search_tiles.clear();
-        self.gates_filled = 0;
         let home = self.home_tile();
         for row in &self.rows {
             for &id in row {
@@ -77,6 +78,38 @@ impl Region {
         self.search_generation = generation;
     }
 
+    /// Rebuilds the search list, then gates every lookup tile for the
+    /// region's ASID: the masks, their running probe counts and the
+    /// shared-molecule check that decides whether the index may answer.
+    pub(crate) fn rebuild_lookup_cache(
+        &mut self,
+        generation: u64,
+        topo: Topology,
+        tags: &TagStore,
+    ) {
+        self.rebuild_search_list(generation, topo);
+        let slots = 1 + self.search_tiles.len();
+        if self.gates.len() < slots {
+            self.gates.resize_with(slots, GateMask::default);
+        }
+        self.probes_through.clear();
+        let (count, mut probes, mut shared) = (topo.tile_molecules(), 0, false);
+        for slot in 0..slots {
+            let base = topo.tile_base(self.lookup_tile(slot));
+            tags.gate_scan(base, count, self.asid(), &mut self.gates[slot]);
+            probes += self.gates[slot].count();
+            self.probes_through.push(probes);
+            shared |= tags.count_shared(base, count) > 0;
+        }
+        self.indexable = self.asid() != Asid::NONE && !shared;
+    }
+
+    /// Lookup slots: the home tile, then every search tile.
+    #[inline]
+    pub(crate) fn lookup_slots(&self) -> usize {
+        self.probes_through.len()
+    }
+
     /// The tile of lookup slot `slot`: 0 is the home tile, `1 + i` the
     /// `i`-th search tile — the order one access visits them in.
     #[inline]
@@ -87,47 +120,55 @@ impl Region {
         }
     }
 
-    /// The gate mask of lookup slot `slot`, once the gate stage has
-    /// filled it under the current stamp.
+    /// The lookup slot of `tile`, a tile holding a member molecule.
+    #[inline]
+    pub(crate) fn slot_of(&self, tile: TileId) -> usize {
+        if tile == self.home_tile() {
+            return 0;
+        }
+        1 + self
+            .search_tiles
+            .binary_search(&tile)
+            .expect("a member's tile is a lookup tile")
+    }
+
+    /// The gate mask of lookup slot `slot`.
     #[inline]
     pub(crate) fn gate(&self, slot: usize) -> &GateMask {
-        debug_assert!(slot < self.gates_filled, "gate read before it was filled");
+        debug_assert!(slot < self.lookup_slots(), "gate of a stale slot");
         &self.gates[slot]
     }
 
-    /// The mask of lookup slot `slot` for the gate stage to fill, or
-    /// `None` when it is already current. An access visits its slots in
-    /// order, so the current masks are always a prefix.
+    /// The tag probes of lookup slots `0..=slot`.
     #[inline]
-    pub(crate) fn gate_to_fill(&mut self, slot: usize) -> Option<&mut GateMask> {
-        if slot < self.gates_filled {
-            return None;
-        }
-        debug_assert_eq!(slot, self.gates_filled, "lookup slots are gated in order");
-        if self.gates.len() == slot {
-            self.gates.push(GateMask::default());
-        }
-        self.gates_filled += 1;
-        Some(&mut self.gates[slot])
+    pub(crate) fn probes_through(&self, slot: usize) -> u32 {
+        self.probes_through[slot]
+    }
+
+    /// Whether the line index may answer this region's lookups (see
+    /// [`rebuild_lookup_cache`](Self::rebuild_lookup_cache)).
+    #[inline]
+    pub(crate) fn indexable(&self) -> bool {
+        self.indexable
     }
 }
 
 impl MolecularCache {
-    /// Brings `asid`'s cached search list and gate masks up to the live
-    /// structural generation before an access runs the gate: a stale
-    /// stamp rebuilds the list and drops the masks. Returns the home
-    /// tile.
+    /// Brings `asid`'s cached search list, gate masks and probe counts
+    /// up to the live structural generation before an access looks the
+    /// line up. Returns the home tile and whether the line index may
+    /// answer the lookup.
     ///
-    /// The list and masks then stay current for the rest of the access:
-    /// gating and probing are structurally read-only.
-    pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) -> TileId {
+    /// The state then stays current for the rest of the access: lookups
+    /// are structurally read-only.
+    pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) -> (TileId, bool) {
         let generation = self.structure_generation;
         let topo = self.topo;
         let region = self.regions.get_mut(&asid).expect("region");
         if region.search_generation() != generation {
-            region.rebuild_search_list(generation, topo);
+            region.rebuild_lookup_cache(generation, topo, &self.tags);
         }
-        region.home_tile()
+        (region.home_tile(), region.indexable())
     }
 
     /// The live structural-topology generation (diagnostics; bumped on
@@ -154,13 +195,13 @@ impl MolecularCache {
     }
 
     /// The cached gate masks of `asid`'s region as (generation stamp,
-    /// (tile, mask) per filled lookup slot, home tile first), if the
-    /// region exists (diagnostics: the property suite asserts that under
-    /// a current stamp each mask equals
+    /// (tile, mask) per lookup slot, home tile first), if the region
+    /// exists (diagnostics: the property suite asserts that under a
+    /// current stamp each mask equals
     /// [`reference_gate`](Self::reference_gate) of its tile).
     pub fn cached_gates(&self, asid: Asid) -> Option<(u64, Vec<(TileId, GateMask)>)> {
         self.regions.get(&asid).map(|r| {
-            let masks = (0..r.gates_filled)
+            let masks = (0..r.lookup_slots())
                 .map(|slot| (r.lookup_tile(slot), r.gate(slot).clone()))
                 .collect();
             (r.search_generation(), masks)

@@ -14,8 +14,8 @@ use crate::ids::{MoleculeId, TileId};
 /// [`tile_of`](Self::tile_of) shifts when the tile size is a power of
 /// two and divides only otherwise (fig5's 3 MB and 6 MB caches have 96-
 /// and 192-molecule tiles): the tag store calls it on the access path,
-/// to find the frames of the molecule a memo hit verifies or a fill
-/// writes.
+/// to find the frame the line index names, a write hit marks or a fill
+/// writes, and stage 0 to find the lookup slot of an indexed hit.
 ///
 /// ```
 /// use molcache_core::tile::Topology;

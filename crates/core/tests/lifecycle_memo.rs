@@ -1,10 +1,9 @@
-//! Lifecycle ops vs the memoization front-end: every lifecycle-driven
-//! grant, shrink, flush and release must route through the same
-//! structural path that bumps the structure generation the memo's
-//! entries are stamped with, so a serving layer (`molserve`) can never
-//! replay a stale memo hit across an admit / resize / evict / revoke —
-//! including across a revoke + re-admit of the same ASID, where the
-//! "same" (asid, line) key suddenly refers to a brand-new region.
+//! Lifecycle ops vs the line-index front-end: every lifecycle-driven
+//! grant, shrink, flush and release must leave the index exact — the
+//! lines a call flushes leave it, every other line stays — so a serving
+//! layer (`molserve`) can never be served a line its tenant no longer
+//! holds, including across a revoke + re-admit of the same ASID, where
+//! the "same" (asid, line) key suddenly refers to a brand-new region.
 
 use molcache_core::config::{InitialAllocation, LINE_SIZE};
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
@@ -26,126 +25,138 @@ fn cache() -> MolecularCache {
     MolecularCache::new(cfg)
 }
 
-/// Warms a handful of hot lines for `asid` until the memo would replay
-/// them, returning the memoized line addresses.
-fn warm_memo(c: &mut MolecularCache, asid: u16) -> Vec<LineAddr> {
+/// Touches a handful of hot lines for `asid` until they are resident,
+/// returning their line addresses.
+fn warm(c: &mut MolecularCache, asid: u16) -> Vec<LineAddr> {
     let addrs: Vec<u64> = (0..4).map(|i| i * 64).collect();
     for _ in 0..8 {
         for &a in &addrs {
-            c.access(Request {
-                asid: Asid::new(asid),
-                addr: Address::new(a),
-                kind: AccessKind::Read,
-            });
+            c.access(read(asid, a));
         }
     }
     let lines: Vec<LineAddr> = addrs
         .iter()
         .map(|&a| Address::new(a).line(LINE_SIZE))
         .collect();
-    assert!(
-        lines.iter().any(|&l| c.memo_would_hit(Asid::new(asid), l)),
-        "warm-up failed to memoize any hot line"
+    assert_eq!(
+        indexed(c, asid, &lines),
+        lines,
+        "warm-up left a hot line unindexed"
     );
     lines
 }
 
-fn memoized(c: &MolecularCache, asid: u16, lines: &[LineAddr]) -> Vec<LineAddr> {
+fn read(asid: u16, addr: u64) -> Request {
+    Request {
+        asid: Asid::new(asid),
+        addr: Address::new(addr),
+        kind: AccessKind::Read,
+    }
+}
+
+/// The lines of `lines` the index holds for `asid`.
+fn indexed(c: &MolecularCache, asid: u16, lines: &[LineAddr]) -> Vec<LineAddr> {
     lines
         .iter()
         .copied()
-        .filter(|&l| c.memo_would_hit(Asid::new(asid), l))
+        .filter(|&l| c.indexed_molecule(Asid::new(asid), l).is_some())
         .collect()
 }
 
-#[test]
-fn admit_of_another_tenant_drops_memoized_hits() {
-    let mut c = cache();
-    let lines = warm_memo(&mut c, 1);
-    assert!(!memoized(&c, 1, &lines).is_empty());
-    // Admitting a new tenant grants molecules -> structural change.
-    assert!(c.admit_app(Asid::new(2)));
-    assert!(
-        memoized(&c, 1, &lines).is_empty(),
-        "memo entries survived another tenant's admission grant"
+fn assert_exact(c: &MolecularCache, what: &str) {
+    assert_eq!(
+        c.line_index_entries(),
+        c.reference_line_index(),
+        "index diverged from the tag store after {what}"
     );
 }
 
 #[test]
-fn lifecycle_resize_drops_memoized_hits_both_directions() {
+fn admit_of_another_tenant_keeps_indexed_lines() {
     let mut c = cache();
-    let lines = warm_memo(&mut c, 1);
+    let lines = warm(&mut c, 1);
+    // Admitting a new tenant grants free molecules: no line moves.
+    assert!(c.admit_app(Asid::new(2)));
+    assert_eq!(indexed(&c, 1, &lines), lines, "admission dropped lines");
+    assert_exact(&c, "admit_app");
+    for l in &lines {
+        assert!(c.access(read(1, l.0 * 64)).hit, "line {} lost", l.0);
+    }
+}
+
+#[test]
+fn lifecycle_resize_drops_only_withdrawn_lines() {
+    let mut c = cache();
+    warm(&mut c, 1);
     let size = c.region_size(Asid::new(1)).unwrap();
-
-    c.set_region_size(Asid::new(1), size + 2).unwrap();
-    assert!(
-        memoized(&c, 1, &lines).is_empty(),
-        "memo entries survived a lifecycle grow"
-    );
-
-    let lines = warm_memo(&mut c, 1);
-    c.set_region_size(Asid::new(1), size).unwrap();
-    assert!(
-        memoized(&c, 1, &lines).is_empty(),
-        "memo entries survived a lifecycle shrink"
-    );
+    c.set_region_size(Asid::new(1), size + 4).unwrap();
+    assert_exact(&c, "a lifecycle grow");
+    // Spread lines over the grown region, then withdraw most of it.
+    let lines: Vec<LineAddr> = (0..96).map(LineAddr).collect();
+    for l in &lines {
+        c.access(read(1, l.0 * 64));
+    }
+    let before = indexed(&c, 1, &lines);
+    c.set_region_size(Asid::new(1), 1).unwrap();
+    assert_exact(&c, "a lifecycle shrink");
+    let after = indexed(&c, 1, &lines);
+    assert!(after.len() < before.len(), "the shrink withdrew no line");
+    for l in &lines {
+        assert_eq!(
+            c.indexed_molecule(Asid::new(1), *l),
+            c.resident_molecule_of(Asid::new(1), *l),
+            "line {} indexed apart from its residency",
+            l.0
+        );
+    }
 }
 
 #[test]
 fn flush_region_drops_memoized_hits() {
     let mut c = cache();
-    let lines = warm_memo(&mut c, 1);
+    let lines = warm(&mut c, 1);
     c.flush_region(Asid::new(1)).unwrap();
     assert!(
-        memoized(&c, 1, &lines).is_empty(),
-        "memo entries survived an in-place evict (flush_region)"
+        indexed(&c, 1, &lines).is_empty(),
+        "index entries survived an in-place evict (flush_region)"
     );
-    // And the contents really are gone, not just the memo entries.
-    assert!(
-        !c.access(Request {
-            asid: Asid::new(1),
-            addr: Address::new(0),
-            kind: AccessKind::Read,
-        })
-        .hit
-    );
+    assert_exact(&c, "flush_region");
+    // And the contents really are gone, not just the index entries.
+    assert!(!c.access(read(1, 0)).hit);
 }
 
 #[test]
 fn revoke_and_readmit_cannot_replay_stale_hits() {
     let mut c = cache();
-    let lines = warm_memo(&mut c, 1);
+    let lines = warm(&mut c, 1);
 
     c.release_region(Asid::new(1)).unwrap();
     assert!(
-        memoized(&c, 1, &lines).is_empty(),
-        "memo entries survived a revoke (release_region)"
+        indexed(&c, 1, &lines).is_empty(),
+        "index entries survived a revoke (release_region)"
     );
+    assert_exact(&c, "release_region");
 
     // Re-admission of the same ASID: the key space repeats, the region
     // is new and empty. The first access must be a genuine miss, never
-    // a memo replay of the pre-revoke region.
+    // a hit on the pre-revoke region's data.
     c.admit_app(Asid::new(1));
     assert!(
-        memoized(&c, 1, &lines).is_empty(),
-        "memo entries from before the revoke survived re-admission"
+        indexed(&c, 1, &lines).is_empty(),
+        "index entries from before the revoke survived re-admission"
     );
-    let out = c.access(Request {
-        asid: Asid::new(1),
-        addr: Address::new(0),
-        kind: AccessKind::Read,
-    });
+    let out = c.access(read(1, 0));
     assert!(!out.hit, "stale hit served across a revoke + re-admit");
 }
 
-/// Every lifecycle op bumps the generation, and the memo's reported
+/// Every lifecycle op bumps the generation, and the front-end's reported
 /// bump count (perfbench's `core.memo_generation_bumps`) advances by
 /// exactly the change in `structure_generation()` until `reset_stats`
 /// restarts it at zero.
 #[test]
 fn every_lifecycle_op_bumps_the_generation() {
     let mut c = cache();
-    warm_memo(&mut c, 1);
+    warm(&mut c, 1);
     let mut generation = c.structure_generation();
     let mut bumps = c.memo_stats().unwrap().generation_bumps;
     // A fresh cache starts at generation 1 with no bumps counted.
@@ -156,12 +167,12 @@ fn every_lifecycle_op_bumps_the_generation() {
         assert!(now > generation, "{what} did not bump the generation");
         assert_eq!(
             stats.generation, now,
-            "{what}: memo reports another generation"
+            "{what}: the front-end reports another generation"
         );
         assert_eq!(
             stats.generation_bumps - bumps,
             now - generation,
-            "{what}: memo bump count drifted from the structure generation"
+            "{what}: bump count drifted from the structure generation"
         );
         generation = now;
         bumps = stats.generation_bumps;

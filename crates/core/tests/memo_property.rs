@@ -1,14 +1,13 @@
-//! Property tests for the memoization front-end (`pipeline::memo`):
+//! Property tests for the line-index front-end (`pipeline::memo`):
 //! arbitrary access/resize/revoke interleavings produce identical
-//! per-app statistics with memoization on vs off, and no memo entry
-//! ever survives a generation bump.
+//! per-app statistics with the front-end on vs off. The access-by-access
+//! comparison and the index's own oracle live in `line_index_property`.
 //!
-//! The interleavings also toggle the memo of the memo-on cache off and
-//! back on. A toggle is not a structural change, so entries written
-//! before it stay current after it; the equivalence properties cover
-//! those entries too.
+//! The interleavings also toggle the front-end of the indexed cache off
+//! and back on. The tag store keeps the index exact either way, so the
+//! lookups after a toggle must agree too.
 
-use molcache_core::config::{InitialAllocation, LINE_SIZE};
+use molcache_core::config::InitialAllocation;
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
 use molcache_sim::{CacheModel, Request};
 use molcache_trace::{AccessKind, Address, Asid};
@@ -30,7 +29,7 @@ fn torture_config() -> MolecularConfig {
 }
 
 /// One step of a generated interleaving, decoded from two raw u64 draws.
-/// `ToggleMemo` flips the memo of the memo-on cache; the memo-off
+/// `ToggleMemo` flips the front-end of the indexed cache; the scanning
 /// reference ignores it.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -42,10 +41,10 @@ enum Op {
 }
 
 /// Decodes `(selector, payload)` into an op. Accesses dominate and half
-/// of them re-touch a few hot lines per app, so the memo gets warm
+/// of them re-touch a few hot lines per app, so lookups often hit
 /// between the structural ops sprinkled in (the constant resize trigger
-/// adds more). Toggles are frequent enough that memo entries regularly
-/// outlive an off/on pair.
+/// adds more). Toggles are frequent enough that index entries written
+/// under the scan are regularly read after an off/on pair.
 fn decode(selector: u64, payload: u64) -> Op {
     let asid = (payload % 3 + 1) as u16;
     match selector % 64 {
@@ -97,8 +96,8 @@ fn apply(c: &mut MolecularCache, op: Op) {
     }
 }
 
-/// Applies `op` to the memo-on cache and, unless it is a memo toggle,
-/// to the memo-off reference.
+/// Applies `op` to the indexed cache and, unless it is a toggle, to the
+/// scanning reference.
 fn apply_pair(on: &mut MolecularCache, off: &mut MolecularCache, op: Op) {
     apply(on, op);
     if !matches!(op, Op::ToggleMemo) {
@@ -111,7 +110,7 @@ proptest! {
 
     /// Any interleaving of accesses, resizes (via the constant trigger)
     /// and revocations yields bit-identical per-app stats, activity and
-    /// region state with the memo on vs off.
+    /// region state with the front-end on vs off.
     #[test]
     fn memo_is_stat_invisible_under_arbitrary_interleavings(
         ops in proptest::collection::vec(
@@ -149,51 +148,6 @@ proptest! {
             let a = on.stats().app(Asid::new(asid));
             let b = off.stats().app(Asid::new(asid));
             prop_assert_eq!(a, b, "per-app stats diverged for ASID {}", asid);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// No memo entry survives a generation bump: whenever an op advances
-    /// the table's generation, every key that would have memo-hit before
-    /// the op must miss the memo after it.
-    #[test]
-    fn no_memo_hit_survives_a_generation_bump(
-        ops in proptest::collection::vec(
-            (proptest::num::u64::ANY, proptest::num::u64::ANY), 50..300),
-    ) {
-        let mut c = MolecularCache::new(torture_config());
-        // Keys observed to be memo-hittable since the last bump.
-        let mut live: Vec<(u16, u64)> = Vec::new();
-        let mut generation = c.memo_stats().unwrap().generation;
-
-        for &(sel, payload) in &ops {
-            let op = decode(sel, payload);
-            apply(&mut c, op);
-
-            let now = c.memo_stats().unwrap().generation;
-            if now != generation {
-                for &(asid, addr) in &live {
-                    let line = Address::new(addr).line(LINE_SIZE);
-                    prop_assert!(
-                        !c.memo_would_hit(Asid::new(asid), line),
-                        "entry for (asid {}, addr {:#x}) survived a generation bump",
-                        asid,
-                        addr
-                    );
-                }
-                live.clear();
-                generation = now;
-            }
-
-            if let Op::Access { asid, addr, .. } = op {
-                let line = Address::new(addr).line(LINE_SIZE);
-                if c.memo_would_hit(Asid::new(asid), line) {
-                    live.push((asid, addr));
-                }
-            }
         }
     }
 }

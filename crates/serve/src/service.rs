@@ -7,7 +7,7 @@
 //!   `revoke`). Router slots are only written under it, so tenancy
 //!   changes are totally ordered.
 //! * **Shard locks** — one mutex per [`MolecularCache`] cluster. All
-//!   cache state (tags, regions, statistics, memo table) lives under
+//!   cache state (tags, line index, regions, statistics) lives under
 //!   exactly one of them; accesses for tenants on different shards
 //!   never contend.
 //!

@@ -47,6 +47,12 @@ impl LineSlot {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
+    /// `log2(line_size)`: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(num_sets)`: a line's tag is `line >> set_shift`.
+    set_shift: u32,
+    /// `num_sets - 1`: a line's set is `line & set_mask`.
+    set_mask: u64,
     lines: Vec<LineSlot>,
     /// The last stamp handed out.
     clock: u64,
@@ -56,9 +62,19 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Creates an empty cache.
+    ///
+    /// [`CacheConfig::new`] accepts only power-of-two line sizes and set
+    /// counts, so the set index and tag are a shift and a mask of the
+    /// address, computed here once instead of three divisions per
+    /// access.
     pub fn new(cfg: CacheConfig) -> Self {
+        let sets = cfg.num_sets();
+        debug_assert!(cfg.line_size().is_power_of_two() && sets.is_power_of_two());
         SetAssocCache {
             cfg,
+            line_shift: cfg.line_size().trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
             lines: vec![LineSlot::EMPTY; cfg.num_lines() as usize],
             clock: 0,
             stats: CacheStats::new(),
@@ -77,9 +93,8 @@ impl SetAssocCache {
     }
 
     fn index_and_tag(&self, addr: molcache_trace::Address) -> (usize, u64) {
-        let line = addr.line(self.cfg.line_size()).0;
-        let sets = self.cfg.num_sets();
-        ((line % sets) as usize, line / sets)
+        let line = addr.raw() >> self.line_shift;
+        ((line & self.set_mask) as usize, line >> self.set_shift)
     }
 }
 

@@ -48,11 +48,11 @@ pub struct EpochActivity {
     pub activity: molcache_sim::Activity,
     /// Unallocated molecules at epoch close.
     pub free_molecules: usize,
-    /// References served by the memoization front-end (always 0 while the
-    /// memo is disabled at runtime). Diagnostic only: it is
-    /// deliberately **excluded** from the canonical JSON export so that
-    /// telemetry documents stay byte-identical with memoization on or
-    /// off. Surfaced by `molstat --memo` instead.
+    /// Lookups the line-index front-end resolved to a region member
+    /// (always 0 while it is disabled at runtime). Diagnostic only: it
+    /// is excluded from the canonical JSON export so that telemetry
+    /// documents stay byte-identical with the front-end on or off.
+    /// Surfaced by `molstat --memo` instead.
     pub memo_hits: u64,
 }
 
