@@ -6,12 +6,14 @@
 //! ```
 //!
 //! With `--json DIR` each experiment also writes a machine-readable
-//! record as `DIR/<id>.json`. With `--jobs N` independent experiment
-//! points fan out over N worker threads; the output is byte-identical
-//! to `--jobs 1` because every point owns its cache, reads the trace its
-//! experiment built once before the fan-out, and results are merged in a
-//! fixed order. An unknown target or flag, a flag without its value, or
-//! a bad value (`--refs 0`, `--jobs 0`) exits 2 with a message.
+//! record as `DIR/<id>.json`; a record that cannot be written exits 1
+//! with a message naming its path. With `--jobs N` each experiment
+//! builds its trace and fans its distinct points out over N worker
+//! threads; the output is byte-identical to `--jobs 1` because trace
+//! blocks and point results are merged in a fixed order, and every point
+//! owns its cache and reads the experiment's trace read-only. An unknown
+//! target or flag, a flag without its value, or a bad value (`--refs 0`,
+//! `--jobs 0`) exits 2 with a message.
 
 use molcache_bench::experiments::ablations::Ablations;
 use molcache_bench::experiments::{fig5, fig6, table1, table2, table4, table5};
@@ -92,13 +94,16 @@ fn parse_args() -> Options {
     opts
 }
 
+/// Writes `json` as `dir/<id>.json` when `--json` was given; exits 1
+/// with a message naming the path when it cannot.
 fn write_json(dir: &Option<String>, id: &str, json: String) {
     let Some(dir) = dir else { return };
     let path = std::path::Path::new(dir).join(format!("{id}.json"));
     if let Err(e) = std::fs::create_dir_all(dir)
         .and_then(|_| std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())))
     {
-        eprintln!("warning: could not write {}: {e}", path.display());
+        eprintln!("repro: cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
 }
 
@@ -119,7 +124,8 @@ fn main() {
         for graph in [fig5::Graph::A, fig5::Graph::B] {
             let f = fig5::run_with(graph, scale, &engine);
             println!("{}", f.render());
-            write_json(&opts.json_dir, &f.record().id.clone(), f.record().to_json());
+            let record = f.record();
+            write_json(&opts.json_dir, &record.id, record.to_json());
         }
     }
     // Table 2 feeds Table 5; run them together so the measurement is shared.

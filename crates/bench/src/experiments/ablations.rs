@@ -15,43 +15,192 @@
 //! * **Replacement scheme** — Random vs Randy vs the future-work
 //!   LRU-Direct scheme (§5: "a different scheme for replacements such as
 //!   an LRU-Direct scheme needs to be evaluated").
+//! * **Molecule size** — 8, 16 and 32 KB molecules at 2 MB total (the
+//!   paper's §3 building-block range).
+//! * **Configured way size** — the `row_max` of the Randy replacement
+//!   view: per-row isolation (more rows) vs associativity per row.
+//!
+//! Every variant is one labelled point of the [`plan`]: a trace and a
+//! [`MolecularConfig`]. Seven of the 22 points are the same base cache
+//! (2 MB Randy, global-adaptive trigger, half-tile start, quarter-tile
+//! chunks, `row_max` 8), so [`Ablations::measure`] simulates each
+//! distinct (trace, configuration) pair once — 16 simulations — and
+//! fans them out one by one.
 
 use crate::harness::{asid_of, replay_warmed, workload_requests, Engine, ExperimentScale};
 use molcache_core::{
-    InitialAllocation, MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger,
+    InitialAllocation, MolecularCache, MolecularConfig, MolecularConfigBuilder, RegionPolicy,
+    ResizeTrigger,
 };
 use molcache_metrics::deviation::{average_deviation, MissRateGoal};
 use molcache_metrics::record::{ConfigResult, ExperimentRecord, Metric};
 use molcache_metrics::table::{fmt_f64, Table};
-use molcache_sim::cmp::run_requests;
+use molcache_sim::cmp::{run_requests, RunSummary};
 use molcache_sim::Request;
 use molcache_trace::presets::Benchmark;
 
 const GOAL: f64 = 0.10;
 
-fn base_builder(size: u64) -> MolecularConfigBuilderWrap {
-    MolecularConfigBuilderWrap { size }
+/// Capacity of every ablation cache: one cluster of four tiles.
+const SIZE: u64 = 2 << 20;
+
+/// The ablations' base cache — 8 KB molecules, Randy, the 10 % goal and
+/// the builder's defaults for everything else — varied by `vary`.
+fn config(
+    vary: impl FnOnce(&mut MolecularConfigBuilder) -> &mut MolecularConfigBuilder,
+) -> MolecularConfig {
+    let mut b = MolecularConfig::builder();
+    b.molecule_size(8 * 1024)
+        .tile_molecules((SIZE / 4 / 8192) as usize)
+        .tiles_per_cluster(4)
+        .clusters(1)
+        .policy(RegionPolicy::Randy)
+        .miss_rate_goal(GOAL)
+        .seed(42);
+    vary(&mut b);
+    b.build().expect("ablation geometry is valid")
 }
 
-struct MolecularConfigBuilderWrap {
-    size: u64,
+/// The trace an ablation point replays, and how the point is scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trace {
+    /// SPEC4 (seed 42), warmed up and scored by its average deviation
+    /// from the goal.
+    Spec4,
+    /// CRC (seed 42), driven cold and scored by its miss rate.
+    Crc,
 }
 
-impl MolecularConfigBuilderWrap {
-    fn build<F>(&self, customize: F) -> MolecularCache
-    where
-        F: FnOnce(&mut molcache_core::MolecularConfigBuilder),
-    {
-        let mut b = MolecularConfig::builder();
-        b.molecule_size(8 * 1024)
-            .tile_molecules((self.size / 4 / 8192) as usize)
-            .tiles_per_cluster(4)
-            .clusters(1)
-            .policy(RegionPolicy::Randy)
-            .miss_rate_goal(GOAL)
-            .seed(42);
-        customize(&mut b);
-        MolecularCache::new(b.build().expect("ablation geometry is valid"))
+/// One labelled point of the ablation [`plan`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Point {
+    /// Variant label, as the report prints it.
+    pub label: String,
+    /// The trace the point replays.
+    pub trace: Trace,
+    /// The cache the point simulates.
+    pub config: MolecularConfig,
+}
+
+/// The ablation plan: the points of ablations A–G, one group per
+/// ablation, in report order.
+pub fn plan() -> [Vec<Point>; 7] {
+    fn spec4(
+        label: impl Into<String>,
+        vary: impl FnOnce(&mut MolecularConfigBuilder) -> &mut MolecularConfigBuilder,
+    ) -> Point {
+        Point {
+            label: label.into(),
+            trace: Trace::Spec4,
+            config: config(vary),
+        }
+    }
+    let triggers = [
+        ("constant(25k)", ResizeTrigger::Constant { period: 25_000 }),
+        (
+            "global-adaptive(25k)",
+            ResizeTrigger::GlobalAdaptive {
+                initial_period: 25_000,
+            },
+        ),
+        (
+            "per-app-adaptive(25k)",
+            ResizeTrigger::PerAppAdaptive {
+                initial_period: 25_000,
+            },
+        ),
+    ];
+    let initial = [
+        ("2 molecules", InitialAllocation::Molecules(2)),
+        ("half tile", InitialAllocation::HalfTile),
+        ("32 molecules", InitialAllocation::Molecules(32)),
+    ];
+    let schemes = [
+        RegionPolicy::Random,
+        RegionPolicy::Randy,
+        RegionPolicy::LruDirect,
+    ];
+    [
+        // A: resize trigger schemes.
+        triggers
+            .map(|(label, trigger)| spec4(label, |b| b.trigger(trigger)))
+            .into(),
+        // B: initial allocation.
+        initial
+            .map(|(label, alloc)| spec4(label, |b| b.initial_allocation(alloc)))
+            .into(),
+        // C: growth chunk (single-molecule vs quarter-tile chunks).
+        [1usize, 4, 16]
+            .map(|chunk| {
+                spec4(format!("max_allocation={chunk}"), |b| {
+                    b.max_allocation(chunk)
+                })
+            })
+            .into(),
+        // D: region line-size factor on a streaming-heavy application.
+        [1u32, 2, 4]
+            .map(|factor| Point {
+                label: format!("{factor}x64B"),
+                trace: Trace::Crc,
+                config: config(|b| b.app_line_factor(asid_of(0), factor)),
+            })
+            .into(),
+        // E: replacement schemes.
+        schemes
+            .map(|policy| spec4(policy.to_string(), |b| b.policy(policy)))
+            .into(),
+        // F: molecule size at 2 MB total.
+        [8u64, 16, 32]
+            .map(|kb| {
+                spec4(format!("{kb}KB molecules"), |b| {
+                    b.molecule_size(kb * 1024)
+                        .tile_molecules((SIZE / 4 / (kb * 1024)) as usize)
+                })
+            })
+            .into(),
+        // G: configured way size (`row_max`).
+        [2usize, 4, 8, 16]
+            .map(|rows| spec4(format!("row_max={rows}"), |b| b.row_max(rows)))
+            .into(),
+    ]
+}
+
+/// The distinct simulations behind `points`: each (trace, configuration)
+/// once, in order of first use, and for every point the index of its
+/// simulation. Equal points are found by comparing configurations, so a
+/// variant that repeats another point's cache is simulated once.
+fn distinct<'a>(points: impl IntoIterator<Item = &'a Point>) -> (Vec<&'a Point>, Vec<usize>) {
+    let mut runs: Vec<&Point> = Vec::new();
+    let mut run_of = Vec::new();
+    for point in points {
+        let same = |run: &&Point| run.trace == point.trace && run.config == point.config;
+        run_of.push(runs.iter().position(same).unwrap_or_else(|| {
+            runs.push(point);
+            runs.len() - 1
+        }));
+    }
+    (runs, run_of)
+}
+
+/// What one simulation measured.
+struct Outcome {
+    summary: RunSummary,
+    resize_rounds: u64,
+    failed_allocations: u64,
+}
+
+/// Simulates `point` on its trace: SPEC4 with the usual warm-up, CRC
+/// cold.
+fn simulate(point: &Point, spec4: &[Request], crc: &[Request]) -> Outcome {
+    let mut cache = MolecularCache::new(point.config.clone());
+    let summary = match point.trace {
+        Trace::Spec4 => replay_warmed(spec4, &mut cache),
+        Trace::Crc => run_requests(crc, &mut cache),
+    };
+    Outcome {
+        summary,
+        resize_rounds: cache.resize_rounds(),
+        failed_allocations: cache.failed_allocations(),
     }
 }
 
@@ -68,153 +217,21 @@ pub struct AblationResult {
     pub failed_allocations: u64,
 }
 
-/// Replays `spec4`, the SPEC4 trace (seed 42), through `cache` with the
-/// usual warm-up and scores it against the goal.
-fn measure(mut cache: MolecularCache, spec4: &[Request], label: String) -> AblationResult {
-    let summary = replay_warmed(spec4, &mut cache);
-    let goals = MissRateGoal::uniform(GOAL);
-    let avg = average_deviation(
-        (0..4).map(|i| (asid_of(i), summary.app_miss_rate(asid_of(i)))),
-        &goals,
-    );
-    AblationResult {
-        label,
-        avg_deviation: avg,
-        resize_rounds: cache.resize_rounds(),
-        failed_allocations: cache.failed_allocations(),
+impl AblationResult {
+    /// Scores a SPEC4 point against the goal.
+    fn score(point: &Point, outcome: &Outcome) -> Self {
+        let goals = MissRateGoal::uniform(GOAL);
+        let avg = average_deviation(
+            (0..4).map(|i| (asid_of(i), outcome.summary.app_miss_rate(asid_of(i)))),
+            &goals,
+        );
+        AblationResult {
+            label: point.label.clone(),
+            avg_deviation: avg,
+            resize_rounds: outcome.resize_rounds,
+            failed_allocations: outcome.failed_allocations,
+        }
     }
-}
-
-/// Ablation A: resize trigger schemes on a 2 MB molecular cache.
-pub fn resize_triggers(spec4: &[Request]) -> Vec<AblationResult> {
-    let variants: Vec<(&str, ResizeTrigger)> = vec![
-        ("constant(25k)", ResizeTrigger::Constant { period: 25_000 }),
-        (
-            "global-adaptive(25k)",
-            ResizeTrigger::GlobalAdaptive {
-                initial_period: 25_000,
-            },
-        ),
-        (
-            "per-app-adaptive(25k)",
-            ResizeTrigger::PerAppAdaptive {
-                initial_period: 25_000,
-            },
-        ),
-    ];
-    variants
-        .into_iter()
-        .map(|(label, trigger)| {
-            let cache = base_builder(2 << 20).build(|b| {
-                b.trigger(trigger);
-            });
-            measure(cache, spec4, label.to_string())
-        })
-        .collect()
-}
-
-/// Ablation B: initial allocation (2 molecules vs half tile vs 32).
-pub fn initial_allocation(spec4: &[Request]) -> Vec<AblationResult> {
-    let variants: Vec<(&str, InitialAllocation)> = vec![
-        ("2 molecules", InitialAllocation::Molecules(2)),
-        ("half tile", InitialAllocation::HalfTile),
-        ("32 molecules", InitialAllocation::Molecules(32)),
-    ];
-    variants
-        .into_iter()
-        .map(|(label, alloc)| {
-            let cache = base_builder(2 << 20).build(|b| {
-                b.initial_allocation(alloc);
-            });
-            measure(cache, spec4, label.to_string())
-        })
-        .collect()
-}
-
-/// Ablation C: growth chunk (single-molecule vs quarter-tile chunks).
-pub fn growth_chunk(spec4: &[Request]) -> Vec<AblationResult> {
-    [1usize, 4, 16]
-        .into_iter()
-        .map(|chunk| {
-            let cache = base_builder(2 << 20).build(|b| {
-                b.max_allocation(chunk);
-            });
-            measure(cache, spec4, format!("max_allocation={chunk}"))
-        })
-        .collect()
-}
-
-/// Ablation D: region line-size factor on a streaming-heavy application
-/// (CRC). Each point drives `crc`, the CRC trace (seed 42), through a
-/// cold cache. Returns `(factor, miss_rate)` pairs — spatial locality
-/// should make larger blocks pay off.
-pub fn line_size_factor(crc: &[Request]) -> Vec<(u32, f64)> {
-    [1u32, 2, 4]
-        .into_iter()
-        .map(|factor| {
-            let mut cache = base_builder(2 << 20).build(|b| {
-                b.app_line_factor(asid_of(0), factor);
-            });
-            let summary = run_requests(crc, &mut cache);
-            (factor, summary.app_miss_rate(asid_of(0)))
-        })
-        .collect()
-}
-
-/// Ablation E (the paper's §5 future work): replacement schemes on the
-/// SPEC4 workload at 2 MB — Random, Randy, and LRU-Direct.
-pub fn replacement_schemes(spec4: &[Request]) -> Vec<AblationResult> {
-    [
-        RegionPolicy::Random,
-        RegionPolicy::Randy,
-        RegionPolicy::LruDirect,
-    ]
-    .into_iter()
-    .map(|policy| {
-        let cache = base_builder(2 << 20).build(|b| {
-            b.policy(policy);
-        });
-        measure(cache, spec4, policy.to_string())
-    })
-    .collect()
-}
-
-/// Ablation F: molecule size (the paper's §3 building-block range is
-/// 8-32 KB). Smaller molecules give finer allocation granularity and
-/// cheaper probes; larger ones reduce per-access probe counts. Total
-/// capacity is held at 2 MB.
-pub fn molecule_size(spec4: &[Request]) -> Vec<AblationResult> {
-    [8u64, 16, 32]
-        .into_iter()
-        .map(|kb| {
-            let bytes = kb * 1024;
-            let mut b = MolecularConfig::builder();
-            b.molecule_size(bytes)
-                .tile_molecules(((2 << 20) / 4 / bytes) as usize)
-                .tiles_per_cluster(4)
-                .clusters(1)
-                .policy(RegionPolicy::Randy)
-                .miss_rate_goal(GOAL)
-                .seed(42);
-            let cache = MolecularCache::new(b.build().expect("molecule sweep geometry"));
-            measure(cache, spec4, format!("{kb}KB molecules"))
-        })
-        .collect()
-}
-
-/// Ablation G: configured way size (`row_max`) of the Randy replacement
-/// view — the trade between per-row isolation (more rows) and
-/// associativity per row (fewer rows).
-pub fn row_max(spec4: &[Request]) -> Vec<AblationResult> {
-    [2usize, 4, 8, 16]
-        .into_iter()
-        .map(|rows| {
-            let cache = base_builder(2 << 20).build(|b| {
-                b.row_max(rows);
-            });
-            measure(cache, spec4, format!("row_max={rows}"))
-        })
-        .collect()
 }
 
 /// Renders the standard ablation table (variant, deviation, resize and
@@ -254,53 +271,48 @@ pub struct Ablations {
     pub references: u64,
 }
 
-/// One ablation family's measurements, so that all seven fan out
-/// through a single [`Engine::run`].
-enum Family {
-    Deviation(Vec<AblationResult>),
-    LineFactor(Vec<(u32, f64)>),
-}
-
 impl Ablations {
-    /// Measures every ablation, fanning the independent families across
-    /// the engine's workers. The SPEC4 trace (seed 42) is built once and
-    /// replayed to the six deviation families; the line-factor family
-    /// builds its CRC trace once for its three points. The results do
-    /// not depend on the worker count.
+    /// Measures every point of the [`plan`]. Both traces — SPEC4 and CRC,
+    /// seed 42 — are built once on the engine; the plan's distinct
+    /// simulations then fan out one by one across its workers, and each
+    /// point reads its simulation's outcome. The results do not depend
+    /// on the worker count.
     pub fn measure(scale: ExperimentScale, engine: &Engine) -> Self {
-        type Job<'a> = Box<dyn FnOnce() -> Family + Send + 'a>;
         let refs = scale.references();
-        let spec4 = workload_requests(&Benchmark::SPEC4, refs, 42);
-        let jobs: Vec<Job> = vec![
-            Box::new(|| Family::Deviation(resize_triggers(&spec4))),
-            Box::new(|| Family::Deviation(initial_allocation(&spec4))),
-            Box::new(|| Family::Deviation(growth_chunk(&spec4))),
-            Box::new(|| {
-                let crc = workload_requests(&[Benchmark::Crc], refs, 42);
-                Family::LineFactor(line_size_factor(&crc))
-            }),
-            Box::new(|| Family::Deviation(replacement_schemes(&spec4))),
-            Box::new(|| Family::Deviation(molecule_size(&spec4))),
-            Box::new(|| Family::Deviation(row_max(&spec4))),
-        ];
-        let mut line_factor = Vec::new();
-        let mut deviation = Vec::new();
-        for family in engine.run(jobs, |job| job()) {
-            match family {
-                Family::Deviation(rows) => deviation.push(rows),
-                Family::LineFactor(points) => line_factor = points,
-            }
-        }
-        let [triggers, initial, chunk, schemes, molecule, rows]: [Vec<AblationResult>; 6] =
-            deviation.try_into().expect("six deviation families");
+        let spec4 = workload_requests(&Benchmark::SPEC4, refs, 42, engine);
+        let crc = workload_requests(&[Benchmark::Crc], refs, 42, engine);
+        let plan = plan();
+        let (runs, run_of) = distinct(plan.iter().flatten());
+        let outcomes = engine.run(runs, |point| simulate(point, &spec4, &crc));
+        let mut run_of = run_of.into_iter();
+        let [triggers, initial, chunk, line_factor, schemes, molecule, rows] = plan.map(|group| {
+            group
+                .into_iter()
+                .map(|point| (point, &outcomes[run_of.next().expect("one run per point")]))
+                .collect::<Vec<_>>()
+        });
+        let scored = |group: Vec<(Point, &Outcome)>| {
+            group
+                .iter()
+                .map(|(point, outcome)| AblationResult::score(point, outcome))
+                .collect()
+        };
         Ablations {
-            triggers,
-            initial,
-            chunk,
-            line_factor,
-            schemes,
-            molecule,
-            rows,
+            triggers: scored(triggers),
+            initial: scored(initial),
+            chunk: scored(chunk),
+            line_factor: line_factor
+                .iter()
+                .map(|(point, outcome)| {
+                    (
+                        point.config.line_factor(asid_of(0)),
+                        outcome.summary.app_miss_rate(asid_of(0)),
+                    )
+                })
+                .collect(),
+            schemes: scored(schemes),
+            molecule: scored(molecule),
+            rows: scored(rows),
             references: refs,
         }
     }
@@ -414,21 +426,80 @@ pub fn record_with(scale: ExperimentScale, engine: &Engine) -> ExperimentRecord 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn spec4(refs: u64) -> Vec<Request> {
-        workload_requests(&Benchmark::SPEC4, refs, 42)
+    /// Every ablation at 250 K references, measured once for all tests.
+    fn measured() -> &'static Ablations {
+        static MEASURED: OnceLock<Ablations> = OnceLock::new();
+        MEASURED
+            .get_or_init(|| Ablations::measure(ExperimentScale::Custom(250_000), &Engine::new(2)))
+    }
+
+    #[test]
+    fn plan_keeps_labels_and_simulates_each_distinct_point_once() {
+        let plan = plan();
+        let labels: Vec<&str> = plan.iter().flatten().map(|p| p.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "constant(25k)",
+                "global-adaptive(25k)",
+                "per-app-adaptive(25k)",
+                "2 molecules",
+                "half tile",
+                "32 molecules",
+                "max_allocation=1",
+                "max_allocation=4",
+                "max_allocation=16",
+                "1x64B",
+                "2x64B",
+                "4x64B",
+                "Random",
+                "Randy",
+                "LRU-Direct",
+                "8KB molecules",
+                "16KB molecules",
+                "32KB molecules",
+                "row_max=2",
+                "row_max=4",
+                "row_max=8",
+                "row_max=16",
+            ]
+        );
+        let (runs, run_of) = distinct(plan.iter().flatten());
+        let on = |trace| runs.iter().filter(|r| r.trace == trace).count();
+        assert_eq!((runs.len(), on(Trace::Spec4), on(Trace::Crc)), (16, 13, 3));
+        // The seven base-cache points share the first simulation.
+        let base: Vec<&str> = labels
+            .iter()
+            .zip(&run_of)
+            .filter(|(_, run)| **run == 1)
+            .map(|(label, _)| *label)
+            .collect();
+        assert_eq!(
+            base,
+            [
+                "global-adaptive(25k)",
+                "half tile",
+                "32 molecules",
+                "max_allocation=16",
+                "Randy",
+                "8KB molecules",
+                "row_max=8",
+            ]
+        );
     }
 
     #[test]
     fn triggers_produce_three_variants() {
-        let rs = resize_triggers(&spec4(250_000));
+        let rs = &measured().triggers;
         assert_eq!(rs.len(), 3);
         assert!(rs.iter().all(|r| r.resize_rounds > 0));
     }
 
     #[test]
     fn small_initial_allocation_resizes_more() {
-        let rs = initial_allocation(&spec4(120_000));
+        let rs = &measured().initial;
         let two = rs.iter().find(|r| r.label.starts_with("2 ")).unwrap();
         let half = rs.iter().find(|r| r.label.contains("half")).unwrap();
         // The paper: small initial partitions need frequent repartitions
@@ -439,7 +510,7 @@ mod tests {
 
     #[test]
     fn line_factor_reduces_streaming_misses() {
-        let pts = line_size_factor(&workload_requests(&[Benchmark::Crc], 120_000, 42));
+        let pts = &measured().line_factor;
         let mr1 = pts.iter().find(|(f, _)| *f == 1).unwrap().1;
         let mr4 = pts.iter().find(|(f, _)| *f == 4).unwrap().1;
         assert!(
@@ -450,7 +521,7 @@ mod tests {
 
     #[test]
     fn combined_report_renders() {
-        let a = Ablations::measure(ExperimentScale::Custom(60_000), &Engine::serial());
+        let a = measured();
         let s = a.render();
         assert!(s.contains("Ablation A"));
         assert!(s.contains("Ablation D"));
@@ -463,9 +534,9 @@ mod tests {
 
     #[test]
     fn molecule_sizes_all_run() {
-        let rs = molecule_size(&spec4(120_000));
+        let rs = &measured().molecule;
         assert_eq!(rs.len(), 3);
-        for r in &rs {
+        for r in rs {
             assert!(r.avg_deviation.is_finite());
             assert!(r.resize_rounds > 0);
         }
@@ -473,14 +544,14 @@ mod tests {
 
     #[test]
     fn row_max_sweep_runs() {
-        let rs = row_max(&spec4(120_000));
+        let rs = &measured().rows;
         assert_eq!(rs.len(), 4);
         assert!(rs.iter().all(|r| r.avg_deviation.is_finite()));
     }
 
     #[test]
     fn lru_direct_is_competitive() {
-        let rs = replacement_schemes(&spec4(200_000));
+        let rs = &measured().schemes;
         assert_eq!(rs.len(), 3);
         let randy = rs.iter().find(|r| r.label == "Randy").unwrap();
         let lru = rs.iter().find(|r| r.label == "LRU-Direct").unwrap();

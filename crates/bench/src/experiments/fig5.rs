@@ -158,9 +158,9 @@ pub fn run(graph: Graph, scale: ExperimentScale) -> Fig5 {
     run_with(graph, scale, &Engine::serial())
 }
 
-/// Runs the full figure for one graph: builds the SPEC4 trace once and
-/// replays it to the 24 (size, config) points, fanned across the
-/// engine's workers.
+/// Runs the full figure for one graph: builds the SPEC4 trace once on
+/// the engine and replays it to the 24 (size, config) points, fanned
+/// across its workers.
 pub fn run_with(graph: Graph, scale: ExperimentScale, engine: &Engine) -> Fig5 {
     let mut grid = Vec::new();
     for size in SIZES {
@@ -168,7 +168,7 @@ pub fn run_with(graph: Graph, scale: ExperimentScale, engine: &Engine) -> Fig5 {
             grid.push((size, config));
         }
     }
-    let requests = workload_requests(&Benchmark::SPEC4, scale.references(), 42);
+    let requests = workload_requests(&Benchmark::SPEC4, scale.references(), 42, engine);
     let points = engine.run(grid, |(size, config)| {
         run_point(graph, &requests, size, config)
     });
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn traditional_deviation_decreases_with_size() {
-        let requests = workload_requests(&Benchmark::SPEC4, 150_000, 42);
+        let requests = workload_requests(&Benchmark::SPEC4, 150_000, 42, &Engine::serial());
         let small = run_point(Graph::A, &requests, 1 << 20, Config::Traditional(4));
         let big = run_point(Graph::A, &requests, 8 << 20, Config::Traditional(4));
         assert!(
@@ -269,7 +269,7 @@ mod tests {
     fn molecular_tracks_goal_at_large_size() {
         let p = run_point(
             Graph::A,
-            &workload_requests(&Benchmark::SPEC4, 400_000, 42),
+            &workload_requests(&Benchmark::SPEC4, 400_000, 42, &Engine::serial()),
             8 << 20,
             Config::Molecular(RegionPolicy::Randy),
         );

@@ -65,11 +65,11 @@ pub fn run(scale: ExperimentScale) -> Fig6 {
     run_with(scale, &Engine::serial())
 }
 
-/// Runs the figure: builds the MIXED12 trace once and replays it to the
-/// two policies, measured concurrently.
+/// Runs the figure: builds the MIXED12 trace once on the engine and
+/// replays it to the two policies, measured concurrently.
 pub fn run_with(scale: ExperimentScale, engine: &Engine) -> Fig6 {
     let refs = scale.references();
-    let requests = workload_requests(&Benchmark::MIXED12, refs, 7);
+    let requests = workload_requests(&Benchmark::MIXED12, refs, 7, engine);
     let mut results = engine.run(vec![RegionPolicy::Random, RegionPolicy::Randy], |p| {
         run_policy(p, &requests)
     });

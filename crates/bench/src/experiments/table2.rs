@@ -125,10 +125,10 @@ pub fn run(scale: ExperimentScale) -> Table2 {
     run_with(scale, &Engine::serial())
 }
 
-/// Runs the whole table: builds the MIXED12 trace once and replays it
-/// to the six configurations, fanned across the engine's workers.
+/// Runs the whole table: builds the MIXED12 trace once on the engine and
+/// replays it to the six configurations, fanned across its workers.
 pub fn run_with(scale: ExperimentScale, engine: &Engine) -> Table2 {
-    let requests = workload_requests(&Benchmark::MIXED12, scale.references(), 7);
+    let requests = workload_requests(&Benchmark::MIXED12, scale.references(), 7, engine);
     Table2 {
         rows: engine.run(Config::ALL.to_vec(), |c| run_config(&requests, c)),
         references: scale.references(),
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn rows_have_twelve_miss_rates() {
         let row = run_config(
-            &workload_requests(&Benchmark::MIXED12, 60_000, 7),
+            &workload_requests(&Benchmark::MIXED12, 60_000, 7, &Engine::serial()),
             Config::Traditional(4 << 20, 4),
         );
         assert_eq!(row.miss_rates.len(), 12);

@@ -76,10 +76,10 @@ pub fn molecular_8mb(seed: u64) -> MolecularCache {
 }
 
 /// Measures the mixed workload's molecular activity (for the average
-/// power column).
-pub fn measure_activity(scale: ExperimentScale) -> Activity {
+/// power column), building its trace on the engine.
+pub fn measure_activity(scale: ExperimentScale, engine: &Engine) -> Activity {
     let mut cache = molecular_8mb(7);
-    let requests = workload_requests(&Benchmark::MIXED12, scale.references(), 7);
+    let requests = workload_requests(&Benchmark::MIXED12, scale.references(), 7, engine);
     replay_warmed(&requests, &mut cache);
     cache.activity()
 }
@@ -90,11 +90,11 @@ pub fn run(scale: ExperimentScale) -> Table4 {
 }
 
 /// Runs the power comparison. The workload activity measurement is one
-/// simulation and stays serial; the per-frequency CACTI rows are fanned
-/// across the engine's workers.
+/// simulation on a trace built on the engine; the per-frequency CACTI
+/// rows are fanned across the engine's workers.
 pub fn run_with(scale: ExperimentScale, engine: &Engine) -> Table4 {
     let node = TechNode::nm70();
-    let activity = measure_activity(scale);
+    let activity = measure_activity(scale, engine);
     let meter = EnergyMeter::for_molecular(&molecule_report(&node), &node);
     let mol_avg_energy_nj = meter.energy_per_access_nj(&activity);
 

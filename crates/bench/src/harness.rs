@@ -16,11 +16,12 @@ use std::sync::{Arc, Mutex};
 /// Each item is handed to exactly one worker thread (std scoped threads —
 /// no extra dependencies) and the results are merged back **in item
 /// order**, so the output of [`Engine::run`] is identical for any worker
-/// count. Every experiment point owns its cache and reads its requests
-/// from a trace the experiment built once before the fan-out and shares
-/// read-only, which makes the work function pure given its item;
-/// parallelism therefore cannot change any measured number, only the
-/// wall clock.
+/// count. An experiment first builds its trace on the engine
+/// ([`workload_requests`] generates every source's share on the workers
+/// and merges them in a fixed order), then fans its points out; each
+/// point owns its cache and reads that trace read-only, which makes the
+/// work function pure given its item. Parallelism therefore cannot
+/// change any measured number, only the wall clock.
 #[derive(Debug)]
 pub struct Engine {
     jobs: usize,
@@ -228,23 +229,77 @@ where
     run_accesses(preset_round_robin(benchmarks, seed), cache, references)
 }
 
+/// Accesses each source generates per round of [`workload_requests`].
+/// A round's blocks (16 bytes per request) are all the trace building
+/// holds beside the trace itself: 256 KB per source. Blocks of 2^16
+/// left paper-scale peak RSS up to 11 MB higher in some runs.
+const GENERATION_BLOCK: usize = 1 << 14;
+
 /// The first `references` requests of a benchmark list's round-robin
 /// interleaving, materialized so one experiment can replay the same
 /// trace to every configuration it compares.
 ///
+/// Equal to `preset_round_robin(benchmarks, seed).take(references)`,
+/// request for request, but generated on `engine`:
+/// [`presets::workload`] seeds each source apart from the others, so
+/// each source's share can be drawn on a different worker. Generation
+/// runs in rounds of at most 2^14 accesses per source, and each round's
+/// blocks are merged round-robin into the trace before the next round
+/// starts. The sources are built on the calling thread: built on the
+/// workers, their tables stayed in the workers' allocator arenas and
+/// raised peak memory.
+///
+/// [`presets::workload`]: molcache_trace::presets::workload
+///
 /// # Panics
 ///
-/// Panics if the streams end early. Preset streams never end, so every
-/// replay of the trace splits at the same warm-up boundary.
-pub fn workload_requests(benchmarks: &[Benchmark], references: u64, seed: u64) -> Vec<Request> {
+/// Panics if `benchmarks` is empty or a stream ends early. Preset
+/// streams never end, so every replay of the trace splits at the same
+/// warm-up boundary.
+pub fn workload_requests(
+    benchmarks: &[Benchmark],
+    references: u64,
+    seed: u64,
+    engine: &Engine,
+) -> Vec<Request> {
     let len = usize::try_from(references).expect("trace length fits in memory");
+    let apps = benchmarks.len();
+    // Round-robin hands source `i` positions `i`, `i + apps`, ..., so the
+    // first `len % apps` sources take one request more than the rest. A
+    // lane is (source, this round's block, accesses still owed).
+    type Lane = (BoxedSource, Vec<Request>, usize);
+    let mut lanes: Vec<Lane> = molcache_trace::presets::workload(benchmarks, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (_, source))| {
+            let share = len / apps + usize::from(i < len % apps);
+            (
+                source,
+                Vec::with_capacity(share.min(GENERATION_BLOCK)),
+                share,
+            )
+        })
+        .collect();
+    let generate = |(mut source, mut block, owed): Lane| {
+        let n = owed.min(GENERATION_BLOCK);
+        block.clear();
+        block.extend(
+            (0..n).map(|_| Request::from(source.next_access().expect("preset streams never end"))),
+        );
+        (source, block, owed - n)
+    };
     let mut requests = Vec::with_capacity(len);
-    requests.extend(
-        preset_round_robin(benchmarks, seed)
-            .take(len)
-            .map(Request::from),
-    );
-    assert_eq!(requests.len(), len, "preset streams never end");
+    while lanes.iter().any(|(_, _, owed)| *owed > 0) {
+        lanes = engine.run(lanes, generate);
+        let longest = lanes.iter().map(|(_, block, _)| block.len()).max();
+        for turn in 0..longest.unwrap_or(0) {
+            for (_, block, _) in &lanes {
+                if let Some(request) = block.get(turn) {
+                    requests.push(*request);
+                }
+            }
+        }
+    }
     requests
 }
 
@@ -349,7 +404,7 @@ mod tests {
     }
 
     fn assert_replay_matches_stream<C: CacheModel>(build: impl Fn() -> C) {
-        let requests = workload_requests(&Benchmark::SPEC4, 20_000, 42);
+        let requests = workload_requests(&Benchmark::SPEC4, 20_000, 42, &Engine::serial());
         let mut replayed = build();
         let mut streamed = build();
         let summary = replay_warmed(&requests, &mut replayed);
@@ -394,7 +449,7 @@ mod tests {
             (&[Benchmark::Crc], 42, 0xfe6a_04c3_fc80_13a4),
         ];
         for (benchmarks, seed, digest) in pinned {
-            let requests = workload_requests(benchmarks, 50_000, seed);
+            let requests = workload_requests(benchmarks, 50_000, seed, &Engine::serial());
             assert_eq!(requests.len(), 50_000);
             assert_eq!(
                 fnv1a(&requests),
@@ -402,6 +457,34 @@ mod tests {
                 "{benchmarks:?} seed {seed}: {:#018x}",
                 fnv1a(&requests)
             );
+        }
+    }
+
+    /// Generation on the engine yields the streaming interleaving,
+    /// request for request, at every worker count. The last length gives
+    /// every source a second generation block and the first half of them
+    /// one request more.
+    #[test]
+    fn workload_requests_match_the_stream_on_any_engine() {
+        let lists: [&[Benchmark]; 3] = [&Benchmark::SPEC4, &Benchmark::MIXED12, &[Benchmark::Crc]];
+        for benchmarks in lists {
+            let apps = benchmarks.len();
+            for len in [1, 11, 50_000, apps * (GENERATION_BLOCK + 1) + apps / 2] {
+                let stream: Vec<Request> = preset_round_robin(benchmarks, 42)
+                    .take(len)
+                    .map(Request::from)
+                    .collect();
+                for jobs in 1..=3 {
+                    let built = workload_requests(benchmarks, len as u64, 42, &Engine::new(jobs));
+                    let first_difference = built.iter().zip(&stream).position(|(b, s)| b != s);
+                    assert!(
+                        built.len() == len && first_difference.is_none(),
+                        "{benchmarks:?}, {len} requests, {jobs} workers: length {}, \
+                         first difference at {first_difference:?}",
+                        built.len()
+                    );
+                }
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! any host.
 
 use crate::experiments::table2;
-use crate::harness::{molecular_cache, workload_requests};
+use crate::harness::{molecular_cache, workload_requests, Engine};
 use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger};
 use molcache_sim::Request;
 use molcache_trace::gen::TraceSource;
@@ -148,9 +148,10 @@ pub struct BuiltWorkload {
 /// resize window so policies get many decision rounds per cell.
 pub fn build_workload(name: &str, refs: u64, seed: u64) -> Option<BuiltWorkload> {
     let (cache, requests) = match name {
+        // moltourney builds each cell on an engine worker already.
         "mixed12" => (
             table2::molecular_6mb_with_period(RegionPolicy::Randy, seed, TOURNEY_PERIOD),
-            workload_requests(&Benchmark::MIXED12, refs, seed),
+            workload_requests(&Benchmark::MIXED12, refs, seed, &Engine::serial()),
         ),
         "miss_storm" => {
             let mut cache = cache_1mb_with_period(seed, TOURNEY_PERIOD);

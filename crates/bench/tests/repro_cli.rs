@@ -1,5 +1,6 @@
 //! `repro`'s command line: every word it does not know is an error,
-//! never a silently ignored target or flag. `molsim`, `molstat` and
+//! never a silently ignored target or flag, and a `--json` record it
+//! cannot write fails the run. `molsim`, `molstat` and
 //! `moltourney` reject bad flag values the same way, and `molsim`
 //! rejects a din trace with a bad line. `molstat`'s telemetry export is
 //! pinned byte for byte.
@@ -103,6 +104,29 @@ fn known_target_writes_its_record() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table 4"));
     assert!(written.expect("table4.json written").contains("\"table4\""));
+}
+
+#[test]
+fn unwritable_record_fails_the_run() {
+    // A regular file where the record directory should be.
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("repro-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, "").expect("file written");
+    let dir = file.join("out");
+    let out = repro(&[
+        "table4",
+        "--refs",
+        "2000",
+        "--json",
+        dir.to_str().expect("temp path is UTF-8"),
+    ]);
+    std::fs::remove_file(&file).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&dir.join("table4.json").display().to_string()),
+        "stderr names the record: {stderr}"
+    );
 }
 
 #[test]

@@ -69,7 +69,9 @@ pub struct MolecularConfig {
     pub(crate) default_goal: f64,
     pub(crate) goals: BTreeMap<Asid, f64>,
     pub(crate) line_factors: BTreeMap<Asid, u32>,
-    pub(crate) initial_allocation: InitialAllocation,
+    /// Molecules a new partition starts with, [`InitialAllocation`]
+    /// resolved against the tile size.
+    pub(crate) initial_allocation: usize,
     pub(crate) max_allocation: usize,
     pub(crate) trigger: ResizeTrigger,
     pub(crate) row_max: usize,
@@ -261,7 +263,9 @@ impl MolecularConfigBuilder {
         self
     }
 
-    /// Sets the initial partition allocation scheme.
+    /// Sets the initial partition allocation scheme. [`build`](Self::build)
+    /// resolves it to a molecule count, so `HalfTile` on 64-molecule tiles
+    /// builds the same configuration as `Molecules(32)`.
     pub fn initial_allocation(&mut self, alloc: InitialAllocation) -> &mut Self {
         self.initial_allocation = alloc;
         self
@@ -339,17 +343,21 @@ impl MolecularConfigBuilder {
                 return Err(err("line_factor", "block must fit inside a molecule"));
             }
         }
-        if let InitialAllocation::Molecules(n) = self.initial_allocation {
+        let initial_allocation = match self.initial_allocation {
+            InitialAllocation::HalfTile => (self.tile_molecules / 2).max(1),
             // The initial grant draws from the home tile first and then
             // the rest of the cluster, so anything up to one cluster's
             // worth of molecules is satisfiable.
-            if n == 0 || n > self.tile_molecules * self.tiles_per_cluster {
+            InitialAllocation::Molecules(n)
+                if n == 0 || n > self.tile_molecules * self.tiles_per_cluster =>
+            {
                 return Err(err(
                     "initial_allocation",
                     "must be between 1 and the cluster's molecule count",
                 ));
             }
-        }
+            InitialAllocation::Molecules(n) => n,
+        };
         if self.row_max == 0 {
             return Err(err("row_max", "must be positive"));
         }
@@ -371,7 +379,7 @@ impl MolecularConfigBuilder {
             default_goal: self.default_goal,
             goals: self.goals.clone(),
             line_factors: self.line_factors.clone(),
-            initial_allocation: self.initial_allocation,
+            initial_allocation,
             max_allocation,
             trigger: self.trigger,
             row_max: self.row_max,
@@ -483,6 +491,28 @@ mod tests {
             .assign_app_to_cluster(Asid::new(1), 2)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn half_tile_resolves_to_a_molecule_count() {
+        for (tile, half) in [(64, 32), (32, 16)] {
+            let build = |alloc| {
+                MolecularConfig::builder()
+                    .tile_molecules(tile)
+                    .initial_allocation(alloc)
+                    .build()
+                    .unwrap()
+            };
+            assert_eq!(
+                build(InitialAllocation::HalfTile),
+                build(InitialAllocation::Molecules(half)),
+                "{tile}-molecule tiles"
+            );
+            assert_ne!(
+                build(InitialAllocation::HalfTile),
+                build(InitialAllocation::Molecules(half / 2))
+            );
+        }
     }
 
     #[test]

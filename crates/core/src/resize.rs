@@ -19,7 +19,6 @@ pub use crate::policy::{
 };
 
 use crate::cache::MolecularCache;
-use crate::config::InitialAllocation;
 use crate::policy::{DecisionInputs, PartitionWindow};
 use crate::region::Region;
 use molcache_telemetry::ResizeKind;
@@ -50,12 +49,7 @@ impl MolecularCache {
             self.cfg.goal(asid),
             self.cfg.row_max(),
         );
-        let want = match self.cfg.initial_allocation {
-            InitialAllocation::HalfTile => self.cfg.tile_molecules() / 2,
-            InitialAllocation::Molecules(n) => n,
-        }
-        .max(1);
-        let granted = self.grant_molecules(&mut region, want);
+        let granted = self.grant_molecules(&mut region, self.cfg.initial_allocation);
         region.note_allocation(granted.max(1));
         self.resize_policy.register_app(asid);
         self.regions.insert(asid, region);
