@@ -21,7 +21,7 @@
 use crate::workloads::BuiltWorkload;
 use molcache_core::MolecularCache;
 use molcache_metrics::deviation::{average_deviation, MissRateGoal};
-use molcache_metrics::json::{parse, JsonError, Value};
+use molcache_metrics::json::{parse, JsonError, JsonWriter, Value};
 use molcache_metrics::power_deviation::power_deviation_product;
 use molcache_power::accounting::EnergyMeter;
 use molcache_power::calibrate::molecule_report;
@@ -61,35 +61,22 @@ pub struct TourneyEntry {
 }
 
 impl TourneyEntry {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("policy".into(), Value::String(self.policy.clone())),
-            ("workload".into(), Value::String(self.workload.clone())),
-            ("accesses".into(), Value::Number(self.accesses as f64)),
-            (
-                "global_miss_rate".into(),
-                Value::Number(self.global_miss_rate),
-            ),
-            (
-                "avg_latency_cycles".into(),
-                Value::Number(self.avg_latency_cycles),
-            ),
-            ("power_w".into(), Value::Number(self.power_w)),
-            ("avg_deviation".into(), Value::Number(self.avg_deviation)),
-            ("pdp".into(), Value::Number(self.pdp)),
-            (
-                "goal_attainment".into(),
-                Value::Number(self.goal_attainment),
-            ),
-            (
-                "resize_rounds".into(),
-                Value::Number(self.resize_rounds as f64),
-            ),
-            (
-                "failed_allocations".into(),
-                Value::Number(self.failed_allocations as f64),
-            ),
-        ])
+    /// Writes the entry as one JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("policy").string(&self.policy);
+        w.key("workload").string(&self.workload);
+        w.key("accesses").number(self.accesses as f64);
+        w.key("global_miss_rate").number(self.global_miss_rate);
+        w.key("avg_latency_cycles").number(self.avg_latency_cycles);
+        w.key("power_w").number(self.power_w);
+        w.key("avg_deviation").number(self.avg_deviation);
+        w.key("pdp").number(self.pdp);
+        w.key("goal_attainment").number(self.goal_attainment);
+        w.key("resize_rounds").number(self.resize_rounds as f64);
+        w.key("failed_allocations")
+            .number(self.failed_allocations as f64);
+        w.end();
     }
 
     fn from_value(v: &Value) -> Option<TourneyEntry> {
@@ -159,24 +146,26 @@ impl TourneyDoc {
             .find(|e| e.policy == policy && e.workload == workload)
     }
 
-    /// The record as a JSON value tree.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("schema".into(), Value::String(TOURNEY_SCHEMA.into())),
-            ("date".into(), Value::String(self.date.clone())),
-            ("smoke".into(), Value::Bool(self.smoke)),
-            ("refs".into(), Value::Number(self.refs as f64)),
-            ("seed".into(), Value::Number(self.seed as f64)),
-            (
-                "entries".into(),
-                Value::Array(self.entries.iter().map(TourneyEntry::to_value).collect()),
-            ),
-        ])
-    }
-
     /// Pretty-printed JSON of the record.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a score is not finite.
     pub fn to_json(&self) -> Result<String, JsonError> {
-        self.to_value().to_json()
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("schema").string(TOURNEY_SCHEMA);
+        w.key("date").string(&self.date);
+        w.key("smoke").bool(self.smoke);
+        w.key("refs").number(self.refs as f64);
+        w.key("seed").number(self.seed as f64);
+        w.key("entries").begin_array();
+        for e in &self.entries {
+            e.write_json(&mut w);
+        }
+        w.end();
+        w.end();
+        w.finish()
     }
 
     /// Parses a record, rejecting unknown schemas and malformed shapes.

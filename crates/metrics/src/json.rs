@@ -1,12 +1,13 @@
-//! Minimal JSON support for experiment records.
+//! Minimal JSON support for the workspace's documents.
 //!
 //! The workspace builds without crates.io access, so instead of serde this
-//! module hand-rolls the small amount of JSON the harness needs: a
-//! [`Value`] tree, a recursive-descent parser, and a pretty emitter whose
-//! output (2-space indent, `\n` separators) matches what the seed's
-//! serde_json-produced `results/*.json` files look like.
+//! module hand-rolls the small amount of JSON it needs: [`parse`] reads a
+//! document into a [`Value`] tree, and the streaming [`JsonWriter`]
+//! writes every document the workspace emits, in the layout (2-space
+//! indent, `\n` separators) of the seed's serde_json-produced
+//! `results/*.json` files.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +93,7 @@ impl std::error::Error for JsonError {}
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -104,7 +106,11 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     Ok(v)
 }
 
+/// A recursive-descent parser over `src`. Every token it consumes outside
+/// a string is ASCII, and a string ends at an ASCII quote, so `pos` is
+/// always a char boundary of `src`.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -241,14 +247,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid char boundaries).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new("invalid UTF-8", self.pos))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters up to the next quote or
+                    // backslash, both ASCII and so on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -310,17 +316,17 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Value::Number)
             .map_err(|_| JsonError::new("invalid number", start))
     }
 }
 
 impl Value {
-    /// Serializes the value as pretty-printed JSON (2-space indent, the
-    /// same shape serde_json's pretty writer produces), such that
-    /// [`parse`]`(v.to_json()?) == v` for every representable value.
+    /// Serializes the value as pretty-printed JSON through [`JsonWriter`],
+    /// such that [`parse`]`(v.to_json()?) == v` for every representable
+    /// value.
     ///
     /// # Errors
     ///
@@ -328,133 +334,275 @@ impl Value {
     /// `±inf`) — JSON has no representation for those, and silently
     /// emitting `null` would break the round-trip guarantee.
     pub fn to_json(&self) -> Result<String, JsonError> {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0)?;
-        Ok(out)
+        let mut w = JsonWriter::new();
+        self.write(&mut w);
+        w.finish()
     }
 
-    /// Serializes the value on a single line with no whitespace.
+    fn write(&self, w: &mut JsonWriter) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(n) => w.number(*n),
+            Value::String(s) => w.string(s),
+            Value::Array(items) => {
+                w.begin_array();
+                for item in items {
+                    item.write(w);
+                }
+                w.end()
+            }
+            Value::Object(fields) => {
+                w.begin_object();
+                for (key, val) in fields {
+                    w.key(key);
+                    val.write(w);
+                }
+                w.end()
+            }
+        };
+    }
+}
+
+/// A streaming pretty-JSON writer: every document the workspace emits is
+/// written through one of these, straight into one `String`.
+///
+/// The layout is serde_json's pretty form, which the seed's
+/// `results/*.json` files fixed: a 2-space indent, one item per line,
+/// `": "` after a key, and `[]` / `{}` for an empty container. Numbers
+/// follow one rule (see [`JsonWriter::number`]), and [`JsonWriter::uint`]
+/// writes an exact unsigned integer for the fields that want one.
+///
+/// Containers are opened with [`begin_object`](JsonWriter::begin_object)
+/// or [`begin_array`](JsonWriter::begin_array) and closed with
+/// [`end`](JsonWriter::end); inside an object, each value follows a
+/// [`key`](JsonWriter::key). Keys, digits and indentation are appended
+/// in place, so writing allocates nothing beyond the output's growth.
+///
+/// ```
+/// use molcache_metrics::json::JsonWriter;
+///
+/// let mut w = JsonWriter::new();
+/// w.begin_object();
+/// w.key("id").string("table2");
+/// w.key("references").uint(1_000_000);
+/// w.key("rates").begin_array();
+/// w.number(0.25).number(2.0);
+/// w.end();
+/// w.key("empty").begin_object().end();
+/// w.end();
+/// assert_eq!(
+///     w.finish().unwrap(),
+///     "{\n  \"id\": \"table2\",\n  \"references\": 1000000,\n  \"rates\": [\n    \
+///      0.25,\n    2.0\n  ],\n  \"empty\": {}\n}"
+/// );
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// One entry per open container: its closing bracket, and whether it
+    /// is still empty. The separator goes before each item, so an item
+    /// never needs to know whether another follows it.
+    containers: Vec<(char, bool)>,
+    /// A key was just written: the next value goes on its line.
+    after_key: bool,
+    /// The first non-finite number written, if any.
+    error: Option<JsonError>,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        JsonWriter::default()
+    }
+
+    /// Opens an object (as an array item, after a key, or as the root).
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{', '}')
+    }
+
+    /// Opens an array (as an array item, after a key, or as the root).
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[', ']')
+    }
+
+    /// Closes the innermost open container.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no container is open.
+    pub fn end(&mut self) -> &mut Self {
+        let (close, empty) = self
+            .containers
+            .pop()
+            .expect("end() closes an open container");
+        if !empty {
+            self.out.push('\n');
+            self.indent();
+        }
+        self.out.push(close);
+        self
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        escape_into(&mut self.out, key);
+        self.out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    /// Writes a string value.
+    pub fn string(&mut self, s: &str) -> &mut Self {
+        self.item();
+        escape_into(&mut self.out, s);
+        self
+    }
+
+    /// Writes a number the way serde_json writes an `f64`: an integral
+    /// value below 1e15 in magnitude keeps a trailing `.0` (`-0.0`
+    /// included), anything else takes the shortest form that reads back
+    /// as the same `f64`.
+    ///
+    /// A non-finite value has no JSON form: it is not written, and
+    /// [`finish`](JsonWriter::finish) returns an error.
+    pub fn number(&mut self, v: f64) -> &mut Self {
+        self.item();
+        if v.is_finite() {
+            format_f64(&mut self.out, v);
+        } else if self.error.is_none() {
+            self.error = Some(JsonError::new(
+                "non-finite number is not valid JSON",
+                self.out.len(),
+            ));
+        }
+        self
+    }
+
+    /// Writes an unsigned integer exactly, with no fraction.
+    pub fn uint(&mut self, v: u64) -> &mut Self {
+        self.item();
+        push_uint(&mut self.out, v);
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.item();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.item();
+        self.out.push_str("null");
+        self
+    }
+
+    /// The finished document.
     ///
     /// # Errors
     ///
-    /// Rejects non-finite numbers, like [`Value::to_json`].
-    pub fn to_json_compact(&self) -> Result<String, JsonError> {
-        let mut out = String::new();
-        self.write_compact(&mut out)?;
-        Ok(out)
-    }
-
-    fn number_text(n: f64) -> Result<String, JsonError> {
-        if n.is_finite() {
-            Ok(format_f64(n))
-        } else {
-            Err(JsonError::new("non-finite number is not valid JSON", 0))
+    /// Returns an error when a non-finite number was written.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a container is still open.
+    pub fn finish(self) -> Result<String, JsonError> {
+        assert!(
+            self.containers.is_empty(),
+            "finish() with an unclosed container"
+        );
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.out),
         }
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) -> Result<(), JsonError> {
-        let pad = "  ".repeat(indent);
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => out.push_str(&Value::number_text(*n)?),
-            Value::String(s) => escape_into(out, s),
-            Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                } else {
-                    out.push_str("[\n");
-                    for (i, item) in items.iter().enumerate() {
-                        out.push_str(&pad);
-                        out.push_str("  ");
-                        item.write_pretty(out, indent + 1)?;
-                        out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                    }
-                    out.push_str(&pad);
-                    out.push(']');
-                }
-            }
-            Value::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                } else {
-                    out.push_str("{\n");
-                    for (i, (key, val)) in fields.iter().enumerate() {
-                        out.push_str(&pad);
-                        out.push_str("  ");
-                        escape_into(out, key);
-                        out.push_str(": ");
-                        val.write_pretty(out, indent + 1)?;
-                        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                    }
-                    out.push_str(&pad);
-                    out.push('}');
-                }
-            }
-        }
-        Ok(())
+    fn begin(&mut self, open: char, close: char) -> &mut Self {
+        self.item();
+        self.out.push(open);
+        self.containers.push((close, true));
+        self
     }
 
-    fn write_compact(&self, out: &mut String) -> Result<(), JsonError> {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => out.push_str(&Value::number_text(*n)?),
-            Value::String(s) => escape_into(out, s),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out)?;
-                }
-                out.push(']');
-            }
-            Value::Object(fields) => {
-                out.push('{');
-                for (i, (key, val)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    escape_into(out, key);
-                    out.push(':');
-                    val.write_compact(out)?;
-                }
-                out.push('}');
-            }
+    /// Starts a value or key: the separator and indent of its line,
+    /// unless it follows a key or is the root.
+    fn item(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
         }
-        Ok(())
+        if let Some((_, empty)) = self.containers.last_mut() {
+            self.out
+                .push_str(if std::mem::take(empty) { "\n" } else { ",\n" });
+            self.indent();
+        }
+    }
+
+    fn indent(&mut self) {
+        for _ in 0..self.containers.len() {
+            self.out.push_str("  ");
+        }
     }
 }
 
 /// Appends `s` to `out` as a quoted JSON string with required escapes.
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so the plain runs between
+    // them split `s` on char boundaries.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        match esc {
+            Some(esc) => out.push_str(esc),
+            None => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
         }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
-/// Formats an `f64` the way serde_json does: integral values keep a
-/// trailing `.0`, everything else uses the shortest round-trip form.
-pub fn format_f64(v: f64) -> String {
-    if v.is_finite() && v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
+/// Appends a finite `v` to `out` by [`JsonWriter::number`]'s rule.
+fn format_f64(out: &mut String, v: f64) {
+    if v == v.trunc() && v.abs() < 1e15 {
+        // Exact as an integer, whose digits are `{v:.1}`'s without the
+        // formatting machinery; the sign test keeps -0.0's minus.
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        push_uint(out, v.abs() as u64);
+        out.push_str(".0");
     } else {
-        format!("{v}")
+        write!(out, "{v}").expect("writing to a String cannot fail");
     }
+}
+
+/// Appends the decimal digits of `n`.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -497,14 +645,20 @@ mod tests {
         assert!(parse(r#""\ud83d""#).is_err());
     }
 
+    fn formatted(v: f64) -> String {
+        let mut s = String::new();
+        format_f64(&mut s, v);
+        s
+    }
+
     #[test]
     fn escape_and_format_helpers() {
         let mut s = String::new();
         escape_into(&mut s, "a\"b\\c\n\u{1}");
         assert_eq!(s, r#""a\"b\\c\n\u0001""#);
-        assert_eq!(format_f64(2.0), "2.0");
-        assert_eq!(format_f64(0.222), "0.222");
-        assert_eq!(format_f64(1_000_000.0), "1000000.0");
+        assert_eq!(formatted(2.0), "2.0");
+        assert_eq!(formatted(0.222), "0.222");
+        assert_eq!(formatted(1_000_000.0), "1000000.0");
     }
 
     #[test]
@@ -519,21 +673,67 @@ mod tests {
         ]);
         let expected = "{\n  \"n\": 1.5,\n  \"a\": [\n    true,\n    null\n  ],\n  \"e\": {}\n}";
         assert_eq!(v.to_json().unwrap(), expected);
+        assert_eq!(Value::Array(vec![]).to_json().unwrap(), "[]");
+        assert_eq!(Value::Object(vec![]).to_json().unwrap(), "{}");
+        assert_eq!(Value::Number(-0.0).to_json().unwrap(), "-0.0");
+    }
+
+    #[test]
+    fn writer_nests_containers_and_writes_exact_integers() {
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        w.begin_object().end();
+        w.begin_array().begin_array().end().end();
+        w.begin_object();
+        w.key("n").uint(u64::MAX);
+        w.key("f").number(1e15);
+        w.end();
+        w.end();
         assert_eq!(
-            v.to_json_compact().unwrap(),
-            r#"{"n":1.5,"a":[true,null],"e":{}}"#
+            w.finish().unwrap(),
+            "[\n  {},\n  [\n    []\n  ],\n  {\n    \"n\": 18446744073709551615,\n    \
+             \"f\": 1000000000000000\n  }\n]"
         );
     }
 
     #[test]
     fn to_json_rejects_non_finite_floats() {
         assert!(Value::Number(f64::NAN).to_json().is_err());
-        assert!(Value::Number(f64::INFINITY).to_json_compact().is_err());
+        assert!(Value::Number(f64::INFINITY).to_json().is_err());
         let nested = Value::Object(vec![(
             "x".into(),
             Value::Array(vec![Value::Number(f64::NEG_INFINITY)]),
         )]);
         assert!(nested.to_json().is_err());
+    }
+
+    #[test]
+    fn strings_with_escapes_between_multibyte_runs_parse() {
+        let text = r#"["é\n😀\"λ\\", "\u00e9é", "plain ascii run", "ü"]"#;
+        let v = parse(text).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("é\n😀\"λ\\"));
+        assert_eq!(items[1].as_str(), Some("éé"));
+        assert_eq!(items[2].as_str(), Some("plain ascii run"));
+        assert_eq!(items[3].as_str(), Some("ü"));
+        assert!(parse("\"\\é\"").is_err());
+        assert!(parse("\"\\u00é\"").is_err());
+    }
+
+    /// What the number rule promises: `{:.1}` for an integral value below
+    /// 1e15 in magnitude, the shortest round-trip form otherwise.
+    fn expected_number(v: f64) -> String {
+        if v == v.trunc() && v.abs() < 1e15 {
+            format!("{v:.1}")
+        } else {
+            format!("{v}")
+        }
+    }
+
+    fn written(v: f64) -> String {
+        let mut w = JsonWriter::new();
+        w.number(v);
+        w.finish().expect("finite")
     }
 
     #[test]
@@ -627,15 +827,47 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// `parse(to_json(x)) == x` for arbitrary value trees, in both the
-        /// pretty and the compact rendering.
+        /// `parse(to_json(x)) == x` for arbitrary value trees.
         #[test]
         fn serializer_round_trips(seed in proptest::num::u64::ANY) {
             let v = arbitrary_value(seed);
             let pretty = v.to_json().expect("finite by construction");
             prop_assert_eq!(&parse(&pretty).unwrap(), &v);
-            let compact = v.to_json_compact().expect("finite by construction");
-            prop_assert_eq!(&parse(&compact).unwrap(), &v);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The writer's numbers equal the rule's for any finite `f64`:
+        /// arbitrary bit patterns, integers on both sides of 1e15, and
+        /// the corners of the rule.
+        #[test]
+        fn number_rule_holds_for_any_finite_f64(bits in proptest::num::u64::ANY, pick in 0u8..4) {
+            const CORNERS: [f64; 13] = [
+                0.0,
+                -0.0,
+                1e15 - 1.0,
+                -(1e15 - 1.0),
+                1e15,
+                -1e15,
+                9_007_199_254_740_992.0, // 2^53
+                5e-324,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+                f64::MIN,
+                0.1,
+                -0.5,
+            ];
+            let v = match pick {
+                0 => f64::from_bits(bits),
+                // Integral, below and above 1e15, either sign.
+                1 => (bits >> 11) as f64 * if bits & 1 == 0 { 1.0 } else { -1.0 },
+                2 => (bits % 2_000_000_000_000_000) as f64 - 1e15,
+                _ => CORNERS[(bits % 13) as usize],
+            };
+            prop_assume!(v.is_finite());
+            prop_assert_eq!(written(v), expected_number(v));
         }
     }
 }

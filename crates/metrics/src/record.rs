@@ -2,11 +2,12 @@
 //!
 //! Every experiment in the benchmark harness emits one of these next to
 //! its human-readable table, so EXPERIMENTS.md numbers can be regenerated
-//! and diffed mechanically. Serialization is hand-rolled on top of
-//! [`crate::json`] (the workspace builds without crates.io access); the
-//! emitted shape matches the seed's serde_json output byte for byte.
+//! and diffed mechanically. Records are written through
+//! [`crate::json::JsonWriter`] (the workspace builds without crates.io
+//! access); the emitted shape matches the seed's serde_json output byte
+//! for byte.
 
-use crate::json::{self, escape_into, format_f64, JsonError, Value};
+use crate::json::{self, JsonError, JsonWriter, Value};
 
 /// One measured configuration within an experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,51 +52,44 @@ pub struct ExperimentRecord {
 }
 
 impl ExperimentRecord {
-    /// Serializes to pretty JSON (2-space indent, stable field order).
+    /// Serializes to pretty JSON (2-space indent, stable field order);
+    /// `references` is written as an exact integer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite metric, naming its configuration and metric:
+    /// JSON has no form for it, and no record should carry one.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\n  \"id\": ");
-        escape_into(&mut out, &self.id);
-        out.push_str(",\n  \"workload\": ");
-        escape_into(&mut out, &self.workload);
-        out.push_str(",\n  \"references\": ");
-        out.push_str(&self.references.to_string());
-        out.push_str(",\n  \"results\": ");
-        if self.results.is_empty() {
-            out.push_str("[]");
-        } else {
-            out.push_str("[\n");
-            for (i, r) in self.results.iter().enumerate() {
-                out.push_str("    {\n      \"label\": ");
-                escape_into(&mut out, &r.label);
-                out.push_str(",\n      \"metrics\": ");
-                if r.metrics.is_empty() {
-                    out.push_str("[]");
-                } else {
-                    out.push_str("[\n");
-                    for (j, m) in r.metrics.iter().enumerate() {
-                        out.push_str("        {\n          \"name\": ");
-                        escape_into(&mut out, &m.name);
-                        out.push_str(",\n          \"value\": ");
-                        out.push_str(&format_f64(m.value));
-                        out.push_str("\n        }");
-                        if j + 1 < r.metrics.len() {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                    }
-                    out.push_str("      ]");
-                }
-                out.push_str("\n    }");
-                if i + 1 < self.results.len() {
-                    out.push(',');
-                }
-                out.push('\n');
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("id").string(&self.id);
+        w.key("workload").string(&self.workload);
+        w.key("references").uint(self.references);
+        w.key("results").begin_array();
+        for r in &self.results {
+            w.begin_object();
+            w.key("label").string(&r.label);
+            w.key("metrics").begin_array();
+            for m in &r.metrics {
+                assert!(
+                    m.value.is_finite(),
+                    "record `{}`: metric `{}` of `{}` is {}, which JSON cannot hold",
+                    self.id,
+                    m.name,
+                    r.label,
+                    m.value
+                );
+                w.begin_object();
+                w.key("name").string(&m.name);
+                w.key("value").number(m.value);
+                w.end();
             }
-            out.push_str("  ]");
+            w.end();
+            w.end();
         }
-        out.push_str("\n}");
-        out
+        w.end();
+        w.end();
+        w.finish().expect("every metric is finite")
     }
 
     /// Parses a record back from JSON.
@@ -211,6 +205,14 @@ mod tests {
         };
         let parsed = ExperimentRecord::from_json(&r.to_json()).unwrap();
         assert_eq!(parsed, r);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric `avg_deviation` of `6MB Molecular Randy` is NaN")]
+    fn non_finite_metric_panics_naming_it() {
+        let mut r = record();
+        r.results[0].metrics[0].value = f64::NAN;
+        let _ = r.to_json();
     }
 
     #[test]

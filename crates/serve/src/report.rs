@@ -1,10 +1,9 @@
 //! The `molcache-serve-v1` replay document: what `molserve --json`
-//! emits and `molstat --serve` renders. Hand-rolled JSON via
-//! `molcache-metrics`' encoder, mirroring the bench crate's
-//! `molcache-bench-v1` idiom.
+//! emits and `molstat --serve` renders, written through
+//! `molcache-metrics`' streaming JSON writer.
 
 use crate::replay::ReplayReport;
-use molcache_metrics::json::{self, JsonError, Value};
+use molcache_metrics::json::{self, JsonError, JsonWriter, Value};
 use molcache_sim::AppStats;
 use molcache_telemetry::ShardContention;
 
@@ -81,38 +80,52 @@ impl ServeDoc {
         }
     }
 
-    /// Encodes the document as a JSON tree.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("schema".into(), Value::String(SERVE_SCHEMA.into())),
-            ("tenants".into(), Value::Number(self.tenants as f64)),
-            ("threads".into(), Value::Number(self.threads as f64)),
-            ("shards".into(), Value::Number(self.shards as f64)),
-            (
-                "refs_per_tenant".into(),
-                Value::Number(self.refs_per_tenant as f64),
-            ),
-            ("seed".into(), Value::Number(self.seed as f64)),
-            ("wall_ns".into(), Value::Number(self.wall_ns as f64)),
-            (
-                "accesses_per_sec".into(),
-                Value::Number(self.accesses_per_sec),
-            ),
-            ("imbalance".into(), Value::Number(self.imbalance)),
-            (
-                "per_tenant".into(),
-                Value::Array(self.per_tenant.iter().map(tenant_value).collect()),
-            ),
-            (
-                "per_shard".into(),
-                Value::Array(self.per_shard.iter().map(shard_value).collect()),
-            ),
-        ])
-    }
-
     /// Encodes the document as pretty-printed JSON.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a rate is not finite.
     pub fn to_json(&self) -> Result<String, JsonError> {
-        self.to_value().to_json()
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("schema").string(SERVE_SCHEMA);
+        w.key("tenants").number(self.tenants as f64);
+        w.key("threads").number(self.threads as f64);
+        w.key("shards").number(self.shards as f64);
+        w.key("refs_per_tenant").number(self.refs_per_tenant as f64);
+        w.key("seed").number(self.seed as f64);
+        w.key("wall_ns").number(self.wall_ns as f64);
+        w.key("accesses_per_sec").number(self.accesses_per_sec);
+        w.key("imbalance").number(self.imbalance);
+        w.key("per_tenant").begin_array();
+        for t in &self.per_tenant {
+            w.begin_object();
+            w.key("asid").number(f64::from(t.asid));
+            w.key("benchmark").string(&t.benchmark);
+            w.key("shard").number(t.shard as f64);
+            w.key("accesses").number(t.stats.accesses as f64);
+            w.key("hits").number(t.stats.hits as f64);
+            w.key("misses").number(t.stats.misses as f64);
+            w.key("writebacks").number(t.stats.writebacks as f64);
+            w.key("total_latency").number(t.stats.total_latency as f64);
+            w.end();
+        }
+        w.end();
+        w.key("per_shard").begin_array();
+        for s in &self.per_shard {
+            w.begin_object();
+            w.key("shard").number(s.shard as f64);
+            w.key("acquisitions").number(s.acquisitions as f64);
+            w.key("contended").number(s.contended as f64);
+            w.key("lock_wait_ns").number(s.lock_wait_ns as f64);
+            w.key("max_queue_depth").number(s.max_queue_depth as f64);
+            w.key("accesses").number(s.accesses as f64);
+            w.key("hits").number(s.hits as f64);
+            w.end();
+        }
+        w.end();
+        w.end();
+        w.finish()
     }
 
     /// Decodes a document, checking the schema tag.
@@ -160,25 +173,6 @@ impl ServeDoc {
     }
 }
 
-fn tenant_value(t: &TenantRecord) -> Value {
-    Value::Object(vec![
-        ("asid".into(), Value::Number(t.asid as f64)),
-        ("benchmark".into(), Value::String(t.benchmark.clone())),
-        ("shard".into(), Value::Number(t.shard as f64)),
-        ("accesses".into(), Value::Number(t.stats.accesses as f64)),
-        ("hits".into(), Value::Number(t.stats.hits as f64)),
-        ("misses".into(), Value::Number(t.stats.misses as f64)),
-        (
-            "writebacks".into(),
-            Value::Number(t.stats.writebacks as f64),
-        ),
-        (
-            "total_latency".into(),
-            Value::Number(t.stats.total_latency as f64),
-        ),
-    ])
-}
-
 fn parse_tenant(v: &Value) -> Result<TenantRecord, String> {
     let num = |name: &str| -> Result<u64, String> {
         v.get(name)
@@ -202,21 +196,6 @@ fn parse_tenant(v: &Value) -> Result<TenantRecord, String> {
             total_latency: num("total_latency")?,
         },
     })
-}
-
-fn shard_value(s: &ShardContention) -> Value {
-    Value::Object(vec![
-        ("shard".into(), Value::Number(s.shard as f64)),
-        ("acquisitions".into(), Value::Number(s.acquisitions as f64)),
-        ("contended".into(), Value::Number(s.contended as f64)),
-        ("lock_wait_ns".into(), Value::Number(s.lock_wait_ns as f64)),
-        (
-            "max_queue_depth".into(),
-            Value::Number(s.max_queue_depth as f64),
-        ),
-        ("accesses".into(), Value::Number(s.accesses as f64)),
-        ("hits".into(), Value::Number(s.hits as f64)),
-    ])
 }
 
 fn parse_shard(v: &Value) -> Result<ShardContention, String> {
@@ -310,6 +289,66 @@ mod tests {
         assert_eq!(parsed.per_tenant, original.per_tenant);
         assert_eq!(parsed.per_shard, original.per_shard);
         assert_eq!(parsed.wall_ns, original.wall_ns);
+    }
+
+    /// The exact bytes of the fixture's document, as the tree printer
+    /// wrote them before the streaming writer replaced it.
+    #[test]
+    fn document_bytes_are_pinned() {
+        let expected = r#"{
+  "schema": "molcache-serve-v1",
+  "tenants": 2.0,
+  "threads": 4.0,
+  "shards": 2.0,
+  "refs_per_tenant": 1000.0,
+  "seed": 42.0,
+  "wall_ns": 5000000.0,
+  "accesses_per_sec": 400000.0,
+  "imbalance": 1.25,
+  "per_tenant": [
+    {
+      "asid": 1.0,
+      "benchmark": "mcf",
+      "shard": 0.0,
+      "accesses": 1000.0,
+      "hits": 600.0,
+      "misses": 400.0,
+      "writebacks": 55.0,
+      "total_latency": 123456.0
+    },
+    {
+      "asid": 2.0,
+      "benchmark": "art",
+      "shard": 1.0,
+      "accesses": 1000.0,
+      "hits": 900.0,
+      "misses": 100.0,
+      "writebacks": 7.0,
+      "total_latency": 65432.0
+    }
+  ],
+  "per_shard": [
+    {
+      "shard": 0.0,
+      "acquisitions": 10.0,
+      "contended": 2.0,
+      "lock_wait_ns": 900.0,
+      "max_queue_depth": 3.0,
+      "accesses": 1000.0,
+      "hits": 600.0
+    },
+    {
+      "shard": 1.0,
+      "acquisitions": 8.0,
+      "contended": 0.0,
+      "lock_wait_ns": 0.0,
+      "max_queue_depth": 1.0,
+      "accesses": 1000.0,
+      "hits": 900.0
+    }
+  ]
+}"#;
+        assert_eq!(doc().to_json().unwrap(), expected);
     }
 
     #[test]

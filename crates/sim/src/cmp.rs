@@ -23,7 +23,7 @@ pub struct RunSummary {
     /// Global counters for the run window.
     pub global: crate::stats::AppStats,
     /// Per-application counters for the run window.
-    pub per_app: std::collections::BTreeMap<Asid, crate::stats::AppStats>,
+    pub per_app: crate::stats::AppTable,
 }
 
 impl RunSummary {

@@ -43,4 +43,4 @@ pub use model::{
 };
 pub use set_assoc::SetAssocCache;
 pub use stage::{Stage, StageActivity, StageBreakdown, StageTotals, StageTrace};
-pub use stats::{AppStats, CacheStats};
+pub use stats::{AppStats, AppTable, CacheStats};

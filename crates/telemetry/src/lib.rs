@@ -19,7 +19,7 @@
 //! publish site gates on [`SinkHandle::is_enabled`] before constructing
 //! an event, so an unobserved cache pays one null-check per site and
 //! produces bit-identical results. [`Recorder`] is the retaining sink:
-//! it exports JSON time-series (via `molcache-metrics`' encoder) and
+//! it exports JSON time-series (via `molcache-metrics`' streaming writer) and
 //! renders terminal tables and sparklines.
 //!
 //! Layering: this crate sits above `trace`/`sim`/`metrics`/`power` and
@@ -38,5 +38,5 @@ pub use event::{
     EpochActivity, EpochSample, Event, ResizeDecisionInputs, ResizeKind, ResizeRecord,
 };
 pub use hist::LatencyHistogram;
-pub use recorder::{runs_to_json, runs_to_value, Recorder};
+pub use recorder::{runs_to_json, Recorder};
 pub use sink::{NullSink, Sink, SinkHandle};

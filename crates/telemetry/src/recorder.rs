@@ -5,7 +5,7 @@ use crate::event::{EpochActivity, EpochSample, Event, ResizeRecord};
 use crate::hist::LatencyHistogram;
 use crate::sink::Sink;
 use molcache_metrics::chart::{bar_chart, sparkline};
-use molcache_metrics::json::{JsonError, Value};
+use molcache_metrics::json::{JsonError, JsonWriter};
 use molcache_metrics::table::{fmt_f64, Table};
 use molcache_power::accounting::EnergyMeter;
 use molcache_trace::Asid;
@@ -102,146 +102,111 @@ impl Recorder {
         out
     }
 
-    /// The run as a JSON value tree.
-    pub fn to_value(&self) -> Value {
-        let mut partitions = Vec::new();
-        for asid in self.asids() {
-            let samples: Vec<Value> = self
-                .partition_series(asid)
-                .into_iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("epoch".into(), Value::Number(s.epoch as f64)),
-                        ("accesses".into(), Value::Number(s.accesses as f64)),
-                        ("misses".into(), Value::Number(s.misses as f64)),
-                        ("miss_rate".into(), Value::Number(s.miss_rate())),
-                        ("molecules".into(), Value::Number(s.molecules as f64)),
-                        ("rows".into(), Value::Number(s.rows as f64)),
-                        ("occupancy".into(), Value::Number(s.occupancy)),
-                        ("goal".into(), Value::Number(s.goal)),
-                    ])
-                })
-                .collect();
-            partitions.push(Value::Object(vec![
-                ("asid".into(), Value::Number(f64::from(asid.raw()))),
-                ("samples".into(), Value::Array(samples)),
-            ]));
-        }
-
-        let epochs: Vec<Value> = self
-            .epochs
-            .iter()
-            .map(|e| {
-                let a = &e.activity;
-                let mut fields = vec![
-                    ("epoch".into(), Value::Number(e.epoch as f64)),
-                    ("accesses".into(), Value::Number(a.accesses as f64)),
-                    ("ways_probed".into(), Value::Number(a.ways_probed as f64)),
-                    ("line_fills".into(), Value::Number(a.line_fills as f64)),
-                    ("writebacks".into(), Value::Number(a.writebacks as f64)),
-                    (
-                        "asid_compares".into(),
-                        Value::Number(a.asid_compares as f64),
-                    ),
-                    (
-                        "ulmo_searches".into(),
-                        Value::Number(a.ulmo_searches as f64),
-                    ),
-                    (
-                        "free_molecules".into(),
-                        Value::Number(e.free_molecules as f64),
-                    ),
-                ];
-                if let Some(nj) = self.epoch_energy_nj(e) {
-                    fields.push(("energy_nj".into(), Value::Number(nj)));
-                }
-                let stage_energy = self.energy.map(|meter| meter.stage_energy_nj(a));
-                let stages: Vec<Value> = a
-                    .stages
-                    .iter()
-                    .map(|(stage, totals)| {
-                        let mut f = vec![
-                            ("stage".into(), Value::String(stage.name().into())),
-                            ("cycles".into(), Value::Number(totals.cycles as f64)),
-                            (
-                                "asid_compares".into(),
-                                Value::Number(totals.asid_compares as f64),
-                            ),
-                            ("tag_probes".into(), Value::Number(totals.tag_probes as f64)),
-                            (
-                                "frames_touched".into(),
-                                Value::Number(totals.frames_touched as f64),
-                            ),
-                        ];
-                        if let Some(se) = &stage_energy {
-                            f.push(("energy_nj".into(), Value::Number(se.stage(stage))));
-                        }
-                        Value::Object(f)
-                    })
-                    .collect();
-                fields.push(("stages".into(), Value::Array(stages)));
-                Value::Object(fields)
-            })
-            .collect();
-
-        let resizes: Vec<Value> = self
-            .resizes
-            .iter()
-            .map(|r| {
-                Value::Object(vec![
-                    ("at_access".into(), Value::Number(r.at_access as f64)),
-                    ("trigger".into(), Value::String(r.trigger.clone())),
-                    ("asid".into(), Value::Number(f64::from(r.asid.raw()))),
-                    ("kind".into(), Value::String(r.kind.name().into())),
-                    ("requested".into(), Value::Number(r.requested as f64)),
-                    ("applied".into(), Value::Number(r.applied as f64)),
-                    ("before".into(), Value::Number(r.inputs.current as f64)),
-                    ("after".into(), Value::Number(r.after as f64)),
-                    (
-                        "window_miss_rate".into(),
-                        Value::Number(r.inputs.window_miss_rate),
-                    ),
-                    ("goal".into(), Value::Number(r.inputs.goal)),
-                ])
-            })
-            .collect();
-
-        let per_app: Vec<Value> = self
-            .per_app_latency
-            .iter()
-            .map(|(asid, hist)| {
-                let mut fields = vec![("asid".into(), Value::Number(f64::from(asid.raw())))];
-                fields.extend(histogram_fields(hist));
-                Value::Object(fields)
-            })
-            .collect();
-
-        Value::Object(vec![
-            ("label".into(), Value::String(self.label.clone())),
-            ("partitions".into(), Value::Array(partitions)),
-            ("epochs".into(), Value::Array(epochs)),
-            ("resize_events".into(), Value::Array(resizes)),
-            (
-                "latency".into(),
-                Value::Object(vec![
-                    (
-                        "global".into(),
-                        Value::Object(histogram_fields(&self.global_latency)),
-                    ),
-                    ("per_app".into(), Value::Array(per_app)),
-                ]),
-            ),
-        ])
-    }
-
     /// The run as pretty-printed JSON.
     ///
     /// # Errors
     ///
-    /// Propagates [`JsonError`] from the encoder (cannot occur for the
+    /// Propagates [`JsonError`] from the writer (cannot occur for the
     /// finite numbers a recorder holds).
     pub fn to_json(&self) -> Result<String, JsonError> {
-        self.to_value().to_json()
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the run as one JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("label").string(&self.label);
+
+        w.key("partitions").begin_array();
+        for asid in self.asids() {
+            w.begin_object();
+            w.key("asid").number(f64::from(asid.raw()));
+            w.key("samples").begin_array();
+            for s in self.partition_series(asid) {
+                w.begin_object();
+                w.key("epoch").number(s.epoch as f64);
+                w.key("accesses").number(s.accesses as f64);
+                w.key("misses").number(s.misses as f64);
+                w.key("miss_rate").number(s.miss_rate());
+                w.key("molecules").number(s.molecules as f64);
+                w.key("rows").number(s.rows as f64);
+                w.key("occupancy").number(s.occupancy);
+                w.key("goal").number(s.goal);
+                w.end();
+            }
+            w.end();
+            w.end();
+        }
+        w.end();
+
+        w.key("epochs").begin_array();
+        for e in &self.epochs {
+            let a = &e.activity;
+            w.begin_object();
+            w.key("epoch").number(e.epoch as f64);
+            w.key("accesses").number(a.accesses as f64);
+            w.key("ways_probed").number(a.ways_probed as f64);
+            w.key("line_fills").number(a.line_fills as f64);
+            w.key("writebacks").number(a.writebacks as f64);
+            w.key("asid_compares").number(a.asid_compares as f64);
+            w.key("ulmo_searches").number(a.ulmo_searches as f64);
+            w.key("free_molecules").number(e.free_molecules as f64);
+            if let Some(nj) = self.epoch_energy_nj(e) {
+                w.key("energy_nj").number(nj);
+            }
+            let stage_energy = self.energy.map(|meter| meter.stage_energy_nj(a));
+            w.key("stages").begin_array();
+            for (stage, totals) in a.stages.iter() {
+                w.begin_object();
+                w.key("stage").string(stage.name());
+                w.key("cycles").number(totals.cycles as f64);
+                w.key("asid_compares").number(totals.asid_compares as f64);
+                w.key("tag_probes").number(totals.tag_probes as f64);
+                w.key("frames_touched").number(totals.frames_touched as f64);
+                if let Some(se) = &stage_energy {
+                    w.key("energy_nj").number(se.stage(stage));
+                }
+                w.end();
+            }
+            w.end();
+            w.end();
+        }
+        w.end();
+
+        w.key("resize_events").begin_array();
+        for r in &self.resizes {
+            w.begin_object();
+            w.key("at_access").number(r.at_access as f64);
+            w.key("trigger").string(&r.trigger);
+            w.key("asid").number(f64::from(r.asid.raw()));
+            w.key("kind").string(r.kind.name());
+            w.key("requested").number(r.requested as f64);
+            w.key("applied").number(r.applied as f64);
+            w.key("before").number(r.inputs.current as f64);
+            w.key("after").number(r.after as f64);
+            w.key("window_miss_rate").number(r.inputs.window_miss_rate);
+            w.key("goal").number(r.inputs.goal);
+            w.end();
+        }
+        w.end();
+
+        w.key("latency").begin_object();
+        w.key("global").begin_object();
+        write_histogram(w, &self.global_latency);
+        w.end();
+        w.key("per_app").begin_array();
+        for (asid, hist) in &self.per_app_latency {
+            w.begin_object();
+            w.key("asid").number(f64::from(asid.raw()));
+            write_histogram(w, hist);
+            w.end();
+        }
+        w.end();
+        w.end();
+
+        w.end();
     }
 
     /// Renders the partition timeline, resize log and latency summary as
@@ -335,31 +300,26 @@ impl Recorder {
     }
 }
 
-fn histogram_fields(hist: &LatencyHistogram) -> Vec<(String, Value)> {
-    let buckets: Vec<Value> = hist
-        .buckets()
-        .iter()
-        .enumerate()
-        .filter(|(_, &count)| count > 0)
-        .map(|(bucket, &count)| {
-            Value::Object(vec![
-                (
-                    "le".into(),
-                    Value::Number(f64::from(LatencyHistogram::bucket_bound(bucket))),
-                ),
-                ("count".into(), Value::Number(count as f64)),
-            ])
-        })
-        .collect();
-    vec![
-        ("count".into(), Value::Number(hist.count() as f64)),
-        ("mean".into(), Value::Number(hist.mean())),
-        ("p50".into(), Value::Number(f64::from(hist.quantile(0.5)))),
-        ("p90".into(), Value::Number(f64::from(hist.quantile(0.9)))),
-        ("p99".into(), Value::Number(f64::from(hist.quantile(0.99)))),
-        ("max".into(), Value::Number(f64::from(hist.max()))),
-        ("buckets".into(), Value::Array(buckets)),
-    ]
+/// Writes a histogram's summary and non-empty buckets as fields of the
+/// open object.
+fn write_histogram(w: &mut JsonWriter, hist: &LatencyHistogram) {
+    w.key("count").number(hist.count() as f64);
+    w.key("mean").number(hist.mean());
+    w.key("p50").number(f64::from(hist.quantile(0.5)));
+    w.key("p90").number(f64::from(hist.quantile(0.9)));
+    w.key("p99").number(f64::from(hist.quantile(0.99)));
+    w.key("max").number(f64::from(hist.max()));
+    w.key("buckets").begin_array();
+    for (bucket, &count) in hist.buckets().iter().enumerate() {
+        if count > 0 {
+            w.begin_object();
+            w.key("le")
+                .number(f64::from(LatencyHistogram::bucket_bound(bucket)));
+            w.key("count").number(count as f64);
+            w.end();
+        }
+    }
+    w.end();
 }
 
 impl Sink for Recorder {
@@ -383,29 +343,24 @@ impl Sink for Recorder {
     }
 }
 
-/// Bundles several runs into one JSON document, in slice order — callers
-/// that fan runs out across workers keep the export deterministic by
-/// passing recorders in item order.
-pub fn runs_to_value(runs: &[Recorder]) -> Value {
-    Value::Object(vec![
-        (
-            "schema".into(),
-            Value::String("molcache-telemetry-v1".into()),
-        ),
-        (
-            "runs".into(),
-            Value::Array(runs.iter().map(Recorder::to_value).collect()),
-        ),
-    ])
-}
-
-/// [`runs_to_value`] rendered as pretty JSON.
+/// Bundles several runs into one `molcache-telemetry-v1` JSON document,
+/// in slice order — callers that fan runs out across workers keep the
+/// export deterministic by passing recorders in item order.
 ///
 /// # Errors
 ///
-/// Propagates [`JsonError`] from the encoder.
+/// Propagates [`JsonError`] from the writer.
 pub fn runs_to_json(runs: &[Recorder]) -> Result<String, JsonError> {
-    runs_to_value(runs).to_json()
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("schema").string("molcache-telemetry-v1");
+    w.key("runs").begin_array();
+    for run in runs {
+        run.write_json(&mut w);
+    }
+    w.end();
+    w.end();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -601,5 +556,118 @@ mod tests {
         let arr = doc.get("runs").unwrap().as_array().unwrap();
         assert_eq!(arr[0].get("label").unwrap().as_str(), Some("a"));
         assert_eq!(arr[1].get("label").unwrap().as_str(), Some("b"));
+    }
+
+    /// A recorder the size of a `serve_churn` pass's export (about
+    /// 430 KB for two recorders): 8 tenants, 150 epochs, 400 resizes.
+    fn churn_sized_recorder() -> Recorder {
+        let mut rec = Recorder::new("shard0/paper-algorithm1");
+        rec.set_energy_meter(EnergyMeter {
+            probe_nj: 0.1,
+            fill_nj: 0.7,
+            writeback_nj: 0.9,
+            asid_compare_nj: 0.01,
+            ulmo_search_nj: 0.3,
+        });
+        let template = sample_recorder();
+        for epoch in 0..150u64 {
+            for t in 1..=8u16 {
+                rec.record(&Event::Access {
+                    asid: Asid::new(t),
+                    hit: epoch % 3 != 0,
+                    latency: 12 + u32::from(t) * u32::try_from(epoch).unwrap(),
+                });
+                let sample = EpochSample {
+                    epoch,
+                    asid: Asid::new(t),
+                    accesses: 1_000 + epoch,
+                    misses: 37 * u64::from(t),
+                    molecules: 4 + usize::from(t),
+                    rows: 2,
+                    occupancy: 1.0 / f64::from(t),
+                    goal: 0.1,
+                };
+                rec.record(&Event::Partition(&sample));
+            }
+            let mut activity = template.epochs()[0];
+            activity.epoch = epoch;
+            activity.activity.accesses = 8_000 + epoch;
+            rec.record(&Event::Epoch(&activity));
+        }
+        for i in 0..400u64 {
+            let mut resize = template.resizes()[0].clone();
+            resize.at_access = i * 997;
+            resize.asid = Asid::new(1 + (i % 8) as u16);
+            resize.inputs.window_miss_rate = i as f64 / 400.0;
+            rec.record(&Event::Resize(&resize));
+        }
+        rec
+    }
+
+    #[test]
+    fn churn_sized_export_parses_back_field_for_field() {
+        let rec = churn_sized_recorder();
+        let text = rec.to_json().unwrap();
+        assert!(text.len() > 400_000, "{} bytes", text.len());
+        let doc = parse(&text).unwrap();
+        assert_eq!(
+            doc.get("label").unwrap().as_str(),
+            Some("shard0/paper-algorithm1")
+        );
+
+        let parts = doc.get("partitions").unwrap().as_array().unwrap();
+        assert_eq!(parts.len(), 8);
+        for (p, asid) in parts.iter().zip(rec.asids()) {
+            assert_eq!(p.get("asid").unwrap().as_f64(), Some(f64::from(asid.raw())));
+            let samples = p.get("samples").unwrap().as_array().unwrap();
+            let series = rec.partition_series(asid);
+            assert_eq!(samples.len(), series.len());
+            for (got, want) in samples.iter().zip(series) {
+                let num = |k: &str| got.get(k).unwrap().as_f64().unwrap();
+                assert_eq!(num("epoch"), want.epoch as f64);
+                assert_eq!(num("accesses"), want.accesses as f64);
+                assert_eq!(num("misses"), want.misses as f64);
+                assert_eq!(num("miss_rate"), want.miss_rate());
+                assert_eq!(num("molecules"), want.molecules as f64);
+                assert_eq!(num("occupancy"), want.occupancy);
+            }
+        }
+
+        let epochs = doc.get("epochs").unwrap().as_array().unwrap();
+        assert_eq!(epochs.len(), rec.epochs().len());
+        for (got, want) in epochs.iter().zip(rec.epochs()) {
+            let num = |k: &str| got.get(k).unwrap().as_f64().unwrap();
+            assert_eq!(num("epoch"), want.epoch as f64);
+            assert_eq!(num("accesses"), want.activity.accesses as f64);
+            assert_eq!(num("energy_nj"), rec.epoch_energy_nj(want).unwrap());
+            let stages = got.get("stages").unwrap().as_array().unwrap();
+            assert_eq!(stages.len(), 5);
+        }
+
+        let resizes = doc.get("resize_events").unwrap().as_array().unwrap();
+        assert_eq!(resizes.len(), 400);
+        for (got, want) in resizes.iter().zip(rec.resizes()) {
+            let num = |k: &str| got.get(k).unwrap().as_f64().unwrap();
+            assert_eq!(num("at_access"), want.at_access as f64);
+            assert_eq!(num("asid"), f64::from(want.asid.raw()));
+            assert_eq!(num("window_miss_rate"), want.inputs.window_miss_rate);
+            assert_eq!(
+                got.get("trigger").unwrap().as_str(),
+                Some("per-app-adaptive")
+            );
+        }
+
+        let latency = doc.get("latency").unwrap();
+        let global = latency.get("global").unwrap();
+        assert_eq!(global.get("count").unwrap().as_f64(), Some(1_200.0));
+        assert_eq!(
+            global.get("mean").unwrap().as_f64(),
+            Some(rec.global_latency().mean())
+        );
+        let per_app = latency.get("per_app").unwrap().as_array().unwrap();
+        assert_eq!(per_app.len(), 8);
+        assert!(per_app
+            .iter()
+            .all(|h| h.get("count").unwrap().as_f64() == Some(150.0)));
     }
 }
