@@ -72,7 +72,7 @@ fn usage() -> ! {
          \u{20} --stages  print the pipeline-stage breakdown and self-check\n\
          \u{20}           that stage cycles sum to the total access latency\n\
          \u{20} --memo    print the line-index front-end's counters (lookups\n\
-         \u{20}           that found the line, hit rate, index slots, generation\n\
+         \u{20}           that found the line, hit rate, index buckets, generation\n\
          \u{20}           bumps; stale entries are always 0)\n\
          \u{20} --json    print the merged time-series as JSON on stdout\n\
          \u{20} --serve FILE  render a molserve replay record (molcache-serve-v1\n\
@@ -170,7 +170,7 @@ fn report_memo(run: &RunResult, epoch_memo_hits: &[u64]) {
         s.stale,
     );
     println!(
-        "  {} slots, generation {} after {} structural bumps",
+        "  {} index buckets, generation {} after {} structural bumps",
         s.slots, s.generation, s.generation_bumps,
     );
     if !epoch_memo_hits.is_empty() {

@@ -83,15 +83,15 @@ impl TourneyEntry {
         Some(TourneyEntry {
             policy: v.get("policy")?.as_str()?.to_string(),
             workload: v.get("workload")?.as_str()?.to_string(),
-            accesses: v.get("accesses")?.as_f64()? as u64,
+            accesses: v.get("accesses")?.as_u64()?,
             global_miss_rate: v.get("global_miss_rate")?.as_f64()?,
             avg_latency_cycles: v.get("avg_latency_cycles")?.as_f64()?,
             power_w: v.get("power_w")?.as_f64()?,
             avg_deviation: v.get("avg_deviation")?.as_f64()?,
             pdp: v.get("pdp")?.as_f64()?,
             goal_attainment: v.get("goal_attainment")?.as_f64()?,
-            resize_rounds: v.get("resize_rounds")?.as_f64()? as u64,
-            failed_allocations: v.get("failed_allocations")?.as_f64()? as u64,
+            resize_rounds: v.get("resize_rounds")?.as_u64()?,
+            failed_allocations: v.get("failed_allocations")?.as_u64()?,
         })
     }
 }
@@ -197,12 +197,12 @@ impl TourneyDoc {
             smoke: matches!(v.get("smoke"), Some(Value::Bool(true))),
             refs: v
                 .get("refs")
-                .and_then(Value::as_f64)
-                .ok_or("missing refs field")? as u64,
+                .and_then(Value::as_u64)
+                .ok_or("missing or non-integer refs field")?,
             seed: v
                 .get("seed")
-                .and_then(Value::as_f64)
-                .ok_or("missing seed field")? as u64,
+                .and_then(Value::as_u64)
+                .ok_or("missing or non-integer seed field")?,
             entries,
         })
     }
@@ -438,6 +438,29 @@ mod tests {
         assert_eq!(back.workloads(), ["mixed12", "serve_mt"]);
         assert!(back.entry("memshare-pressure", "mixed12").is_some());
         assert!(back.entry("memshare-pressure", "serve_mt").is_none());
+    }
+
+    #[test]
+    fn non_integer_counts_are_rejected() {
+        let doc = TourneyDoc {
+            date: "2026-08-08".into(),
+            smoke: true,
+            refs: 1000,
+            seed: 7,
+            entries: vec![entry("paper-algorithm1", "mixed12")],
+        };
+        let text = doc.to_json().unwrap();
+        assert_eq!(TourneyDoc::from_json(&text).unwrap(), doc);
+        for (from, to) in [
+            (r#""refs": 1000.0"#, r#""refs": 1.5"#),
+            (r#""seed": 7.0"#, r#""seed": -7.0"#),
+            (r#""resize_rounds": 3.0"#, r#""resize_rounds": 3.25"#),
+            (r#""accesses": "#, r#""accesses": -"#),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} not in the fixture");
+            assert!(TourneyDoc::from_json(&bad).is_err(), "{to} accepted");
+        }
     }
 
     #[test]

@@ -39,6 +39,16 @@ impl MolecularCache {
         None
     }
 
+    /// Checks that every molecule's kept valid-frame count (the
+    /// occupancy epoch close reads, and the bound a flush walks to)
+    /// equals a recount of its valid frames (diagnostics / property
+    /// tests). Returns the first molecule whose count is off, if any.
+    pub fn find_miscounted_molecule(&self) -> Option<MoleculeId> {
+        (0..self.cfg.total_molecules())
+            .map(|i| MoleculeId(i as u32))
+            .find(|&m| self.tags.occupancy(m) != self.tags.resident_lines(m).count())
+    }
+
     /// The region molecule of `asid` in which `line` is resident, if any
     /// (diagnostics; does not consult shared molecules).
     pub fn resident_molecule_of(&self, asid: Asid, line: LineAddr) -> Option<MoleculeId> {

@@ -16,8 +16,10 @@
 //! invalidation, whole-molecule flush and reconfiguration, shared-bit
 //! writes), so no structural event has to invalidate it: it holds every
 //! valid frame of every owned, non-shared molecule, under its owner, and
-//! nothing else. It grows with the lines resident in those molecules,
-//! not with the cache's capacity.
+//! nothing else. It is sized once, by the cache's frames: a bucket of
+//! chain heads per frame and a chain link per frame, so a miss's upkeep
+//! (unlink the evicted frame, push the filled one) is a few word writes
+//! and never a rehash.
 //!
 //! **The bit-identity contract.** An indexed access must charge exactly
 //! what the ordered scan charges. The index names the hit molecule, its
@@ -49,11 +51,6 @@ use crate::ids::MoleculeId;
 use molcache_sim::StageBreakdown;
 use molcache_trace::{Asid, LineAddr};
 
-/// Slots of a fresh [`LineIndex`]. It doubles whenever it would pass
-/// half full, so a short-lived cache that touches few lines keeps a
-/// small table however large its capacity.
-const INITIAL_SLOTS: usize = 1024;
-
 /// Lifetime counters of the line-index front-end, for `molstat --memo`
 /// and perfbench's `core.memo_*` metrics.
 ///
@@ -79,7 +76,8 @@ pub struct MemoStats {
     pub generation_bumps: u64,
     /// The cache's current structure generation.
     pub generation: u64,
-    /// Current capacity of the index.
+    /// Buckets of the index: one per cache frame, rounded up to a power
+    /// of two.
     pub slots: usize,
 }
 
@@ -100,147 +98,110 @@ impl MemoStats {
     }
 }
 
-/// An empty slot.
-const EMPTY: u32 = u32::MAX;
-
-/// The exact (owner ASID, line) → frame directory: an open-addressing
-/// table with linear probing, a power-of-two capacity kept at most half
-/// full, and backward-shift deletion (no tombstones, so probe sequences
-/// never lengthen with churn).
+/// The exact (owner ASID, line) → frame directory: a fixed array of
+/// chain heads, one bucket per cache frame rounded up to a power of two,
+/// and one `next` link per cache-global frame
+/// (`molecule << frame_shift | frame`). Chains are singly linked, and a
+/// link or head stores `frame + 1`, so 0 ends a chain and both arrays
+/// start as zeroed pages that stay unresident until used.
 ///
-/// A slot holds only the cache-global number of the frame that holds the
-/// line (`molecule * frames_per_molecule + frame`), four bytes: the key
-/// is not stored, because the tag store already holds it — the frame's
-/// tag gives the line and its molecule's ASID lane the owner. Every
-/// operation that compares or rehashes keys therefore takes the tag
-/// store's decoding as a closure, and an entry must leave the index
-/// before its frame word or ASID lane changes. The index costs at most
-/// eight bytes per resident line, as much as the frame words themselves.
+/// The key is not stored, because the tag store already holds it: the
+/// frame's tag gives the line and its molecule's ASID lane the owner.
+/// The lookup takes the tag store's check as a closure, and the upkeep
+/// never reads another entry's key: an insert pushes the frame at its
+/// bucket's head, and a removal walks the bucket's chain comparing frame
+/// numbers and unlinks it. An entry must leave the index before
+/// its frame word or ASID lane changes, because its bucket is a hash of
+/// that key. The table never grows or rehashes; it costs eight bytes per
+/// cache frame, whether or not the frame holds a line.
 #[derive(Debug, Clone)]
 pub(crate) struct LineIndex {
-    slots: Vec<u32>,
-    /// `64 - log2(capacity)`: a key's home slot is the top bits of its
+    /// `heads[b]`: `frame + 1` of the first frame of bucket `b`'s chain.
+    heads: Vec<u32>,
+    /// `next[g]`: `frame + 1` of the frame after `g` on its chain.
+    next: Vec<u32>,
+    /// `64 - log2(buckets)`: a key's bucket is the top bits of its
     /// multiplicative hash.
     shift: u32,
-    len: usize,
 }
 
 impl LineIndex {
-    /// An empty index of [`INITIAL_SLOTS`] slots.
-    pub(crate) fn new() -> Self {
+    /// An empty index over `frames` cache-global frames, with one bucket
+    /// per frame rounded up to a power of two (at least two).
+    pub(crate) fn new(frames: usize) -> Self {
+        let buckets = frames.next_power_of_two().max(2);
         LineIndex {
-            slots: vec![EMPTY; INITIAL_SLOTS],
-            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
-            len: 0,
+            heads: vec![0; buckets],
+            next: vec![0; frames],
+            shift: 64 - buckets.trailing_zeros(),
         }
     }
 
-    /// Current number of slots.
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
+    /// Number of buckets.
+    pub(crate) fn buckets(&self) -> usize {
+        self.heads.len()
     }
 
-    /// The home slot of a key: Fibonacci hashing of the line with the
-    /// ASID folded into its top bits, so consecutive and power-of-two
-    /// strided lines scatter over the whole table.
+    /// The bucket of a key: Fibonacci hashing of the line with the ASID
+    /// folded into its top bits, so consecutive and power-of-two strided
+    /// lines scatter over the whole table.
     #[inline]
-    fn home(&self, (asid, line): (u16, u64)) -> usize {
+    fn bucket(&self, (asid, line): (u16, u64)) -> usize {
         ((line ^ (u64::from(asid) << 48)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift)
             as usize
     }
 
-    /// The slot on `key`'s probe run whose frame `holds` accepts, if
-    /// any. `holds` sees every frame of the run until one is accepted.
+    /// The first frame on `key`'s chain that `holds` accepts, if any.
+    /// `holds` sees every frame of the chain until one is accepted.
     #[inline]
-    pub(crate) fn find(
-        &self,
-        key: (u16, u64),
-        mut holds: impl FnMut(u32) -> bool,
-    ) -> Option<usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let frame = self.slots[i];
-            if frame == EMPTY {
-                return None;
-            }
+    pub(crate) fn find(&self, key: (u16, u64), mut holds: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut link = self.heads[self.bucket(key)];
+        while link != 0 {
+            let frame = link - 1;
             if holds(frame) {
-                return Some(i);
+                return Some(frame);
             }
-            i = (i + 1) & mask;
+            link = self.next[frame as usize];
         }
+        None
     }
 
-    /// The frame in `slot`.
+    /// Indexes `frame` under `key`; the frame must not be indexed.
     #[inline]
-    pub(crate) fn frame_at(&self, slot: usize) -> u32 {
-        self.slots[slot]
+    pub(crate) fn insert(&mut self, key: (u16, u64), frame: u32) {
+        let b = self.bucket(key);
+        self.next[frame as usize] = self.heads[b];
+        self.heads[b] = frame + 1;
     }
 
-    /// Indexes `frame` under `key`, which must not be indexed yet.
-    /// `key_of` decodes the key of any indexed frame, for a growth
-    /// rehash.
-    pub(crate) fn insert(
-        &mut self,
-        key: (u16, u64),
-        frame: u32,
-        key_of: impl Fn(u32) -> (u16, u64),
-    ) {
-        debug_assert!(frame != EMPTY);
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow(key_of);
+    /// Unlinks `frame`, indexed under `key`, from its bucket's chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is not on the chain.
+    #[inline]
+    pub(crate) fn remove(&mut self, key: (u16, u64), frame: u32) {
+        let b = self.bucket(key);
+        let after = self.next[frame as usize];
+        let mut link = &mut self.heads[b];
+        while *link != frame + 1 {
+            assert!(*link != 0, "frame {frame} is not indexed under its key");
+            let prev = *link as usize - 1;
+            link = &mut self.next[prev];
         }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        while self.slots[i] != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = frame;
-        self.len += 1;
+        *link = after;
     }
 
-    /// Empties `slot`. Later entries of its probe run shift back over
-    /// the hole, so every remaining key stays reachable from its home
-    /// slot; `key_of` decodes their keys.
-    pub(crate) fn remove_at(&mut self, slot: usize, key_of: impl Fn(u32) -> (u16, u64)) {
-        let mask = self.slots.len() - 1;
-        let (mut hole, mut j) = (slot, slot);
-        loop {
-            j = (j + 1) & mask;
-            let frame = self.slots[j];
-            if frame == EMPTY {
-                break;
-            }
-            // The entry may fill the hole iff the hole lies on its probe
-            // path, i.e. cyclically in [home, j).
-            let home = self.home(key_of(frame));
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = frame;
-                hole = j;
-            }
-        }
-        self.slots[hole] = EMPTY;
-        self.len -= 1;
-    }
-
-    /// Doubles the capacity and re-inserts every entry.
-    fn grow(&mut self, key_of: impl Fn(u32) -> (u16, u64)) {
-        let doubled = vec![EMPTY; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        self.shift -= 1;
-        let mask = self.slots.len() - 1;
-        for frame in old.into_iter().filter(|&f| f != EMPTY) {
-            let mut i = self.home(key_of(frame));
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = frame;
-        }
-    }
-
-    /// Every indexed frame, in slot order (diagnostics).
+    /// Every indexed frame, bucket by bucket (diagnostics).
     pub(crate) fn frames(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().copied().filter(|&f| f != EMPTY)
+        self.heads.iter().flat_map(move |&head| {
+            let mut link = head;
+            std::iter::from_fn(move || {
+                let frame = link.checked_sub(1)?;
+                link = self.next[frame as usize];
+                Some(frame)
+            })
+        })
     }
 }
 
@@ -313,7 +274,7 @@ impl MolecularCache {
             stale: 0,
             generation_bumps: generation - self.memo.generation_base,
             generation,
-            slots: self.tags.index_capacity(),
+            slots: self.tags.index_buckets(),
         })
     }
 
@@ -408,54 +369,95 @@ mod tests {
     }
 
     fn lookup(index: &LineIndex, key: (u16, u64)) -> Option<u32> {
-        index
-            .find(key, |g| key_of(g) == key)
-            .map(|s| index.frame_at(s))
+        index.find(key, |g| key_of(g) == key)
     }
 
     #[test]
     fn empty_table_misses() {
-        let index = LineIndex::new();
+        let index = LineIndex::new(16);
         assert_eq!(lookup(&index, (1, 5)), None);
         assert_eq!(index.frames().count(), 0);
+        assert_eq!(index.buckets(), 16);
+        assert_eq!(LineIndex::new(1).buckets(), 2, "at least two buckets");
+        assert_eq!(LineIndex::new(1000).buckets(), 1024, "rounded up");
     }
 
     #[test]
     fn insert_then_lookup_round_trips() {
-        let mut index = LineIndex::new();
-        index.insert(key_of(7), 7, key_of);
+        let mut index = LineIndex::new(16);
+        index.insert(key_of(7), 7);
         assert_eq!(lookup(&index, key_of(7)), Some(7));
         // Same line, different ASID: distinct key.
         let (asid, line) = key_of(7);
         assert_eq!(lookup(&index, (asid + 1, line)), None);
-        assert_eq!(index.len, 1);
+        assert_eq!(index.frames().collect::<Vec<_>>(), vec![7]);
+        index.remove(key_of(7), 7);
+        assert_eq!(lookup(&index, key_of(7)), None);
+        assert_eq!(index.frames().count(), 0);
     }
 
     #[test]
     fn remove_keeps_every_other_key_reachable() {
-        // 1,600 keys grow the table from 1,024 slots into long probe
-        // runs; every removal, in an order unrelated to insertion, must
-        // leave the remaining keys findable, which a wrong backward
-        // shift breaks.
-        let n = 1600u32;
-        let mut index = LineIndex::new();
+        // 64 frames, but every key is filed under one of four buckets of
+        // the table (its frame's bucket `g % 4`), so each chain is 16
+        // frames long. Removals in an order unrelated to insertion unlink
+        // heads, middles and tails; each must leave the removed key
+        // unfindable and every other key findable, which a lost
+        // predecessor link or a dropped chain breaks.
+        let n = 64u32;
+        let mut index = LineIndex::new(n as usize);
+        let bucket_key = |g: u32| (0, u64::from(g % 4));
+        let find = |index: &LineIndex, g: u32| index.find(bucket_key(g), |f| f == g);
         for g in 0..n {
-            index.insert(key_of(g), g, key_of);
+            index.insert(bucket_key(g), g);
         }
-        assert_eq!(index.len, n as usize);
-        assert!(index.capacity() >= 2 * n as usize, "kept at most half full");
-        let order: Vec<u32> = (0..n).map(|i| i * 7919 % n).collect();
+        let chain = |index: &LineIndex, b: u32| {
+            let mut frames = Vec::new();
+            index.find(bucket_key(b), |f| {
+                frames.push(f);
+                false
+            });
+            frames
+        };
+        // Pushed at the head: each chain lists its frames newest first.
+        assert_eq!(
+            chain(&index, 1),
+            (0..16).rev().map(|i| i * 4 + 1).collect::<Vec<_>>()
+        );
+        let (mut heads, mut tails, mut middles) = (0, 0, 0);
+        let order: Vec<u32> = (0..n).map(|i| i * 37 % n).collect();
         for (k, &g) in order.iter().enumerate() {
-            let slot = index.find(key_of(g), |f| f == g).expect("indexed");
-            index.remove_at(slot, key_of);
-            assert_eq!(lookup(&index, key_of(g)), None, "removed key {g} found");
-            if k % 97 == 0 {
-                for &h in &order[k + 1..] {
-                    assert_eq!(lookup(&index, key_of(h)), Some(h), "key {h} lost");
-                }
+            let before = chain(&index, g);
+            match before.iter().position(|&f| f == g) {
+                Some(0) => heads += 1,
+                Some(p) if p + 1 == before.len() => tails += 1,
+                Some(_) => middles += 1,
+                None => panic!("key {g} lost before its removal"),
+            }
+            index.remove(bucket_key(g), g);
+            let want: Vec<u32> = before.into_iter().filter(|&f| f != g).collect();
+            assert_eq!(chain(&index, g), want, "removing {g}");
+            assert_eq!(find(&index, g), None, "removed key {g} found");
+            for &h in &order[k + 1..] {
+                assert_eq!(find(&index, h), Some(h), "key {h} lost");
             }
         }
-        assert_eq!((index.len, index.frames().count()), (0, 0));
+        assert!(
+            heads > 0 && middles > 0 && tails > 0,
+            "{heads} {middles} {tails}"
+        );
+        assert_eq!(index.frames().count(), 0);
+        // A fresh insert after every removal starts a clean chain.
+        index.insert(key_of(3), 3);
+        assert_eq!(lookup(&index, key_of(3)), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "not indexed")]
+    fn removing_an_unindexed_frame_panics() {
+        let mut index = LineIndex::new(8);
+        index.insert(key_of(1), 1);
+        index.remove(key_of(2), 2);
     }
 
     #[test]
@@ -472,17 +474,22 @@ mod tests {
 
     #[test]
     fn slot_spread_covers_the_table() {
-        // Power-of-two strides must not alias onto a handful of home
-        // slots, or linear probing degrades into a scan.
-        let index = LineIndex::new();
-        let mut used = std::collections::HashSet::new();
-        for i in 0..INITIAL_SLOTS as u64 {
-            used.insert(index.home((1, i * 64)));
+        // Power-of-two strides must not alias onto a handful of buckets,
+        // or the chains degrade into a scan: for every stride from one
+        // line to 64 K lines, 1,024 keys of one owner land in more than
+        // two fifths of 1,024 buckets, and no chain is longer than four.
+        let index = LineIndex::new(1024);
+        for stride in (0..17).map(|s| 1u64 << s) {
+            let mut load = vec![0u32; index.buckets()];
+            for i in 0..1024u64 {
+                load[index.bucket((1, i * stride))] += 1;
+            }
+            let used = load.iter().filter(|&&n| n > 0).count();
+            let longest = load.iter().copied().max().unwrap();
+            assert!(
+                used * 5 > index.buckets() * 2 && longest <= 4,
+                "stride {stride}: {used} buckets, longest chain {longest}"
+            );
         }
-        assert!(
-            used.len() > INITIAL_SLOTS / 2,
-            "stride aliasing: {}",
-            used.len()
-        );
     }
 }

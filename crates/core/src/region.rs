@@ -39,6 +39,10 @@ pub struct Region {
     /// Replacement view: rows of molecules (read and updated by the
     /// [`VictimPolicy`](crate::pipeline::VictimPolicy) implementations).
     pub(crate) rows: Vec<Vec<MoleculeId>>,
+    /// Molecules in `rows`, kept by every method that adds or removes
+    /// one, so that [`size`](Self::size) (read on every access) does not
+    /// sum the rows.
+    molecules: usize,
     /// Replacement-miss counter per row (Randy's add/remove guidance).
     pub(crate) row_misses: Vec<u64>,
     // --- resize bookkeeping (§3.4 / Algorithm 1) ---
@@ -91,6 +95,7 @@ impl Region {
             goal,
             row_max,
             rows: Vec::new(),
+            molecules: 0,
             row_misses: Vec::new(),
             window_accesses: 0,
             window_misses: 0,
@@ -140,7 +145,7 @@ impl Region {
 
     /// Molecules currently in the region.
     pub fn size(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.molecules
     }
 
     /// Returns `true` when the region holds no molecules.
@@ -176,6 +181,7 @@ impl Region {
     /// highest miss count (§3.4 "Where to add?"). Random: everything goes
     /// into one row.
     pub fn add_molecule(&mut self, id: MoleculeId) {
+        self.molecules += 1;
         match self.policy {
             RegionPolicy::Random => {
                 if self.rows.is_empty() {
@@ -263,6 +269,7 @@ impl Region {
             }
         };
         let id = self.rows[row_idx].swap_remove(mol_idx);
+        self.molecules -= 1;
         if self.rows[row_idx].is_empty() {
             self.rows.remove(row_idx);
             self.row_misses.remove(row_idx);
@@ -311,6 +318,7 @@ impl Region {
     pub fn drain_molecules(&mut self) -> Vec<MoleculeId> {
         self.recency.clear();
         self.row_misses.clear();
+        self.molecules = 0;
         self.rows.drain(..).flatten().collect()
     }
 
@@ -409,6 +417,12 @@ mod tests {
         Region::new(Asid::new(1), TileId(0), policy, 1, 0.1, 4)
     }
 
+    /// The molecule count summed over the replacement rows, which the
+    /// kept count must equal.
+    fn row_sum(r: &Region) -> usize {
+        (0..r.num_rows()).map(|i| r.row(i).len()).sum()
+    }
+
     #[test]
     fn random_policy_single_row() {
         let mut r = region(RegionPolicy::Random);
@@ -417,6 +431,9 @@ mod tests {
         }
         assert_eq!(r.num_rows(), 1);
         assert_eq!(r.size(), 6);
+        assert_eq!(r.size(), row_sum(&r));
+        assert_eq!(r.drain_molecules().len(), 6);
+        assert_eq!((r.size(), row_sum(&r)), (0, 0));
     }
 
     #[test]
@@ -480,6 +497,7 @@ mod tests {
         let before = r.size();
         let removed = r.remove_coldest(|_| 0).unwrap();
         assert_eq!(r.size(), before - 1);
+        assert_eq!(r.size(), row_sum(&r));
         let _ = removed;
         // Still 4 rows: removal came from the 2-molecule row.
         assert_eq!(r.num_rows(), 4);
@@ -493,8 +511,10 @@ mod tests {
         assert_eq!(r.num_rows(), 2);
         r.remove_coldest(|_| 0).unwrap();
         assert_eq!(r.num_rows(), 1, "row removed when it was singleton");
+        assert_eq!(r.size(), row_sum(&r));
         r.remove_coldest(|_| 0).unwrap();
         assert!(r.is_empty());
+        assert_eq!(r.size(), 0);
         assert!(r.remove_coldest(|_| 0).is_none());
     }
 

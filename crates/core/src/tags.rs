@@ -7,18 +7,21 @@
 //! * `asid_lanes` / `shared_lanes` — the per-molecule ASID-gate state
 //!   (§3.1), packed four 16-bit ASID lanes per `u64` word, with the
 //!   shared bit stored as the top bit of the corresponding lane;
+//! * `valid` — the number of valid frames of each molecule, so that
+//!   [`TagStore::occupancy`] is one read and [`TagStore::invalidate_all`]
+//!   stops at a molecule's last valid frame (at once for an empty one);
 //! * `index` — the exact line index: (owner ASID, line) → the frame
 //!   holding the line, for every valid frame of every owned, non-shared
 //!   molecule. Every method that writes a frame word, an ASID lane or a
 //!   shared bit keeps it current ([`TagStore::fill`],
 //!   [`TagStore::invalidate`], [`TagStore::invalidate_all`],
 //!   [`TagStore::configure`], which flushes under the old owner before
-//!   writing the new one, and [`TagStore::set_shared`]). A slot holds
-//!   only the frame's cache-global number; the key is decoded from the
-//!   frame word and the ASID lane, so the index costs four bytes per
-//!   slot and grows with the resident lines, at most half full. The
-//!   access path's stage 0 probes it once instead of scanning
-//!   ([`crate::pipeline::memo`]).
+//!   writing the new one, and [`TagStore::set_shared`]). It chains the
+//!   cache's frames through a fixed bucket array, one bucket and one
+//!   link per frame (eight bytes per frame), so its upkeep on a fill or
+//!   an invalidation is a push or an unlink and never reads another
+//!   entry's key. The access path's stage 0 probes it once instead of
+//!   scanning ([`crate::pipeline::memo`]).
 //!
 //! Molecule ids are assigned tile-contiguously at construction, so a
 //! tile's gate state occupies a dense lane range and the §3.1 ASID gate
@@ -43,10 +46,9 @@
 //! molecules. It serves the reference path and regions with a shared
 //! molecule on a lookup tile; the index serves the rest. A molecule's
 //! own frames are strided `T` words apart; the per-molecule walks
-//! ([`TagStore::invalidate_all`], [`TagStore::occupancy`],
-//! [`TagStore::resident_lines`]) run only on structural changes, at
-//! epoch close and in diagnostics, never per access, so the stride costs
-//! nothing on the access path.
+//! ([`TagStore::invalidate_all`], [`TagStore::resident_lines`]) run only
+//! on structural changes and in diagnostics, never per access, so the
+//! stride costs nothing on the access path.
 //! The store holds the cache's [`Topology`], whose
 //! [`tile_of`](Topology::tile_of) gives a molecule's tile base; the only
 //! other per-molecule state is the cache's replacement-miss counter.
@@ -104,35 +106,6 @@ fn lane(lanes: &[u64], i: usize) -> u16 {
 fn word_of(topo: Topology, frame_shift: u32, m: usize, frame: usize) -> usize {
     let base = topo.tile_base(topo.tile_of(MoleculeId(m as u32)));
     (base << frame_shift) + frame * topo.tile_molecules() + (m - base)
-}
-
-/// The read-only state that decodes a line-index entry — a cache-global
-/// frame number `molecule << frame_shift | frame` — into its key: the
-/// frame's tag gives the line, its molecule's ASID lane the owner.
-#[derive(Clone, Copy)]
-struct Frames<'a> {
-    words: &'a [u64],
-    asid_lanes: &'a [u64],
-    topo: Topology,
-    frame_shift: u32,
-}
-
-impl Frames<'_> {
-    /// The molecule and frame of entry `g`.
-    #[inline]
-    fn split(&self, g: u32) -> (usize, usize) {
-        let frame = g as usize & ((1 << self.frame_shift) - 1);
-        ((g >> self.frame_shift) as usize, frame)
-    }
-
-    /// The (owner, line) key of entry `g`.
-    #[inline]
-    fn key(&self, g: u32) -> (u16, u64) {
-        let (m, frame) = self.split(g);
-        let w = self.words[word_of(self.topo, self.frame_shift, m, frame)];
-        let line = ((w & TAG_MASK) << self.frame_shift) | frame as u64;
-        (lane(self.asid_lanes, m), line)
-    }
 }
 
 /// The ASID gate's match bitmask over one tile's molecules: one bit per
@@ -230,6 +203,8 @@ pub struct TagStore {
     /// at its lane's top-bit position — already in [`GateMask`] form, so
     /// the gate ORs it straight into the match word.
     shared_lanes: Vec<u64>,
+    /// Valid frames per molecule.
+    valid: Vec<u32>,
     /// (owner ASID, line) → the frame holding the line, for every valid
     /// frame of every owned, non-shared molecule: the exact directory
     /// the access path's stage 0 probes instead of scanning.
@@ -270,7 +245,8 @@ impl TagStore {
             // forever and can never match a gate scan.
             asid_lanes: vec![0; molecules.div_ceil(LANES)],
             shared_lanes: vec![0; molecules.div_ceil(LANES)],
-            index: LineIndex::new(),
+            valid: vec![0; molecules],
+            index: LineIndex::new(molecules * frames_per_molecule),
         }
     }
 
@@ -279,54 +255,46 @@ impl TagStore {
     #[inline]
     pub(crate) fn indexed(&self, asid: Asid, line: LineAddr) -> Option<MoleculeId> {
         let (tag, frame) = self.tag_frame(line);
-        let frames = self.frames();
         let holds = |g: u32| {
-            let (m, f) = frames.split(g);
+            let (m, f) = self.split(g);
             f == frame
-                && lane(frames.asid_lanes, m) == asid.raw()
+                && self.asid_raw(m) == asid.raw()
                 && self.words[word_of(self.topo, self.frame_shift, m, f)] & !DIRTY == VALID | tag
         };
-        let slot = self.index.find((asid.raw(), line.0), holds)?;
-        Some(MoleculeId(self.index.frame_at(slot) >> self.frame_shift))
+        let g = self.index.find((asid.raw(), line.0), holds)?;
+        Some(MoleculeId(g >> self.frame_shift))
     }
 
-    /// Every line-index entry as (owner, line, molecule), in slot order
-    /// (diagnostics).
+    /// Every line-index entry as (owner, line, molecule), bucket by
+    /// bucket (diagnostics).
     pub(crate) fn index_entries(&self) -> impl Iterator<Item = (Asid, LineAddr, MoleculeId)> + '_ {
-        let frames = self.frames();
         self.index.frames().map(move |g| {
-            let (asid, line) = frames.key(g);
-            let mol = MoleculeId(g >> self.frame_shift);
-            (Asid::new(asid), LineAddr(line), mol)
+            let (m, f) = self.split(g);
+            let w = self.words[word_of(self.topo, self.frame_shift, m, f)];
+            (
+                Asid::new(self.asid_raw(m)),
+                self.line_of(w, f),
+                MoleculeId(m as u32),
+            )
         })
     }
 
-    /// Current number of line-index slots.
-    pub(crate) fn index_capacity(&self) -> usize {
-        self.index.capacity()
+    /// Number of line-index buckets.
+    pub(crate) fn index_buckets(&self) -> usize {
+        self.index.buckets()
     }
 
-    /// The state that decodes index entries.
+    /// The molecule and frame of cache-global frame `g`.
     #[inline]
-    fn frames(&self) -> Frames<'_> {
-        Frames {
-            words: &self.words,
-            asid_lanes: &self.asid_lanes,
-            topo: self.topo,
-            frame_shift: self.frame_shift,
-        }
+    fn split(&self, g: u32) -> (usize, usize) {
+        let frame = g as usize & (self.frames_per_molecule - 1);
+        ((g >> self.frame_shift) as usize, frame)
     }
 
-    /// The index, writable, beside the state that decodes its entries.
+    /// The cache-global number of frame `frame` of `mol`.
     #[inline]
-    fn split_index(&mut self) -> (Frames<'_>, &mut LineIndex) {
-        let frames = Frames {
-            words: &self.words,
-            asid_lanes: &self.asid_lanes,
-            topo: self.topo,
-            frame_shift: self.frame_shift,
-        };
-        (frames, &mut self.index)
+    fn global_frame(&self, mol: MoleculeId, frame: usize) -> u32 {
+        ((mol.index() << self.frame_shift) | frame) as u32
     }
 
     /// Indexes frame `frame` of `mol`, which now holds `line` of `asid`.
@@ -337,9 +305,8 @@ impl TagStore {
             "{asid} line {} held by two molecules",
             line.0
         );
-        let g = ((mol.index() << self.frame_shift) | frame) as u32;
-        let (frames, index) = self.split_index();
-        index.insert((asid.raw(), line.0), g, |g| frames.key(g));
+        let g = self.global_frame(mol, frame);
+        self.index.insert((asid.raw(), line.0), g);
     }
 
     /// Drops frame `frame` of `mol`, which still holds `line` of `asid`,
@@ -350,12 +317,8 @@ impl TagStore {
     /// Panics if the frame is not indexed: an owned molecule's valid
     /// frame always is.
     fn index_remove(&mut self, asid: Asid, line: LineAddr, mol: MoleculeId, frame: usize) {
-        let g = ((mol.index() << self.frame_shift) | frame) as u32;
-        let (frames, index) = self.split_index();
-        let slot = index
-            .find((asid.raw(), line.0), |f| f == g)
-            .expect("an owned molecule's valid frame is indexed");
-        index.remove_at(slot, |g| frames.key(g));
+        let g = self.global_frame(mol, frame);
+        self.index.remove((asid.raw(), line.0), g);
     }
 
     /// The owner under which `mol`'s lines are indexed: its ASID, unless
@@ -562,18 +525,28 @@ impl TagStore {
 
     /// Invalidates every frame of a molecule, dropping its lines from
     /// the index; returns the number of dirty frames (the writebacks
-    /// this flush generates). Valid+dirty is one shift-and per word.
+    /// this flush generates). An invalid frame's word is always 0, so
+    /// the walk stops at the molecule's last valid frame and an empty
+    /// molecule returns at once.
     pub fn invalidate_all(&mut self, mol: MoleculeId) -> u64 {
         let owner = self.owner(mol);
+        let mut left = self.valid[mol.index()];
         let mut dirty = 0;
         for (f, i) in self.frames_of(mol).enumerate() {
-            let w = self.words[i];
-            dirty += (w >> 62) & (w >> 63) & 1;
-            if let (Some(asid), true) = (owner, w & VALID != 0) {
-                self.index_remove(asid, self.line_of(w, f), mol, f);
+            if left == 0 {
+                break;
             }
-            self.words[i] = 0;
+            let w = self.words[i];
+            if w & VALID != 0 {
+                left -= 1;
+                dirty += (w >> 62) & 1;
+                if let Some(asid) = owner {
+                    self.index_remove(asid, self.line_of(w, f), mol, f);
+                }
+                self.words[i] = 0;
+            }
         }
+        self.valid[mol.index()] = 0;
         dirty
     }
 
@@ -712,6 +685,7 @@ impl TagStore {
         if let (Some(asid), true) = (owner, w & VALID != 0) {
             self.index_remove(asid, self.line_of(w, frame), mol, frame);
         }
+        self.valid[mol.index()] += u32::from(w & VALID == 0);
         self.words[idx] = VALID | if dirty { DIRTY } else { 0 } | tag;
         if let Some(asid) = owner {
             self.index_insert(asid, line, mol, frame);
@@ -729,19 +703,18 @@ impl TagStore {
                 self.index_remove(asid, line, mol, self.tag_frame(line).1);
             }
             self.words[idx] = 0;
+            self.valid[mol.index()] -= 1;
             Some(w & DIRTY != 0)
         } else {
             None
         }
     }
 
-    /// Number of valid frames of `mol` (diagnostics). Branchless
-    /// word-at-a-time valid-bit sum, like
-    /// [`invalidate_all`](Self::invalidate_all).
+    /// Number of valid frames of `mol`: one read of the count that
+    /// [`fill`](Self::fill), [`invalidate`](Self::invalidate) and
+    /// [`invalidate_all`](Self::invalidate_all) keep.
     pub fn occupancy(&self, mol: MoleculeId) -> usize {
-        self.frames_of(mol)
-            .map(|i| (self.words[i] >> 63) as usize)
-            .sum()
+        self.valid[mol.index()] as usize
     }
 
     /// The line addresses currently resident in `mol` (diagnostics /
@@ -1015,6 +988,9 @@ mod tests {
         let (a, b) = (MoleculeId(0), MoleculeId(1));
         let (one, two) = (Asid::new(1), Asid::new(2));
         let entries = |t: &TagStore| {
+            for m in (0..4).map(MoleculeId) {
+                assert_eq!(t.occupancy(m), t.resident_lines(m).count(), "{m:?}");
+            }
             let mut e: Vec<_> = t.index_entries().collect();
             e.sort_unstable();
             e

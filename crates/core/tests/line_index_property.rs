@@ -4,7 +4,8 @@
 //!
 //! 1. after every op the index equals a rebuild from the tag store —
 //!    every valid frame of every owned, non-shared molecule exactly once
-//!    under its owner, and nothing else;
+//!    under its owner, and nothing else — and every molecule's kept
+//!    valid-frame count equals a recount of its frames;
 //! 2. every access's outcome and activity delta (stage traces included)
 //!    equal those of a twin that takes the ordered gate-and-probe scan
 //!    and the member-walking fill (`set_memo_front(false)`).
@@ -162,6 +163,12 @@ proptest! {
                 indexed.line_index_entries(),
                 indexed.reference_line_index(),
                 "step {}: index diverged from the tag store",
+                step
+            );
+            prop_assert_eq!(
+                indexed.find_miscounted_molecule(),
+                None,
+                "step {}: a valid-frame count diverged from a recount",
                 step
             );
         }

@@ -12,7 +12,14 @@ fn region_with(policy: RegionPolicy, row_max: usize, molecules: u32) -> Region {
     for i in 0..molecules {
         region.add_molecule(MoleculeId(i));
     }
+    assert_eq!(region.size(), row_sum(&region));
     region
+}
+
+/// The molecule count summed over the replacement rows; the region's
+/// kept count must equal it.
+fn row_sum(region: &Region) -> usize {
+    (0..region.num_rows()).map(|i| region.row(i).len()).sum()
 }
 
 proptest! {
@@ -76,5 +83,33 @@ proptest! {
             .expect("non-empty region always yields a victim");
         let row = ((addr / MOLECULE_SIZE) % region.num_rows() as u64) as usize;
         prop_assert!(region.row(row).contains(&victim));
+    }
+
+    /// The kept molecule count equals the row sum after every add,
+    /// coldest-removal and drain, under every policy.
+    #[test]
+    fn size_tracks_the_rows_under_any_resize_sequence(
+        (row_max, policy) in (1usize..9, 0u8..3),
+        ops in proptest::collection::vec(proptest::num::u64::ANY, 1..200),
+    ) {
+        let policy = [RegionPolicy::Random, RegionPolicy::Randy, RegionPolicy::LruDirect]
+            [policy as usize];
+        let mut region = Region::new(Asid::new(1), TileId(0), policy, 1, 0.25, row_max);
+        for (step, &op) in ops.iter().enumerate() {
+            match op % 16 {
+                0 => {
+                    region.drain_molecules();
+                }
+                1..=6 => {
+                    region.remove_coldest(|m| u64::from(m.0).wrapping_mul(op) % 13);
+                }
+                _ => region.add_molecule(MoleculeId(step as u32)),
+            }
+            if op % 5 == 0 {
+                // Heat a row, so Randy's "where to add" ranks rows.
+                region.select_victim(Address::new(op), 8192, op >> 7);
+            }
+            prop_assert_eq!(region.size(), row_sum(&region), "step {}", step);
+        }
     }
 }

@@ -9,6 +9,9 @@
 
 use std::fmt::{self, Write};
 
+/// 2^53: every integer up to it has an exact `f64`.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -47,6 +50,20 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as an unsigned integer, if this is a finite,
+    /// non-negative, integral number no larger than 2^53 (above it not
+    /// every integer has an exact `f64`). Readers use it for counts and
+    /// ids, so an out-of-range, negative or fractional value is an error
+    /// rather than a silent cast.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::Number(n) if (0.0..=MAX_EXACT_INTEGER).contains(&n) && n.fract() == 0.0 => {
+                Some(n as u64)
+            }
             _ => None,
         }
     }
@@ -609,6 +626,19 @@ fn push_uint(out: &mut String, mut n: u64) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn as_u64_accepts_only_exact_non_negative_integers() {
+        let n = Value::Number;
+        assert_eq!(n(0.0).as_u64(), Some(0));
+        assert_eq!(n(-0.0).as_u64(), Some(0));
+        assert_eq!(n(70000.0).as_u64(), Some(70000));
+        assert_eq!(n(MAX_EXACT_INTEGER).as_u64(), Some(1 << 53));
+        for bad in [-5.0, 1.5, 2f64.powi(53) + 2.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(n(bad).as_u64(), None, "{bad}");
+        }
+        assert_eq!(Value::String("3".into()).as_u64(), None);
+    }
 
     #[test]
     fn parses_scalars() {

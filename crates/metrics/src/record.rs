@@ -125,7 +125,9 @@ impl ExperimentRecord {
         Ok(ExperimentRecord {
             id: string_field(&root, "id")?,
             workload: string_field(&root, "workload")?,
-            references: number_field(&root, "references")? as u64,
+            references: field(&root, "references")?
+                .as_u64()
+                .ok_or_else(|| type_err("references", "non-negative integer"))?,
             results,
         })
     }
@@ -231,5 +233,17 @@ mod tests {
         assert!(ExperimentRecord::from_json("{not json").is_err());
         assert!(ExperimentRecord::from_json("{\"id\": \"x\"}").is_err());
         assert!(ExperimentRecord::from_json("[]").is_err());
+    }
+
+    #[test]
+    fn non_integer_references_are_rejected() {
+        let text = record().to_json();
+        assert!(ExperimentRecord::from_json(&text).is_ok());
+        for bad in ["-5.0", "1.5", "1e300"] {
+            let doc = text.replacen("1000000", bad, 1);
+            assert_ne!(doc, text);
+            let err = ExperimentRecord::from_json(&doc).unwrap_err();
+            assert!(err.to_string().contains("references"), "{bad}: {err}");
+        }
     }
 }

@@ -159,12 +159,12 @@ impl ServeDoc {
             .map(parse_shard)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ServeDoc {
-            tenants: num("tenants")? as usize,
-            threads: num("threads")? as usize,
-            shards: num("shards")? as usize,
-            refs_per_tenant: num("refs_per_tenant")? as u64,
-            seed: num("seed")? as u64,
-            wall_ns: num("wall_ns")? as u64,
+            tenants: int(&value, "tenants", "document")?,
+            threads: int(&value, "threads", "document")?,
+            shards: int(&value, "shards", "document")?,
+            refs_per_tenant: int(&value, "refs_per_tenant", "document")?,
+            seed: int(&value, "seed", "document")?,
+            wall_ns: int(&value, "wall_ns", "document")?,
             accesses_per_sec: num("accesses_per_sec")?,
             imbalance: num("imbalance")?,
             per_tenant,
@@ -173,21 +173,25 @@ impl ServeDoc {
     }
 }
 
+/// Field `name` of `v` as an integer of type `T`: a missing field, or a
+/// value that is not an integer `T` holds, is an error naming `record`.
+fn int<T: TryFrom<u64>>(v: &Value, name: &str, record: &str) -> Result<T, String> {
+    v.get(name)
+        .and_then(Value::as_u64)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("{record} field '{name}' is missing or not an integer in range"))
+}
+
 fn parse_tenant(v: &Value) -> Result<TenantRecord, String> {
-    let num = |name: &str| -> Result<u64, String> {
-        v.get(name)
-            .and_then(Value::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("tenant record missing '{name}'"))
-    };
+    let num = |name: &str| int::<u64>(v, name, "tenant record");
     Ok(TenantRecord {
-        asid: num("asid")? as u16,
+        asid: int(v, "asid", "tenant record")?,
         benchmark: v
             .get("benchmark")
             .and_then(Value::as_str)
             .ok_or("tenant record missing 'benchmark'")?
             .to_string(),
-        shard: num("shard")? as usize,
+        shard: int(v, "shard", "tenant record")?,
         stats: AppStats {
             accesses: num("accesses")?,
             hits: num("hits")?,
@@ -199,14 +203,9 @@ fn parse_tenant(v: &Value) -> Result<TenantRecord, String> {
 }
 
 fn parse_shard(v: &Value) -> Result<ShardContention, String> {
-    let num = |name: &str| -> Result<u64, String> {
-        v.get(name)
-            .and_then(Value::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("shard record missing '{name}'"))
-    };
+    let num = |name: &str| int::<u64>(v, name, "shard record");
     Ok(ShardContention {
-        shard: num("shard")? as usize,
+        shard: int(v, "shard", "shard record")?,
         acquisitions: num("acquisitions")?,
         contended: num("contended")?,
         lock_wait_ns: num("lock_wait_ns")?,
@@ -349,6 +348,27 @@ mod tests {
   ]
 }"#;
         assert_eq!(doc().to_json().unwrap(), expected);
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected() {
+        // Each value survives an `as` cast (an ASID past u16 becomes
+        // tenant 4464, a negative count 0, a fraction its floor), so the
+        // reader must reject it instead.
+        let text = doc().to_json().unwrap();
+        for (from, to) in [
+            (r#""asid": 1.0"#, r#""asid": 70000.0"#),
+            (r#""accesses": 1000.0"#, r#""accesses": -5.0"#),
+            (r#""hits": 600.0"#, r#""hits": 1.5"#),
+            (r#""tenants": 2.0"#, r#""tenants": 1e300"#),
+            (r#""seed": 42.0"#, r#""seed": 9007199254740994.0"#),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} not in the fixture");
+            let err = ServeDoc::from_json(&bad).unwrap_err();
+            let name = from.split('"').nth(1).unwrap();
+            assert!(err.contains(name), "{to}: {err}");
+        }
     }
 
     #[test]
