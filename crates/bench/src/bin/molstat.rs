@@ -158,10 +158,6 @@ struct RunResult {
 fn report_memo(run: &RunResult, epoch_memo_hits: &[u64]) {
     let s = run.memo;
     println!("memo front-end ({}):", run.policy);
-    if !s.enabled {
-        println!("  disabled at runtime");
-        return;
-    }
     println!(
         "  {} hits / {} lookups ({:.1}% hit rate), {} stale entries",
         s.hits,

@@ -61,9 +61,11 @@ pub fn cache_1mb(seed: u64) -> MolecularCache {
 /// The `miss_storm` cache: the single tenant's region grown to span
 /// every tile of the cluster, so virtually every access misses the
 /// home tile and drives the cross-tile search over all remote tiles.
-pub fn miss_storm_cache(seed: u64, memo: bool) -> MolecularCache {
+///
+/// `_memo` has no effect: the line index answers every access. The
+/// parameter stays so that existing callers compile.
+pub fn miss_storm_cache(seed: u64, _memo: bool) -> MolecularCache {
     let mut cache = cache_1mb(seed);
-    cache.set_memo_front(memo);
     cache.admit_app(Asid::new(1));
     let total = cache.config().total_molecules();
     let spanned = cache

@@ -37,7 +37,7 @@ pub struct MolecularCache {
     /// Which tile hosts a molecule and which cluster a tile, as index
     /// arithmetic on the configured geometry.
     pub(crate) topo: Topology,
-    /// Flat bit-packed tag/ASID/shared arrays for every molecule (the
+    /// Flat tag/ASID arrays and the line index for every molecule (the
     /// hot lookup state).
     pub(crate) tags: TagStore,
     /// Per molecule, the misses that chose it as victim in the current
@@ -64,12 +64,12 @@ pub struct MolecularCache {
     pub(crate) epoch_activity_base: Activity,
     /// Structural-topology generation: bumped by
     /// [`note_structural_change`](Self::note_structural_change) on every
-    /// grant/shrink/release/re-home/shared-bit/flush event. Regions stamp
-    /// their cached Ulmo search lists, gate masks and probe counts with
-    /// it; a stale stamp forces a lazy rebuild. Starts at 1 so a 0 stamp
-    /// always reads as stale.
+    /// grant/shrink/release/re-home/flush event. Regions stamp their
+    /// cached Ulmo search lists and probe counts with it; a stale stamp
+    /// forces a lazy rebuild. Starts at 1 so a 0 stamp always reads as
+    /// stale.
     pub(crate) structure_generation: u64,
-    /// The line-index front-end's toggle and counters (see
+    /// The line-index front-end's counters (see
     /// [`crate::pipeline::memo`]); the index itself lives in the tag
     /// store.
     pub(crate) memo: crate::pipeline::memo::MemoFront,
@@ -132,14 +132,12 @@ impl MolecularCache {
     }
 
     /// Records a structural change to the cache topology — any
-    /// grant/shrink/release/re-home/shared-bit/flush event. One bump
-    /// lazily invalidates every region's cached Ulmo search list, gate
-    /// masks and probe counts: all of them are stamped with this
-    /// generation, and a stale stamp stops matching. Any call that
-    /// writes an ASID lane or a shared bit, or moves a home tile, must
-    /// make it. The line index needs no bump (the tag store keeps it
-    /// exact), and the runtime front-end toggle
-    /// ([`set_memo_front`](Self::set_memo_front)) is not structural.
+    /// grant/shrink/release/re-home/flush event. One bump lazily
+    /// invalidates every region's cached Ulmo search list and probe
+    /// counts: all of them are stamped with this generation, and a stale
+    /// stamp stops matching. Any call that writes a molecule's ASID or
+    /// moves a home tile must make it. The line index needs no bump (the
+    /// tag store keeps it exact).
     #[inline]
     pub(crate) fn note_structural_change(&mut self) {
         self.structure_generation += 1;
@@ -302,23 +300,6 @@ impl MolecularCache {
         self.note_structural_change();
         true
     }
-
-    /// Marks up to `n` free molecules of tile `tile_index` as shared
-    /// (§3.1: the shared bit bypasses the ASID comparison, making the
-    /// molecule visible to every application on the tile). Returns how
-    /// many were marked.
-    pub fn make_shared(&mut self, tile_index: usize, n: usize) -> usize {
-        self.note_structural_change();
-        let mut granted = 0;
-        for _ in 0..n {
-            let Some(id) = self.tiles[tile_index].take_free() else {
-                break;
-            };
-            self.tags.set_shared(id, true);
-            granted += 1;
-        }
-        granted
-    }
 }
 
 impl CacheModel for MolecularCache {
@@ -402,7 +383,7 @@ impl CacheModel for MolecularCache {
 }
 
 impl MolecularCache {
-    /// Drives one request through the five-stage pipeline.
+    /// Drives one request through the pipeline.
     ///
     /// Each stage writes what it did into its slot of the
     /// [`StageBreakdown`]; the driver assigns the stage cycles (ASID gate
@@ -416,26 +397,15 @@ impl MolecularCache {
         let line = req.addr.line(LINE_SIZE);
         let is_write = req.kind.is_write();
 
-        let (home, indexable) = self.refresh_lookup_cache(asid);
-        let indexed = indexable && self.memo.enabled;
+        self.refresh_lookup_cache(asid);
         let mut stages = StageBreakdown::default();
         stages.asid_gate.cycles = ASID_STAGE_CYCLES;
         stages.home_lookup.cycles = HIT_LATENCY;
-
-        let hit = if indexed {
-            // Stage 0 — one line-index probe stands in for stages 1–3
-            // and charges what their scan would (see `pipeline::memo`).
-            self.index_lookup(asid, line, is_write, &mut stages)
-        } else {
-            // Stage 1 — ASID gate, stage 2 — home-tile tag probe, then
-            // stage 3 — Ulmo's cross-tile search, which charges its
-            // penalty only when the region actually spans tiles.
-            self.asid_gate(&mut stages.asid_gate);
-            match self.probe_gated(asid, 0, line, is_write, &mut stages.home_lookup) {
-                Some(mol) => Some(mol),
-                None => self.ulmo_search(asid, line, is_write, &mut stages.ulmo_search),
-            }
-        };
+        // Stage 0 — one line-index probe stands in for stage 1 (ASID
+        // gate), stage 2 (home-tile tag probe) and stage 3 (Ulmo's
+        // cross-tile search) and charges what their ordered scan would
+        // (see `pipeline::memo`).
+        let hit = self.index_lookup(asid, line, is_write, &mut stages);
         let mut latency = ASID_STAGE_CYCLES + HIT_LATENCY + stages.ulmo_search.cycles;
         if let Some(hit_mol) = hit {
             return self.finish_hit(asid, hit_mol, latency, stages);
@@ -447,15 +417,15 @@ impl MolecularCache {
         let region = self.regions.get_mut(&asid).expect("region");
         region.record_access(true);
         let line_factor = region.line_factor();
-        let (writeback, lines_fetched) = match self.victim_select(asid, req.addr, home) {
+        let (writeback, lines_fetched) = match self.victim_select(asid, req.addr) {
             Some(victim) => {
                 self.replacement_misses[victim.index()] += 1;
                 let writeback =
-                    self.fill_block(asid, victim, line, is_write, indexed, &mut stages.fill);
+                    self.fill_block(victim, line, line_factor, is_write, &mut stages.fill);
                 (writeback, line_factor)
             }
-            // No region molecules and no shared fallback: the request
-            // bypasses the cache entirely (fill stage touches no frame).
+            // No region molecules: the request bypasses the cache
+            // entirely (the fill stage touches no frame).
             None => (false, 0),
         };
         self.stats.record(asid, false, writeback, latency);

@@ -307,7 +307,8 @@ impl MolecularConfigBuilder {
     ///
     /// Returns [`CoreError::InvalidConfig`] when sizes are not powers of
     /// two, counts are zero, the initial allocation exceeds a tile, a
-    /// goal is outside `(0, 1)`, or an assigned cluster is out of range.
+    /// goal is outside `(0, 1)`, a line factor is given for
+    /// [`Asid::NONE`], or an assigned cluster is out of range.
     pub fn build(&self) -> Result<MolecularConfig, CoreError> {
         fn err(field: &'static str, constraint: &'static str) -> CoreError {
             CoreError::InvalidConfig { field, constraint }
@@ -334,6 +335,12 @@ impl MolecularConfigBuilder {
             if !(*goal > 0.0 && *goal < 1.0) {
                 return Err(err("app_goal", "must lie in (0, 1)"));
             }
+        }
+        if self.line_factors.contains_key(&Asid::NONE) {
+            // Lookups from ASID 0 never hit (a free molecule carries the
+            // same ASID, so its gate passes nothing): a block fill could
+            // land beside copies of the block's lines in other members.
+            return Err(err("line_factor", "cannot be set for ASID 0"));
         }
         for factor in self.line_factors.values() {
             if *factor == 0 || !factor.is_power_of_two() {
@@ -466,6 +473,13 @@ mod tests {
             .app_line_factor(Asid::new(1), 4)
             .build()
             .is_err());
+        // ASID 0 takes no line factor, not even the default one.
+        for factor in [1, 2] {
+            assert!(MolecularConfig::builder()
+                .app_line_factor(Asid::NONE, factor)
+                .build()
+                .is_err());
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Heterogeneous cache regions"* (MICRO 2006).
 //!
 //! A molecular cache is built from **molecules** — small (8–32 KB)
-//! direct-mapped caching units with 64-byte lines, whose frames, ASID
-//! and shared bit live in one flat tag store ([`tags`]). Molecules are
+//! direct-mapped caching units with 64-byte lines, whose frames and ASID
+//! live in one flat tag store ([`tags`]). Molecules are
 //! physically grouped into **tiles** (one read/write port each) and
 //! tiles into **tile clusters**, each managed by a controller called
 //! **Ulmo**; the grouping is fixed, so it is index arithmetic

@@ -58,8 +58,7 @@ impl MolecularCache {
             })
             .collect();
         // Index hits are a diagnostic side-channel: carried on the
-        // sample but excluded from the canonical JSON export (which must
-        // be byte-identical with the front-end on or off).
+        // sample but excluded from the canonical JSON export.
         let activity = EpochActivity {
             epoch,
             activity: self.activity.since(&self.epoch_activity_base),
@@ -99,14 +98,9 @@ impl MolecularCache {
             after: self.regions[&inputs.asid].size(),
             policy: self.resize_policy.name().to_string(),
             inputs: ResizeDecisionInputs {
-                window_accesses: inputs.window_accesses,
                 window_miss_rate: inputs.window_miss_rate,
-                last_miss_rate: inputs.last_miss_rate,
                 goal: inputs.goal,
                 current: inputs.current,
-                last_allocation: inputs.last_allocation,
-                max_allocation: inputs.max_allocation,
-                free_molecules: inputs.free_molecules,
             },
         };
         self.sink.emit(Event::Resize(&record));

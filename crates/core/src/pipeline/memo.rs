@@ -2,46 +2,42 @@
 //!
 //! The paper's access path pays an ASID gate over the whole home tile,
 //! a tag probe per gated molecule and, on a home miss, Ulmo's gate and
-//! probe of every remote tile the region spans (§3.1–§3.3). The
-//! simulator has to report what that scan costs, but it does not have to
-//! perform it to learn where a line is: the fill stage's no-duplicate
-//! protocol keeps a line in at most one member molecule of a region, so
-//! an exact (owner ASID, line) → molecule directory names the molecule
-//! the ordered scan would stop at. This is the exact form of way
-//! memoization (Ishihara & Fallah); a bounded memo of recent hits is its
-//! lossy form.
+//! probe of every remote tile the region spans (§3.1–§3.3; see
+//! [`scan`](crate::pipeline::scan)). The simulator has to report what
+//! that scan costs, but it does not have to perform it to learn where a
+//! line is: a region holds each line in at most one member molecule
+//! (see [`fill`](crate::pipeline::fill)), so an exact (owner ASID,
+//! line) → molecule directory names the molecule the ordered scan would
+//! stop at. This is the exact form of way memoization (Ishihara &
+//! Fallah); a bounded memo of recent hits is its lossy form.
 //!
 //! The directory is a `LineIndex` that the [`TagStore`] keeps current
-//! wherever a frame word or a molecule's owner changes (fill, single-line
-//! invalidation, whole-molecule flush and reconfiguration, shared-bit
-//! writes), so no structural event has to invalidate it: it holds every
-//! valid frame of every owned, non-shared molecule, under its owner, and
-//! nothing else. It is sized once, by the cache's frames: a bucket of
-//! chain heads per frame and a chain link per frame, so a miss's upkeep
-//! (unlink the evicted frame, push the filled one) is a few word writes
-//! and never a rehash.
+//! wherever a frame word or a molecule's owner changes (fill,
+//! whole-molecule flush and reconfiguration), so no structural event has
+//! to invalidate it: it holds every valid frame of every owned molecule,
+//! under its owner, and nothing else. It is sized once, by the cache's
+//! frames: a bucket of chain heads per frame and a chain link per frame,
+//! so a miss's upkeep (unlink the evicted frame, push the filled one) is
+//! a few word writes and never a rehash.
 //!
 //! **The bit-identity contract.** An indexed access must charge exactly
 //! what the ordered scan charges. The index names the hit molecule, its
 //! tile names the lookup slot the scan would have stopped at (the home
 //! tile, then Ulmo's search tiles in list order), and a miss runs every
 //! slot. Per slot up to and including that one the access is charged the
-//! tile's ASID compares and the gate-mask count of tag probes; a visited
-//! remote slot launches Ulmo (its penalty and one `ulmo_searches`). The
-//! per-slot counts come from the region's gate masks, which are cached
-//! per structural generation (`crate::search_list`). The answer equals
-//! the scan's only while no lookup tile holds a shared molecule: a
-//! shared molecule passes every ASID's gate and its copy of a line can
-//! shadow a member's, so such regions — and requests from
-//! [`Asid::NONE`], which own nothing — take the ordered scan.
+//! tile's ASID compares and the tag probes of the molecules its gate
+//! passes; a visited remote slot launches Ulmo (its penalty and one
+//! `ulmo_searches`). A tile's gate passes exactly the region's members on
+//! it, so the probe counts are per-slot member counts, summed per
+//! structural generation (`crate::search_list`). An [`Asid::NONE`] region
+//! owns nothing the index or a gate can see: its counts are 0 and its
+//! lookups always miss, as the scan's do. The tests compare every access
+//! with [`MolecularCache::reference_lookup`], the ordered scan kept as a
+//! read-only oracle.
 //!
-//! With the front-end switched off ([`MolecularCache::set_memo_front`])
-//! every access takes the ordered scan and the fill stage walks every
-//! region member; that reference path is what the equivalence suites
-//! (`memo_property`, `line_index_property`) compare against, access by
-//! access. The front-end's counters are reported out-of-band
-//! ([`MemoStats`], `molstat --memo`, perfbench's `core.memo_*` metrics)
-//! and never enter the canonical telemetry export.
+//! The front-end's counters are reported out-of-band ([`MemoStats`],
+//! `molstat --memo`, perfbench's `core.memo_*` metrics) and never enter
+//! the canonical telemetry export.
 //!
 //! [`TagStore`]: crate::tags::TagStore
 
@@ -56,12 +52,9 @@ use molcache_trace::{Asid, LineAddr};
 ///
 /// Produced by `MolecularCache::memo_stats`. These counters are
 /// diagnostics only: they are deliberately kept out of the canonical
-/// telemetry JSON export, which must stay byte-identical with the
-/// front-end on or off.
+/// telemetry JSON export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
-    /// Whether the front-end is currently enabled (runtime toggle).
-    pub enabled: bool,
     /// Index lookups resolved to the region member holding the line.
     pub hits: u64,
     /// Index lookups resolved absent (the access misses).
@@ -70,9 +63,9 @@ pub struct MemoStats {
     /// that no longer holds its line. Kept so that readers of the
     /// bounded memo's counters still compile.
     pub stale: u64,
-    /// Structural changes since the last statistics reset. They no
-    /// longer touch the index; they rebuild the regions' cached search
-    /// lists and gate masks.
+    /// Structural changes since the last statistics reset. They do not
+    /// touch the index; they rebuild the regions' cached search lists
+    /// and probe counts.
     pub generation_bumps: u64,
     /// The cache's current structure generation.
     pub generation: u64,
@@ -205,11 +198,9 @@ impl LineIndex {
     }
 }
 
-/// The front-end's runtime toggle and lifetime counters.
+/// The front-end's lifetime counters.
 #[derive(Debug, Clone)]
 pub(crate) struct MemoFront {
-    /// Whether the access path consults the index.
-    pub(crate) enabled: bool,
     hits: u64,
     misses: u64,
     /// The structure generation at the last counter reset, from which
@@ -218,11 +209,9 @@ pub(crate) struct MemoFront {
 }
 
 impl MemoFront {
-    /// An enabled front-end for a cache at structure generation
-    /// `generation`.
+    /// Zeroed counters for a cache at structure generation `generation`.
     pub(crate) fn new(generation: u64) -> Self {
         MemoFront {
-            enabled: true,
             hits: 0,
             misses: 0,
             generation_base: generation,
@@ -246,29 +235,12 @@ impl MemoFront {
 }
 
 impl MolecularCache {
-    /// Enables or disables the line-index front-end at runtime.
-    ///
-    /// Off, every access takes the ordered gate-and-probe scan and the
-    /// fill stage walks every region member — the reference path the
-    /// equivalence suites compare the index against. The toggle is not a
-    /// structural event: the tag store keeps the index current either
-    /// way.
-    pub fn set_memo_front(&mut self, enabled: bool) {
-        self.memo.enabled = enabled;
-    }
-
-    /// Whether the line-index front-end is enabled.
-    pub fn memo_front_enabled(&self) -> bool {
-        self.memo.enabled
-    }
-
     /// The front-end's lifetime counters. Always `Some`; the return type
     /// stays an `Option` for callers outside this workspace that unwrap
     /// it.
     pub fn memo_stats(&self) -> Option<MemoStats> {
         let generation = self.structure_generation;
         Some(MemoStats {
-            enabled: self.memo.enabled,
             hits: self.memo.hits,
             misses: self.memo.misses,
             stale: 0,
@@ -295,14 +267,13 @@ impl MolecularCache {
     }
 
     /// The index rebuilt from the tag store, sorted: every valid frame of
-    /// every owned, non-shared molecule under its owner. A line held by
-    /// two molecules of one owner appears twice, which no index can
-    /// match.
+    /// every owned molecule under its owner. A line held by two molecules
+    /// of one owner appears twice, which no index can match.
     pub fn reference_line_index(&self) -> Vec<(Asid, LineAddr, MoleculeId)> {
         let mut entries = Vec::new();
         for m in (0..self.cfg.total_molecules()).map(|i| MoleculeId(i as u32)) {
             let asid = self.tags.asid_of(m);
-            if asid != Asid::NONE && !self.tags.is_shared(m) {
+            if asid != Asid::NONE {
                 entries.extend(self.tags.resident_lines(m).map(|line| (asid, line, m)));
             }
         }
@@ -315,8 +286,8 @@ impl MolecularCache {
     /// the module docs. On a hit marks the frame dirty when `is_write`
     /// and returns the molecule.
     ///
-    /// The region's lookup cache must be current and its region
-    /// indexable ([`refresh_lookup_cache`](Self::refresh_lookup_cache)).
+    /// The region's lookup cache must be current
+    /// ([`refresh_lookup_cache`](Self::refresh_lookup_cache)).
     pub(crate) fn index_lookup(
         &mut self,
         asid: Asid,

@@ -10,13 +10,12 @@
 //! stage contributes zero cycles to the access latency and leaves its
 //! [`StageTrace`](molcache_sim::StageTrace) empty; it exists as a stage
 //! because it sits between lookup and fill in the hardware pipeline and
-//! because its draw order is part of the bit-identical contract (one
-//! draw per miss, consumed even when the region turns out to be empty,
-//! plus one more for the shared-molecule fallback).
+//! because its draw order is part of the bit-identical contract: one
+//! draw per miss, consumed even when the region turns out to be empty.
 
 use crate::cache::MolecularCache;
 use crate::config::RegionPolicy;
-use crate::ids::{MoleculeId, TileId};
+use crate::ids::MoleculeId;
 use crate::region::Region;
 use molcache_trace::{Address, Asid};
 
@@ -171,42 +170,20 @@ impl MolecularCache {
     ///
     /// One LFSR draw is consumed *before* the region is consulted (the
     /// hardware generator free-runs whether or not the region turns out
-    /// to be empty). If the region owns no molecules, falls back to the
-    /// home tile's shared molecules — §3.1's shared bit accepts fills
-    /// from every application — indexed by a second draw. Returns `None` when there is no shared
-    /// fallback either (the request will bypass the cache).
-    pub(crate) fn victim_select(
-        &mut self,
-        asid: Asid,
-        addr: Address,
-        home: TileId,
-    ) -> Option<MoleculeId> {
+    /// to be empty). Returns `None` when the region owns no molecules:
+    /// the request then bypasses the cache.
+    pub(crate) fn victim_select(&mut self, asid: Asid, addr: Address) -> Option<MoleculeId> {
         let draw = self.lfsr.next_u16() as u64;
         let molecule_size = self.cfg.molecule_size();
         let region = self.regions.get_mut(&asid).expect("region");
-        let victim = region.select_victim(addr, molecule_size, draw);
-        victim.or_else(|| {
-            // Shared molecules occupy known positions of the packed
-            // shared-bit words (ids are tile-contiguous), so the
-            // fallback pool is counted and indexed straight off the
-            // bitmask — no collected candidate list. `nth_shared` walks
-            // ascending ids, the same order the old collect produced, so
-            // the LFSR draw picks the identical molecule.
-            let (base, cap) = (self.topo.tile_base(home), self.topo.tile_molecules());
-            let n = self.tags.count_shared(base, cap);
-            if n == 0 {
-                None
-            } else {
-                let k = (self.lfsr.next_u16() as usize) % n;
-                Some(self.tags.nth_shared(base, cap, k))
-            }
-        })
+        region.select_victim(addr, molecule_size, draw)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::TileId;
 
     fn region(policy: RegionPolicy) -> Region {
         Region::new(Asid::new(1), TileId(0), policy, 1, 0.1, 4)

@@ -60,17 +60,11 @@ pub struct Region {
     /// Remote tiles holding member molecules, sorted ascending. Cleared,
     /// never dropped, on a rebuild, so steady state does not allocate.
     pub(crate) search_tiles: Vec<TileId>,
-    /// ASID-gate masks of the tiles lookups visit: slot 0 is the home
-    /// tile, slot `1 + i` the `i`-th search tile. The first
-    /// `1 + search_tiles.len()` are current; the rest keep their storage.
-    pub(crate) gates: Vec<crate::tags::GateMask>,
-    /// `probes_through[s]`: the gate-mask counts of lookup slots
-    /// `0..=s` summed — the tag probes a lookup that stops at slot `s`
+    /// `probes_through[s]`: the molecules the ASID gate passes on lookup
+    /// slots `0..=s` (slot 0 is the home tile, slot `1 + i` the `i`-th
+    /// search tile) — the tag probes a lookup that stops at slot `s`
     /// charges.
     pub(crate) probes_through: Vec<u32>,
-    /// Whether the line index may answer this region's lookups: its
-    /// ASID owns molecules and no lookup tile holds a shared molecule.
-    pub(crate) indexable: bool,
     /// Structural generation the lookup state was built under
     /// (0 = stale).
     pub(crate) search_generation: u64,
@@ -106,9 +100,7 @@ impl Region {
             lifetime_hits: 0,
             recency: std::collections::BTreeMap::new(),
             search_tiles: Vec::new(),
-            gates: Vec::new(),
             probes_through: Vec::new(),
-            indexable: false,
             search_generation: 0,
         }
     }

@@ -1,4 +1,4 @@
-//! Cached Ulmo search lists, ASID-gate masks and probe counts.
+//! Cached Ulmo search lists and per-slot probe counts.
 //!
 //! Ulmo's cross-tile search (§3.2) needs the set of remote tiles that
 //! hold molecules of the requesting region. The set only changes when
@@ -17,28 +17,23 @@
 //!   membership directly, the oracle the `search_list_property` suite
 //!   checks every current-stamped list against after every operation.
 //!
-//! The same stamp guards the region's **gate masks**. The §3.1 ASID
-//! gate's match set on a tile changes only when a molecule's ASID lane
-//! or shared bit is written, and every path that writes one (grant,
-//! shrink, release, flush, `make_shared`) bumps the generation in the
-//! same call, as does a re-home. So a rebuild runs
-//! [`TagStore::gate_scan`] once over every tile a lookup visits — the
-//! home tile, then each search tile in list order — and keeps the masks,
-//! the running sums of their counts (the tag probes a lookup that stops
-//! at each slot charges, which the line-index front-end replays), and
-//! whether any of those tiles holds a shared molecule (which sends the
-//! region's lookups to the ordered scan).
+//! The same membership walk counts the region's members on every lookup
+//! slot — the home tile, then each search tile in list order — and keeps
+//! the running sums of those counts: the tag probes a lookup that stops
+//! at each slot charges, which stage 0 ([`crate::pipeline::memo`])
+//! replays. A molecule passes the §3.1 ASID gate exactly when its ASID
+//! is the requestor's, and only the region's members carry it, so a
+//! tile's gate passes exactly the members on that tile. An
+//! [`Asid::NONE`] region's gate passes nothing (a free molecule carries
+//! the same ASID), so its counts are all 0.
 //!
 //! Ascending-sorted insertion reproduces the reference derivation's
 //! `sort_unstable` + `dedup` order exactly, so the search visits remote
 //! tiles in the same order and every statistic is bit-identical.
-//!
-//! [`TagStore::gate_scan`]: crate::tags::TagStore::gate_scan
 
 use crate::cache::MolecularCache;
 use crate::ids::TileId;
 use crate::region::Region;
-use crate::tags::{GateMask, TagStore};
 use crate::tile::Topology;
 use molcache_trace::Asid;
 
@@ -58,69 +53,46 @@ impl Region {
         self.search_generation
     }
 
-    /// Rebuilds the cached search list from the current membership:
-    /// every member molecule's tile except the home tile, deduplicated
-    /// ascending, stamped with `generation`.
-    pub(crate) fn rebuild_search_list(&mut self, generation: u64, topo: Topology) {
+    /// Rebuilds the cached lookup state from the current membership in
+    /// one walk: the search list (every member molecule's tile except the
+    /// home tile, deduplicated ascending) and the probe counts of every
+    /// lookup slot, stamped with `generation`.
+    pub(crate) fn rebuild_lookup_cache(&mut self, generation: u64, topo: Topology) {
         self.search_tiles.clear();
+        self.probes_through.clear();
+        // Per-slot member counts first; the prefix sums replace them below.
+        self.probes_through.push(0);
+        let gated = u32::from(self.asid() != Asid::NONE);
         let home = self.home_tile();
         for row in &self.rows {
             for &id in row {
                 let t = topo.tile_of(id);
-                if t == home {
-                    continue;
-                }
-                if let Err(pos) = self.search_tiles.binary_search(&t) {
-                    self.search_tiles.insert(pos, t);
-                }
+                let slot = if t == home {
+                    0
+                } else {
+                    match self.search_tiles.binary_search(&t) {
+                        Ok(pos) => pos + 1,
+                        Err(pos) => {
+                            self.search_tiles.insert(pos, t);
+                            self.probes_through.insert(pos + 1, 0);
+                            pos + 1
+                        }
+                    }
+                };
+                self.probes_through[slot] += gated;
             }
+        }
+        let mut probes = 0;
+        for count in &mut self.probes_through {
+            probes += *count;
+            *count = probes;
         }
         self.search_generation = generation;
     }
 
-    /// Rebuilds the search list, then gates every lookup tile for the
-    /// region's ASID: the masks, their running probe counts and the
-    /// shared-molecule check that decides whether the index may answer.
-    pub(crate) fn rebuild_lookup_cache(
-        &mut self,
-        generation: u64,
-        topo: Topology,
-        tags: &TagStore,
-    ) {
-        self.rebuild_search_list(generation, topo);
-        let slots = 1 + self.search_tiles.len();
-        if self.gates.len() < slots {
-            self.gates.resize_with(slots, GateMask::default);
-        }
-        self.probes_through.clear();
-        let (count, mut probes, mut shared) = (topo.tile_molecules(), 0, false);
-        for slot in 0..slots {
-            let base = topo.tile_base(self.lookup_tile(slot));
-            tags.gate_scan(base, count, self.asid(), &mut self.gates[slot]);
-            probes += self.gates[slot].count();
-            self.probes_through.push(probes);
-            shared |= tags.count_shared(base, count) > 0;
-        }
-        self.indexable = self.asid() != Asid::NONE && !shared;
-    }
-
-    /// Lookup slots: the home tile, then every search tile.
-    #[inline]
-    pub(crate) fn lookup_slots(&self) -> usize {
-        self.probes_through.len()
-    }
-
-    /// The tile of lookup slot `slot`: 0 is the home tile, `1 + i` the
-    /// `i`-th search tile — the order one access visits them in.
-    #[inline]
-    pub(crate) fn lookup_tile(&self, slot: usize) -> TileId {
-        match slot {
-            0 => self.home_tile(),
-            s => self.search_tiles()[s - 1],
-        }
-    }
-
-    /// The lookup slot of `tile`, a tile holding a member molecule.
+    /// The lookup slot of `tile`, a tile holding a member molecule: 0 is
+    /// the home tile, `1 + i` the `i`-th search tile — the order one
+    /// access visits them in.
     #[inline]
     pub(crate) fn slot_of(&self, tile: TileId) -> usize {
         if tile == self.home_tile() {
@@ -132,47 +104,30 @@ impl Region {
             .expect("a member's tile is a lookup tile")
     }
 
-    /// The gate mask of lookup slot `slot`.
-    #[inline]
-    pub(crate) fn gate(&self, slot: usize) -> &GateMask {
-        debug_assert!(slot < self.lookup_slots(), "gate of a stale slot");
-        &self.gates[slot]
-    }
-
     /// The tag probes of lookup slots `0..=slot`.
     #[inline]
     pub(crate) fn probes_through(&self, slot: usize) -> u32 {
         self.probes_through[slot]
     }
-
-    /// Whether the line index may answer this region's lookups (see
-    /// [`rebuild_lookup_cache`](Self::rebuild_lookup_cache)).
-    #[inline]
-    pub(crate) fn indexable(&self) -> bool {
-        self.indexable
-    }
 }
 
 impl MolecularCache {
-    /// Brings `asid`'s cached search list, gate masks and probe counts
-    /// up to the live structural generation before an access looks the
-    /// line up. Returns the home tile and whether the line index may
-    /// answer the lookup.
+    /// Brings `asid`'s cached search list and probe counts up to the live
+    /// structural generation before an access looks the line up.
     ///
     /// The state then stays current for the rest of the access: lookups
     /// are structurally read-only.
-    pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) -> (TileId, bool) {
+    pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) {
         let generation = self.structure_generation;
         let topo = self.topo;
         let region = self.regions.get_mut(&asid).expect("region");
         if region.search_generation() != generation {
-            region.rebuild_lookup_cache(generation, topo, &self.tags);
+            region.rebuild_lookup_cache(generation, topo);
         }
-        (region.home_tile(), region.indexable())
     }
 
     /// The live structural-topology generation (diagnostics; bumped on
-    /// every grant/shrink/release/re-home/shared-bit/flush event).
+    /// every grant/shrink/release/re-home/flush event).
     pub fn structure_generation(&self) -> u64 {
         self.structure_generation
     }
@@ -194,27 +149,28 @@ impl MolecularCache {
         self.regions.get(&asid).map(|r| self.remote_tiles(r))
     }
 
-    /// The cached gate masks of `asid`'s region as (generation stamp,
-    /// (tile, mask) per lookup slot, home tile first), if the region
-    /// exists (diagnostics: the property suite asserts that under a
-    /// current stamp each mask equals
-    /// [`reference_gate`](Self::reference_gate) of its tile).
-    pub fn cached_gates(&self, asid: Asid) -> Option<(u64, Vec<(TileId, GateMask)>)> {
+    /// The cached probe counts of `asid`'s region as (generation stamp,
+    /// (tile, tag probes through it) per lookup slot, home tile first),
+    /// if the region exists (diagnostics: the property suite asserts
+    /// that under a current stamp the counts are the running sums of
+    /// [`reference_gate_count`](Self::reference_gate_count) over the
+    /// slots' tiles).
+    pub fn cached_probe_counts(&self, asid: Asid) -> Option<(u64, Vec<(TileId, u32)>)> {
         self.regions.get(&asid).map(|r| {
-            let masks = (0..r.lookup_slots())
-                .map(|slot| (r.lookup_tile(slot), r.gate(slot).clone()))
-                .collect();
-            (r.search_generation(), masks)
+            let tiles = std::iter::once(r.home_tile()).chain(r.search_tiles().iter().copied());
+            let slots = tiles.zip(r.probes_through.iter().copied()).collect();
+            (r.search_generation(), slots)
         })
     }
 
-    /// A fresh ASID-gate scan of `tile` for `asid` (the reference every
-    /// current cached mask must equal).
-    pub fn reference_gate(&self, asid: Asid, tile: TileId) -> GateMask {
-        let mut mask = GateMask::default();
-        let (base, count) = (self.topo.tile_base(tile), self.topo.tile_molecules());
-        self.tags.gate_scan(base, count, asid, &mut mask);
-        mask
+    /// The molecules of `tile` that pass the ASID gate for `asid`,
+    /// counted afresh with [`TagStore::matches`](crate::tags::TagStore::matches)
+    /// (the reference each cached per-slot count must equal).
+    pub fn reference_gate_count(&self, asid: Asid, tile: TileId) -> u32 {
+        self.topo
+            .tile_molecule_ids(tile)
+            .filter(|&m| self.tags.matches(m, asid))
+            .count() as u32
     }
 }
 
@@ -236,13 +192,13 @@ mod tests {
                 r.add_molecule(MoleculeId(t * 4 + k));
             }
         }
-        r.rebuild_search_list(7, topo);
+        r.rebuild_lookup_cache(7, topo);
         let want: Vec<TileId> = (0..32).filter(|&t| t != 5).map(TileId).collect();
         assert_eq!(r.search_tiles(), want.as_slice());
         assert_eq!(r.search_generation(), 7);
         // A rebuild after a re-home replaces the list in place.
         r.set_home_tile(TileId(0));
-        r.rebuild_search_list(8, topo);
+        r.rebuild_lookup_cache(8, topo);
         assert_eq!(r.search_tiles().first(), Some(&TileId(1)));
         assert_eq!(r.search_tiles().len(), 31);
     }

@@ -78,6 +78,12 @@ impl Topology {
         tile.index() * self.tile_molecules
     }
 
+    /// The molecules of `tile`, ascending.
+    pub fn tile_molecule_ids(self, tile: TileId) -> impl Iterator<Item = MoleculeId> {
+        let base = self.tile_base(tile);
+        (base..base + self.tile_molecules).map(|i| MoleculeId(i as u32))
+    }
+
     /// The cluster index of `tile`.
     pub fn cluster_of(self, tile: TileId) -> usize {
         tile.index() / self.tiles_per_cluster
@@ -94,8 +100,8 @@ impl Topology {
     }
 }
 
-/// A tile's free list: the molecules of the tile no region or shared
-/// pool has configured.
+/// A tile's free list: the molecules of the tile no region has
+/// configured.
 ///
 /// Regions draw molecules from their home tile first and from sibling
 /// tiles of the cluster when the home tile runs out (§3.4, "Where to

@@ -2,7 +2,9 @@
 //! `line_factor = k` miss lands its k-line block in k **consecutive
 //! frames of one molecule**, so an enlarged line size never straddles a
 //! molecule — and therefore never crosses a Randy victim-row boundary,
-//! since replacement rows partition whole molecules.
+//! since replacement rows partition whole molecules. After every access
+//! each member holds every block wholly or not at all, which is what
+//! lets a fill skip looking for stale copies of the block's lines.
 
 use molcache_core::{MolecularCache, MolecularConfig, RegionPolicy, ResizeTrigger};
 use molcache_sim::{CacheModel, Request};
@@ -55,6 +57,8 @@ proptest! {
 
         for addr in addrs {
             let out = cache.access(read(addr * LINE));
+            prop_assert_eq!(cache.find_partial_block(), None, "a block was split");
+            prop_assert_eq!(cache.find_duplicate_line(), None);
             if out.hit || out.lines_fetched == 0 {
                 continue; // hits and bypassed misses fill nothing
             }
@@ -110,7 +114,7 @@ proptest! {
             }
         }
 
-        // The invalidate-then-fill protocol kept every line unique.
+        // Whole blocks kept every line unique.
         prop_assert_eq!(cache.find_duplicate_line(), None);
     }
 
@@ -127,6 +131,7 @@ proptest! {
         let mut cache = cache_with_line_factor(k, seed);
         for i in 0..2_000u64 {
             cache.access(read((i * stride % 600) * LINE));
+            prop_assert_eq!(cache.find_partial_block(), None, "access {}", i);
         }
         // Sweep every resident block-start and check wholeness.
         for block in 0..(600 / u64::from(k) + 1) {

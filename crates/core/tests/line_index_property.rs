@@ -1,34 +1,42 @@
 //! The line index's oracle. Under arbitrary access / grow / shrink /
-//! release / re-home / shared-grant / flush / admit interleavings, with
-//! line factors 1, 2 and 4:
+//! release / re-home / flush / admit interleavings, with line factors 1,
+//! 2 and 4 and one access in sixteen from [`Asid::NONE`]:
 //!
-//! 1. after every op the index equals a rebuild from the tag store —
-//!    every valid frame of every owned, non-shared molecule exactly once
-//!    under its owner, and nothing else — and every molecule's kept
-//!    valid-frame count equals a recount of its frames;
-//! 2. every access's outcome and activity delta (stage traces included)
-//!    equal those of a twin that takes the ordered gate-and-probe scan
-//!    and the member-walking fill (`set_memo_front(false)`).
+//! 1. every access agrees with the ordered gate-and-probe scan
+//!    (`MolecularCache::reference_lookup`) taken just before it: the
+//!    molecule the index names is the one the scan finds, the access hits
+//!    exactly when the scan finds one, and it charges the scan's ASID-gate,
+//!    home-lookup and Ulmo stage totals and Ulmo launch;
+//! 2. after every op the index equals a rebuild from the tag store —
+//!    every valid frame of every owned molecule exactly once under its
+//!    owner, and nothing else — every molecule's kept valid-frame count
+//!    equals a recount of its frames, no line is resident twice in one
+//!    region, and every member holds each block of its region wholly or
+//!    not at all.
 //!
-//! Shared grants are drawn only in some cases: a shared molecule on a
-//! lookup tile sends a region to the ordered scan, so the cases without
-//! them keep the index answering lookups for the whole run.
+//! Four tiles per cluster let a region span several remote tiles, so a
+//! hit on the second remote tile charges only the slots up to it, never
+//! every slot.
 
-use molcache_core::config::InitialAllocation;
+use molcache_core::config::{InitialAllocation, LINE_SIZE};
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
-use molcache_sim::{AccessOutcome, Activity, CacheModel, Request};
+use molcache_sim::{CacheModel, Request, StageActivity};
 use molcache_trace::{AccessKind, Address, Asid};
 use proptest::prelude::*;
 
-/// Two 8-molecule tiles of 1 KB molecules (16 frames), small grants and
-/// an aggressive resize trigger, so regions spread over both tiles and
-/// lookups reach Ulmo. Applications 1 and 2 fetch `line_factor`-line
-/// blocks; application 3 single lines.
+/// Tiles per cluster: re-homes draw over all of them.
+const TILES: usize = 4;
+
+/// Four 8-molecule tiles of 1 KB molecules (16 frames), small grants
+/// and an aggressive resize trigger, so regions spread over several
+/// tiles and lookups reach Ulmo. Applications 1 and 2 fetch
+/// `line_factor`-line blocks; application 3 and [`Asid::NONE`] single
+/// lines.
 fn config(line_factor: u32) -> MolecularConfig {
     MolecularConfig::builder()
         .molecule_size(1024)
         .tile_molecules(8)
-        .tiles_per_cluster(2)
+        .tiles_per_cluster(TILES)
         .clusters(1)
         .initial_allocation(InitialAllocation::Molecules(2))
         .trigger(ResizeTrigger::Constant { period: 64 })
@@ -47,28 +55,29 @@ enum Op {
     Shrink { asid: u16, by: usize },
     Release { asid: u16 },
     Rehome { asid: u16, tile: usize },
-    MakeShared { tile: usize },
     Flush { asid: u16 },
     Admit { asid: u16 },
 }
 
-/// Decodes `(selector, payload)` into an op: accesses dominate, the
-/// structural ops of the search-list suite are sprinkled in, and a
-/// shared grant only when `shared` allows it (an access otherwise).
-fn decode(selector: u64, payload: u64, shared: bool) -> Op {
+/// Decodes `(selector, payload)` into an op: accesses dominate, with the
+/// structural ops of the search-list suite sprinkled in.
+fn decode(selector: u64, payload: u64) -> Op {
     let asid = (payload % 3 + 1) as u16;
-    let tile = (payload >> 8) as usize % 2;
+    let tile = (payload >> 8) as usize % TILES;
     let by = (payload >> 8) as usize % 4 + 1;
     match selector % 20 {
         12 => Op::Grow { asid, by },
         13 => Op::Shrink { asid, by },
         14 => Op::Release { asid },
         15 => Op::Rehome { asid, tile },
-        16 if shared => Op::MakeShared { tile },
         17 => Op::Flush { asid },
         18 => Op::Admit { asid },
         _ => Op::Access {
-            asid,
+            asid: if (payload >> 12).is_multiple_of(16) {
+                0
+            } else {
+                asid
+            },
             // A handful of hot lines per app plus a streaming tail that
             // overlaps the other apps' lines.
             addr: if payload.is_multiple_of(4) {
@@ -81,26 +90,10 @@ fn decode(selector: u64, payload: u64, shared: bool) -> Op {
     }
 }
 
-/// Services one request, returning its outcome and the activity it
-/// added.
-fn access(c: &mut MolecularCache, asid: u16, addr: u64, write: bool) -> (AccessOutcome, Activity) {
-    let before = c.activity();
-    let out = c.access(Request {
-        asid: Asid::new(asid),
-        addr: Address::new(addr),
-        kind: if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        },
-    });
-    (out, c.activity().since(&before))
-}
-
 /// Applies a structural op.
 fn apply(c: &mut MolecularCache, op: Op) {
     match op {
-        Op::Access { .. } => unreachable!("accesses are compared, not applied"),
+        Op::Access { .. } => unreachable!("accesses are checked, not applied"),
         Op::Grow { asid, by } => {
             if let Some(size) = c.region_size(Asid::new(asid)) {
                 c.set_region_size(Asid::new(asid), size + by);
@@ -117,9 +110,6 @@ fn apply(c: &mut MolecularCache, op: Op) {
         Op::Rehome { asid, tile } => {
             c.rehome_app(Asid::new(asid), tile);
         }
-        Op::MakeShared { tile } => {
-            c.make_shared(tile, 1);
-        }
         Op::Flush { asid } => {
             c.flush_region(Asid::new(asid));
         }
@@ -129,56 +119,95 @@ fn apply(c: &mut MolecularCache, op: Op) {
     }
 }
 
+/// Services one request and checks it against the ordered scan taken
+/// just before it. The region is admitted first, which is what the
+/// access itself would do, so the scan has a region to walk.
+fn access_checked(
+    c: &mut MolecularCache,
+    step: usize,
+    asid: u16,
+    addr: u64,
+    write: bool,
+) -> Result<(), TestCaseError> {
+    let asid = Asid::new(asid);
+    c.admit_app(asid);
+    let line = Address::new(addr).line(LINE_SIZE);
+    let (found, scan) = c.reference_lookup(asid, line).expect("admitted");
+    prop_assert_eq!(
+        c.indexed_molecule(asid, line),
+        found,
+        "step {}: the index names another molecule than the scan ({}, {:#x})",
+        step,
+        asid,
+        addr
+    );
+    let before = c.activity();
+    let out = c.access(Request {
+        asid,
+        addr: Address::new(addr),
+        kind: if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        },
+    });
+    let delta = c.activity().since(&before);
+    prop_assert_eq!(out.hit, found.is_some(), "step {}: hit flag", step);
+    let mut want = StageActivity::default();
+    want.absorb(&scan);
+    let stages = delta.stages;
+    prop_assert_eq!(
+        (stages.asid_gate, stages.home_lookup, stages.ulmo_search),
+        (want.asid_gate, want.home_lookup, want.ulmo_search),
+        "step {}: lookup charges diverged from the scan ({}, {:#x})",
+        step,
+        asid,
+        addr
+    );
+    prop_assert_eq!(
+        delta.ulmo_searches,
+        u64::from(scan.ulmo_search.cycles > 0),
+        "step {}: Ulmo launches",
+        step
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn index_matches_a_rebuild_and_the_scan_after_every_op(
         factor in 0u32..3,
-        shared in proptest::bool::ANY,
         ops in proptest::collection::vec(
             (proptest::num::u64::ANY, proptest::num::u64::ANY), 50..300),
     ) {
-        let line_factor = 1 << factor;
-        let mut indexed = MolecularCache::new(config(line_factor));
-        let mut scan = MolecularCache::new(config(line_factor));
-        scan.set_memo_front(false);
+        let mut c = MolecularCache::new(config(1 << factor));
+        let mut accesses = 0;
         for (step, &(sel, payload)) in ops.iter().enumerate() {
-            match decode(sel, payload, shared) {
+            match decode(sel, payload) {
                 Op::Access { asid, addr, write } => {
-                    let got = access(&mut indexed, asid, addr, write);
-                    let want = access(&mut scan, asid, addr, write);
-                    prop_assert_eq!(
-                        got, want,
-                        "step {}: access (asid {}, {:#x}) diverged from the scan",
-                        step, asid, addr
-                    );
+                    access_checked(&mut c, step, asid, addr, write)?;
+                    accesses += 1;
                 }
-                op => {
-                    apply(&mut indexed, op);
-                    apply(&mut scan, op);
-                }
+                op => apply(&mut c, op),
             }
             prop_assert_eq!(
-                indexed.line_index_entries(),
-                indexed.reference_line_index(),
+                c.line_index_entries(),
+                c.reference_line_index(),
                 "step {}: index diverged from the tag store",
                 step
             );
             prop_assert_eq!(
-                indexed.find_miscounted_molecule(),
+                c.find_miscounted_molecule(),
                 None,
                 "step {}: a valid-frame count diverged from a recount",
                 step
             );
+            prop_assert_eq!(c.find_duplicate_line(), None, "step {}", step);
+            prop_assert_eq!(c.find_partial_block(), None, "step {}", step);
         }
-        prop_assert_eq!(indexed.stats(), scan.stats());
-        prop_assert_eq!(indexed.snapshots(), scan.snapshots());
-        prop_assert_eq!(indexed.find_duplicate_line(), None);
-        let memo = indexed.memo_stats().unwrap();
-        prop_assert_eq!(scan.memo_stats().unwrap().lookups(), 0);
-        if !shared {
-            prop_assert!(memo.lookups() > 0, "the index answered no lookup");
-        }
+        let memo = c.memo_stats().unwrap();
+        prop_assert_eq!(memo.lookups(), accesses, "the index answers every access");
     }
 }

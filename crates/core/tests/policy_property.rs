@@ -223,31 +223,27 @@ fn torture_config(trigger: ResizeTrigger) -> MolecularConfig {
 }
 
 /// One step of a generated interleaving: accesses dominate so windows
-/// accumulate; lifecycle ops (release/rehome/share/flush/set-size)
+/// accumulate; lifecycle ops (release/rehome/flush/set-size)
 /// exercise the mechanism paths between decisions.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Access { asid: u16, addr: u64, write: bool },
     Release { asid: u16 },
     Rehome { asid: u16, tile: usize },
-    MakeShared { tile: usize },
     Flush { asid: u16 },
     SetSize { asid: u16, molecules: usize },
 }
 
 fn decode(selector: u64, payload: u64) -> Op {
     let asid = (payload % 3 + 1) as u16;
-    match selector % 24 {
+    match selector % 23 {
         19 => Op::Release { asid },
         20 => Op::Rehome {
             asid,
             tile: (payload >> 8) as usize % 2,
         },
-        21 => Op::MakeShared {
-            tile: (payload >> 8) as usize % 2,
-        },
-        22 => Op::Flush { asid },
-        23 => Op::SetSize {
+        21 => Op::Flush { asid },
+        22 => Op::SetSize {
             asid,
             molecules: (payload >> 8) as usize % 12 + 1,
         },
@@ -281,9 +277,6 @@ fn apply(c: &mut MolecularCache, op: Op) {
         }
         Op::Rehome { asid, tile } => {
             c.rehome_app(Asid::new(asid), tile);
-        }
-        Op::MakeShared { tile } => {
-            c.make_shared(tile, 1);
         }
         Op::Flush { asid } => {
             c.flush_region(Asid::new(asid));

@@ -1,9 +1,9 @@
-//! Property tests for the cached Ulmo search lists and ASID-gate masks
+//! Property tests for the cached Ulmo search lists and probe counts
 //! (`search_list`): under arbitrary access/grow/shrink/release/re-home/
-//! shared-bit/flush/admit interleavings, a current generation stamp
-//! always implies agreement with the membership-derived reference list
-//! and with a fresh gate scan of every cached tile, and no stale list
-//! survives a structural-generation bump as current.
+//! flush/admit interleavings, a current generation stamp always implies
+//! agreement with the membership-derived reference list and with fresh
+//! gate counts of every lookup tile, and no stale list survives a
+//! structural-generation bump as current.
 
 use molcache_core::config::InitialAllocation;
 use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
@@ -27,10 +27,10 @@ fn torture_config() -> MolecularConfig {
 }
 
 /// One step of a generated interleaving, decoded from two raw u64
-/// draws. Compared with the memo suite this mix adds explicit
-/// grow/shrink ops so search lists churn through every structural
-/// path, not just the trigger-driven resizes, and the lifecycle flush
-/// and admit calls.
+/// draws. Explicit grow/shrink ops make search lists churn through
+/// every structural path, not just the trigger-driven resizes, and the
+/// lifecycle flush and admit calls; one access in sixteen comes from
+/// [`Asid::NONE`], whose region's gates pass nothing.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Access { asid: u16, addr: u64, write: bool },
@@ -38,7 +38,6 @@ enum Op {
     Shrink { asid: u16, by: usize },
     Release { asid: u16 },
     Rehome { asid: u16, tile: usize },
-    MakeShared { tile: usize },
     Flush { asid: u16 },
     Admit { asid: u16 },
 }
@@ -48,7 +47,7 @@ enum Op {
 /// in.
 fn decode(selector: u64, payload: u64) -> Op {
     let asid = (payload % 3 + 1) as u16;
-    match selector % 18 {
+    match selector % 17 {
         11 => Op::Grow {
             asid,
             by: (payload >> 8) as usize % 4 + 1,
@@ -62,13 +61,14 @@ fn decode(selector: u64, payload: u64) -> Op {
             asid,
             tile: (payload >> 8) as usize % 2,
         },
-        15 => Op::MakeShared {
-            tile: (payload >> 8) as usize % 2,
-        },
-        16 => Op::Flush { asid },
-        17 => Op::Admit { asid },
+        15 => Op::Flush { asid },
+        16 => Op::Admit { asid },
         _ => Op::Access {
-            asid,
+            asid: if (payload >> 12).is_multiple_of(16) {
+                0
+            } else {
+                asid
+            },
             // A handful of hot lines per app plus a streaming tail.
             addr: if payload.is_multiple_of(4) {
                 u64::from(asid) * 4096 + (payload >> 4) % 4 * 64
@@ -109,9 +109,6 @@ fn apply(c: &mut MolecularCache, op: Op) {
         Op::Rehome { asid, tile } => {
             c.rehome_app(Asid::new(asid), tile);
         }
-        Op::MakeShared { tile } => {
-            c.make_shared(tile, 1);
-        }
         Op::Flush { asid } => {
             c.flush_region(Asid::new(asid));
         }
@@ -124,14 +121,14 @@ fn apply(c: &mut MolecularCache, op: Op) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The search-list and gate-mask invalidation contract, checked
+    /// The search-list and probe-count invalidation contract, checked
     /// after every op:
     ///
     /// 1. A current stamp is trustworthy — whenever a region's cached
     ///    stamp equals the live structural generation, the cached tile
-    ///    list equals the list derived directly from membership, and
-    ///    every cached gate mask equals a fresh gate scan of its tile
-    ///    for the region's ASID (shared molecules included).
+    ///    list equals the list derived directly from membership, and the
+    ///    cached probe counts equal the running sums of fresh gate counts
+    ///    of the home tile and each listed tile for the region's ASID.
     /// 2. No stale list survives a generation bump as current — after
     ///    any op that advances the generation, no stamp written before
     ///    the op can equal the new generation (stamps only move by
@@ -147,7 +144,7 @@ proptest! {
         for &(sel, payload) in &ops {
             // Stamps observed before the op, to detect a stale stamp
             // getting promoted by a bump instead of a rebuild.
-            let before: Vec<(u16, u64)> = (1u16..=3)
+            let before: Vec<(u16, u64)> = (0u16..=3)
                 .filter_map(|a| {
                     c.cached_search_list(Asid::new(a)).map(|(s, _)| (a, s))
                 })
@@ -169,7 +166,7 @@ proptest! {
                 generation = now;
             }
 
-            for asid in 1u16..=3 {
+            for asid in 0u16..=3 {
                 let Some((stamp, cached)) = c.cached_search_list(Asid::new(asid))
                 else {
                     continue;
@@ -184,15 +181,21 @@ proptest! {
                         asid
                     );
                 }
-                let (stamp, gates) = c.cached_gates(Asid::new(asid)).expect("region exists");
+                let (stamp, slots) = c
+                    .cached_probe_counts(Asid::new(asid))
+                    .expect("region exists");
                 if stamp == now {
-                    for (tile, mask) in &gates {
+                    prop_assert_eq!(slots.len(), cached.len() + 1, "one slot per lookup tile");
+                    let mut sum = 0;
+                    for (slot, &(tile, probes)) in slots.iter().enumerate() {
+                        if slot > 0 {
+                            prop_assert_eq!(tile, cached[slot - 1], "slot {} is off the list", slot);
+                        }
+                        sum += c.reference_gate_count(Asid::new(asid), tile);
                         prop_assert_eq!(
-                            mask,
-                            &c.reference_gate(Asid::new(asid), *tile),
-                            "current-stamped gate mask of tile {:?} is stale for ASID {}",
-                            tile,
-                            asid
+                            probes, sum,
+                            "current-stamped probe count of slot {} is stale for ASID {}",
+                            slot, asid
                         );
                     }
                 }

@@ -48,11 +48,10 @@ pub struct EpochActivity {
     pub activity: molcache_sim::Activity,
     /// Unallocated molecules at epoch close.
     pub free_molecules: usize,
-    /// Lookups the line-index front-end resolved to a region member
-    /// (always 0 while it is disabled at runtime). Diagnostic only: it
-    /// is excluded from the canonical JSON export so that telemetry
-    /// documents stay byte-identical with the front-end on or off.
-    /// Surfaced by `molstat --memo` instead.
+    /// Lookups the line-index front-end resolved to a region member.
+    /// Diagnostic only: it is excluded from the canonical JSON export,
+    /// whose bytes predate the index, and surfaced by `molstat --memo`
+    /// instead.
     pub memo_hits: u64,
 }
 
@@ -75,30 +74,18 @@ impl ResizeKind {
     }
 }
 
-/// The decision-input snapshot a resize policy saw when it made the
-/// call, carried on every [`ResizeRecord`]. The canonical JSON export
-/// carries `current` (under the key `before`), `window_miss_rate` and
-/// `goal`; like [`EpochActivity::memo_hits`], the other inputs are
-/// deliberately **excluded** from it so telemetry documents stay
-/// byte-identical across the policy-trait refactor.
+/// The decision inputs a resize record carries: the three a reader
+/// renders, all of them in the canonical JSON export (`current` under
+/// the key `before`). The policy saw more (see `DecisionInputs` in
+/// `molcache-core`); a reader that needs another input adds it here.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResizeDecisionInputs {
-    /// Accesses the partition served in the closing window.
-    pub window_accesses: u64,
     /// Miss rate over the closing window.
     pub window_miss_rate: f64,
-    /// Miss rate of the previous window (1.0 before the first window).
-    pub last_miss_rate: f64,
     /// The goal the policy judged the partition against.
     pub goal: f64,
     /// Allocation in molecules at decision time.
     pub current: usize,
-    /// Molecules granted or withdrawn by the previous resize.
-    pub last_allocation: usize,
-    /// Per-resize grant cap in force.
-    pub max_allocation: usize,
-    /// Unallocated molecules across the cache at decision time.
-    pub free_molecules: usize,
 }
 
 /// One entry of the structured resize-event log: a non-Hold decision of
@@ -124,10 +111,11 @@ pub struct ResizeRecord {
     pub after: usize,
     /// Stable name of the policy that fired the decision (e.g.
     /// `paper-algorithm1`). Diagnostic: excluded from the canonical JSON
-    /// export (see [`ResizeDecisionInputs`]).
+    /// export.
     pub policy: String,
-    /// The full input snapshot the policy decided from, including the
-    /// window miss rate that drove the decision and the partition's goal.
+    /// The inputs the policy decided from that a reader renders: the
+    /// window miss rate that drove the decision, the partition's goal and
+    /// its size before the decision.
     pub inputs: ResizeDecisionInputs,
 }
 

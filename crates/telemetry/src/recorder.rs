@@ -426,14 +426,9 @@ mod tests {
             after: 8,
             policy: "paper-algorithm1".into(),
             inputs: crate::event::ResizeDecisionInputs {
-                window_accesses: 100,
                 window_miss_rate: 0.5,
-                last_miss_rate: 1.0,
                 goal: 0.25,
                 current: 4,
-                last_allocation: 4,
-                max_allocation: 16,
-                free_molecules: 10,
             },
         };
         rec.record(&Event::Resize(&resize));

@@ -95,52 +95,53 @@ impl From<io::Error> for DinError {
 /// # Errors
 ///
 /// Returns [`DinError::Malformed`] on the first unparsable line (blank
-/// lines and `#` comments are skipped) and [`DinError::Io`] on read
-/// failures.
+/// lines and `#` comments are skipped; see [`DinSource`] for the record
+/// grammar) and [`DinError::Io`] on read failures.
 pub fn read_din<R: BufRead>(reader: R, asid: Asid) -> Result<Vec<MemAccess>, DinError> {
+    let mut src = DinSource::new(reader, asid);
     let mut out = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let (label, addr) = match (parts.next(), parts.next()) {
-            (Some(l), Some(a)) => (l, a),
-            _ => {
-                return Err(DinError::Malformed {
-                    line: idx + 1,
-                    text: trimmed.to_string(),
-                })
-            }
-        };
-        let kind = match label {
-            "0" | "2" => AccessKind::Read,
-            "1" => AccessKind::Write,
-            _ => {
-                return Err(DinError::Malformed {
-                    line: idx + 1,
-                    text: trimmed.to_string(),
-                })
-            }
-        };
-        let addr = u64::from_str_radix(addr.trim_start_matches("0x"), 16).map_err(|_| {
-            DinError::Malformed {
-                line: idx + 1,
-                text: trimmed.to_string(),
-            }
-        })?;
-        out.push(MemAccess::new(asid, Address::new(addr), kind));
+    while let Some(access) = src.next_access() {
+        out.push(access);
     }
-    Ok(out)
+    match src.error {
+        Some(e) => Err(e),
+        None => Ok(out),
+    }
+}
+
+/// Parses one trimmed, non-blank, non-comment record: a label `0`, `1`
+/// or `2`, then a hex address that fits 64 bits, written in hex digits
+/// after at most one `0x` prefix; anything after the address is ignored.
+fn parse_record(record: &str) -> Option<(AccessKind, u64)> {
+    let mut parts = record.split_whitespace();
+    let kind = match parts.next()? {
+        "0" | "2" => AccessKind::Read,
+        "1" => AccessKind::Write,
+        _ => return None,
+    };
+    let addr = parts.next()?;
+    let digits = addr.strip_prefix("0x").unwrap_or(addr);
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    // Only an address beyond 64 bits is left to fail here.
+    let addr = u64::from_str_radix(digits, 16).ok()?;
+    Some((kind, addr))
 }
 
 /// A [`TraceSource`] that streams a din trace lazily from any reader.
+///
+/// Each line holds one record, `<label> <hex-address>`: label `0` (data
+/// read), `1` (data write) or `2` (instruction fetch, read as a read),
+/// and a hex address with an optional `0x` prefix. Blank lines and lines
+/// starting with `#` are skipped. A line that is not UTF-8 or does not
+/// parse ends the stream with [`DinError::Malformed`] at its line.
 pub struct DinSource<R> {
     reader: R,
     asid: Asid,
     line: usize,
+    /// The bytes of the line being parsed, kept across calls.
+    buf: Vec<u8>,
     /// First parse error encountered (the stream ends at it; inspect via
     /// [`DinSource::error`]).
     error: Option<DinError>,
@@ -153,6 +154,7 @@ impl<R: BufRead> DinSource<R> {
             reader,
             asid,
             line: 0,
+            buf: Vec::new(),
             error: None,
         }
     }
@@ -168,10 +170,9 @@ impl<R: BufRead> TraceSource for DinSource<R> {
         if self.error.is_some() {
             return None;
         }
-        let mut buf = String::new();
         loop {
-            buf.clear();
-            match self.reader.read_line(&mut buf) {
+            self.buf.clear();
+            match self.reader.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => {
@@ -180,25 +181,24 @@ impl<R: BufRead> TraceSource for DinSource<R> {
                 }
             }
             self.line += 1;
-            let trimmed = buf.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            match read_din(io::Cursor::new(trimmed), self.asid) {
-                Ok(accs) if accs.len() == 1 => return Some(accs[0]),
-                Ok(_) => continue,
-                Err(DinError::Malformed { text, .. }) => {
-                    self.error = Some(DinError::Malformed {
-                        line: self.line,
-                        text,
-                    });
-                    return None;
+            let parsed = match std::str::from_utf8(&self.buf) {
+                Ok(text) => {
+                    let record = text.trim();
+                    if record.is_empty() || record.starts_with('#') {
+                        continue;
+                    }
+                    parse_record(record)
                 }
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
+                Err(_) => None,
+            };
+            if let Some((kind, addr)) = parsed {
+                return Some(MemAccess::new(self.asid, Address::new(addr), kind));
             }
+            self.error = Some(DinError::Malformed {
+                line: self.line,
+                text: String::from_utf8_lossy(&self.buf).trim().to_string(),
+            });
+            return None;
         }
     }
 
@@ -211,6 +211,7 @@ impl<R: BufRead> TraceSource for DinSource<R> {
 mod tests {
     use super::*;
     use crate::presets::Benchmark;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_preserves_accesses() {
@@ -258,6 +259,34 @@ mod tests {
         }
         assert!(read_din(io::Cursor::new("0\n"), Asid::new(1)).is_err());
         assert!(read_din(io::Cursor::new("0 zz\n"), Asid::new(1)).is_err());
+        // One `0x` prefix and hex digits only: no doubled prefix, no sign,
+        // no bare prefix, nothing beyond 64 bits.
+        for bad in [
+            "0 0x0x40",
+            "0 +40",
+            "1 0x+40",
+            "1 -40",
+            "0 0x",
+            "2 0X40",
+            "0 10000000000000000",
+        ] {
+            let err = read_din(io::Cursor::new(format!("0 40\n{bad}\n")), Asid::new(1));
+            match err {
+                Err(DinError::Malformed { line, text }) => {
+                    assert_eq!((line, text.as_str()), (2, bad));
+                }
+                other => panic!("`{bad}` parsed: {other:?}"),
+            }
+        }
+        // A line that is not UTF-8 is malformed at its line, not an i/o
+        // error, in both readers.
+        let bytes: &[u8] = b"0 40\n\n1 8\xff0\n0 c0\n";
+        let want = "malformed din record at line 3: `1 8\u{fffd}0`";
+        let err = read_din(io::Cursor::new(bytes), Asid::new(1)).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let mut src = DinSource::new(io::Cursor::new(bytes), Asid::new(1));
+        assert_eq!(src.collect_n(8).len(), 1);
+        assert_eq!(src.error().unwrap().to_string(), want);
     }
 
     #[test]
@@ -280,5 +309,103 @@ mod tests {
         let mut src = DinSource::new(io::Cursor::new(&bytes), Asid::new(1));
         let streamed = src.collect_n(500);
         assert_eq!(streamed, original);
+    }
+
+    /// The bytes a din trace is made of, plus a few that break it.
+    const DINISH: &[u8] = b"0129x afAF#\n\r-+\xff";
+
+    /// A pinned din trace to damage: 64 accesses of ammp.
+    fn trace_bytes() -> Vec<u8> {
+        let accesses = Benchmark::Ammp.source(Asid::new(1), 7).collect_n(64);
+        let mut bytes = Vec::new();
+        write_din(&accesses, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// Reads `bytes` with both readers (a panic fails the case) and
+    /// checks that they agree: the same accesses when the trace parses;
+    /// otherwise the same error at the same line, and the source streams
+    /// exactly the accesses of the lines before it.
+    fn read_both(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let batch = read_din(io::Cursor::new(bytes), Asid::new(1));
+        let mut src = DinSource::new(io::Cursor::new(bytes), Asid::new(1));
+        let mut streamed = Vec::new();
+        while let Some(access) = src.next_access() {
+            streamed.push(access);
+        }
+        prop_assert!(src.next_access().is_none(), "a stopped stream restarted");
+        match (batch, src.error()) {
+            (Ok(all), None) => prop_assert_eq!(all, streamed),
+            (
+                Err(DinError::Malformed { line, text }),
+                Some(DinError::Malformed { line: l, text: t }),
+            ) => {
+                prop_assert_eq!((line, &text), (*l, t));
+                prop_assert!(line >= 1, "lines count from 1");
+                prop_assert_eq!(text.trim(), text.as_str(), "the text is trimmed");
+                // The lines before the bad one parse on their own, into
+                // exactly what the source streamed.
+                let before: usize = bytes
+                    .split_inclusive(|&b| b == b'\n')
+                    .take(line - 1)
+                    .map(<[u8]>::len)
+                    .sum();
+                let prefix = read_din(io::Cursor::new(&bytes[..before]), Asid::new(1));
+                prop_assert_eq!(prefix.ok(), Some(streamed));
+            }
+            (batch, streamed_err) => {
+                prop_assert!(
+                    false,
+                    "the readers disagree: {:?} vs {:?}",
+                    batch.err(),
+                    streamed_err
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn din_readers_agree_on_random_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+            steer in proptest::collection::vec(0usize..DINISH.len(), 0..96),
+        ) {
+            read_both(&bytes)?;
+            // Bytes drawn from the din alphabet reach the address parser.
+            let dinish: Vec<u8> = steer.iter().map(|&i| DINISH[i]).collect();
+            read_both(&dinish)?;
+        }
+
+        #[test]
+        fn din_readers_agree_on_damaged_traces(
+            cut in proptest::num::u64::ANY,
+            edits in proptest::collection::vec(
+                (proptest::num::u64::ANY, 0u8..=255, 0u8..3),
+                1..6,
+            ),
+        ) {
+            let bytes = trace_bytes();
+            read_both(&bytes)?;
+            // A truncation anywhere.
+            let at = (cut % (bytes.len() as u64 + 1)) as usize;
+            read_both(&bytes[..at])?;
+            // A few byte edits: overwrite, insert or delete.
+            let mut damaged = bytes;
+            for &(pos, byte, kind) in &edits {
+                let at = (pos % (damaged.len() as u64 + 1)) as usize;
+                match kind {
+                    0 if at < damaged.len() => damaged[at] = byte,
+                    1 => damaged.insert(at, byte),
+                    _ if at < damaged.len() => {
+                        damaged.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            read_both(&damaged)?;
+        }
     }
 }
