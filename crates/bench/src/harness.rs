@@ -245,9 +245,11 @@ const GENERATION_BLOCK: usize = 1 << 14;
 /// each source's share can be drawn on a different worker. Generation
 /// runs in rounds of at most 2^14 accesses per source, and each round's
 /// blocks are merged round-robin into the trace before the next round
-/// starts. The sources are built on the calling thread: built on the
-/// workers, their tables stayed in the workers' allocator arenas and
-/// raised peak memory.
+/// starts. The sources are built on the calling thread, which is cheap:
+/// their working sets sample their presets' popularity tables
+/// ([`Benchmark::popularity_tables`]), built once per process and
+/// shared, so a build allocates no table (tables allocated on the
+/// workers stayed in their allocator arenas and raised peak memory).
 ///
 /// [`presets::workload`]: molcache_trace::presets::workload
 ///

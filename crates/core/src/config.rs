@@ -306,7 +306,8 @@ impl MolecularConfigBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when sizes are not powers of
-    /// two, counts are zero, the initial allocation exceeds a tile, a
+    /// two, counts are zero, the cache holds 2^32 - 1 line frames or
+    /// more, the initial allocation exceeds a cluster, a
     /// goal is outside `(0, 1)`, a line factor is given for
     /// [`Asid::NONE`], or an assigned cluster is out of range.
     pub fn build(&self) -> Result<MolecularConfig, CoreError> {
@@ -327,6 +328,18 @@ impl MolecularConfigBuilder {
         }
         if self.clusters == 0 {
             return Err(err("clusters", "must be positive"));
+        }
+        // The tag store numbers the cache's frames in 32 bits.
+        let frames = usize::try_from(self.molecule_size / LINE_SIZE)
+            .ok()
+            .and_then(|frames| frames.checked_mul(self.tile_molecules))
+            .and_then(|frames| frames.checked_mul(self.tiles_per_cluster))
+            .and_then(|frames| frames.checked_mul(self.clusters));
+        if frames.is_none_or(|frames| frames >= u32::MAX as usize) {
+            return Err(err(
+                "clusters",
+                "the cache must hold fewer than 2^32 - 1 line frames",
+            ));
         }
         if !(self.default_goal > 0.0 && self.default_goal < 1.0) {
             return Err(err("miss_rate_goal", "must lie in (0, 1)"));

@@ -31,8 +31,11 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidGeometry`] unless `size_bytes` and
-    /// `line_size` are powers of two, `assoc >= 1`, and
-    /// `size_bytes >= assoc * line_size`.
+    /// `line_size` are powers of two, `assoc >= 1`,
+    /// `size_bytes >= assoc * line_size`, the set count is a power of
+    /// two, and a way holds at least four bytes (`line_size * sets >= 4`),
+    /// so that a tag fits the 62 bits a
+    /// [`SetAssocCache`](crate::SetAssocCache) frame word keeps for it.
     pub fn new(size_bytes: u64, assoc: u32, line_size: u64) -> Result<Self, SimError> {
         if size_bytes == 0 || !size_bytes.is_power_of_two() {
             return Err(SimError::InvalidGeometry {
@@ -52,18 +55,27 @@ impl CacheConfig {
                 constraint: "must be at least 1",
             });
         }
-        if size_bytes < assoc as u64 * line_size {
-            return Err(SimError::InvalidGeometry {
-                field: "size_bytes",
-                constraint: "must hold at least one set (assoc * line_size)",
-            });
-        }
-        if (size_bytes / (assoc as u64 * line_size)) == 0
-            || !(size_bytes / (assoc as u64 * line_size)).is_power_of_two()
-        {
+        let set_bytes = match u64::from(assoc).checked_mul(line_size) {
+            Some(bytes) if bytes <= size_bytes => bytes,
+            _ => {
+                return Err(SimError::InvalidGeometry {
+                    field: "size_bytes",
+                    constraint: "must hold at least one set (assoc * line_size)",
+                })
+            }
+        };
+        let sets = size_bytes / set_bytes;
+        if !sets.is_power_of_two() {
             return Err(SimError::InvalidGeometry {
                 field: "assoc",
                 constraint: "set count (size / assoc / line) must be a power of two",
+            });
+        }
+        // A tag is the address shifted right by log2(line_size * sets).
+        if line_size * sets < 4 {
+            return Err(SimError::InvalidGeometry {
+                field: "size_bytes",
+                constraint: "each way must hold at least 4 bytes (tags fit 62 bits)",
             });
         }
         Ok(CacheConfig {
@@ -133,6 +145,58 @@ impl fmt::Display for CacheConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheModel, Request, SetAssocCache};
+    use molcache_trace::{AccessKind, Address, Asid};
+    use proptest::prelude::*;
+
+    /// Zero, one, a power of two, an arbitrary value or one near the
+    /// type's top, by `pick`.
+    fn edgy(pick: u64, raw: u64) -> u64 {
+        match pick % 5 {
+            0 => 0,
+            1 => 1,
+            2 => 1 << (raw % 64),
+            3 => raw,
+            _ => u64::MAX - raw % 4,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// `new` never panics, whatever it is given, and every geometry it
+        /// accepts holds whole power-of-two sets whose tags fit 62 bits;
+        /// the small ones build a cache that serves the address space's
+        /// extremes.
+        #[test]
+        fn config_new_never_panics(
+            picks in (0u64..5, 0u64..5, 0u64..5),
+            raws in (
+                proptest::num::u64::ANY,
+                proptest::num::u64::ANY,
+                proptest::num::u64::ANY,
+            ),
+        ) {
+            let size = edgy(picks.0, raws.0);
+            let assoc = edgy(picks.1, raws.1) as u32;
+            let line = edgy(picks.2, raws.2);
+            let Ok(cfg) = CacheConfig::new(size, assoc, line) else {
+                return Ok(());
+            };
+            let sets = cfg.num_sets();
+            prop_assert!(sets.is_power_of_two() && line.is_power_of_two() && assoc >= 1);
+            prop_assert!(u128::from(sets) * u128::from(assoc) * u128::from(line) <= u128::from(size));
+            prop_assert!(line * sets >= 4, "{cfg}: tags need more than 62 bits");
+            if cfg.num_lines() <= 1 << 12 {
+                let mut cache = SetAssocCache::new(cfg);
+                for addr in [1 << 63, u64::MAX, u64::MAX, 0, 0] {
+                    let kind = AccessKind::Write;
+                    cache.access(Request { asid: Asid::new(1), addr: Address::new(addr), kind });
+                }
+                prop_assert_eq!(cache.stats().global.hits, 2, "{}", cfg);
+            }
+        }
+    }
 
     #[test]
     fn geometry_derivations() {

@@ -4,23 +4,10 @@ use crate::config::CacheConfig;
 use crate::model::{AccessOutcome, Activity, CacheModel, Request};
 use crate::stats::CacheStats;
 
-/// One line frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LineSlot {
-    tag: u64,
-    /// When the frame was last filled or hit, from the cache-wide clock;
-    /// 0 = the frame was never filled.
-    stamp: u64,
-    dirty: bool,
-}
-
-impl LineSlot {
-    const EMPTY: LineSlot = LineSlot {
-        tag: 0,
-        stamp: 0,
-        dirty: false,
-    };
-}
+/// Bit 63 of a frame word: the frame holds a line.
+const VALID: u64 = 1 << 63;
+/// Bit 62 of a frame word: the line was written since its fill.
+const DIRTY: u64 = 1 << 62;
 
 /// A set-associative, write-back / write-allocate LRU cache.
 ///
@@ -28,11 +15,13 @@ impl LineSlot {
 /// every traditional-cache configuration in the paper (direct mapped
 /// through 8-way, 1–8 MB).
 ///
-/// Recency is one cache-wide clock: every fill or hit stamps its frame
-/// with the next tick. Within a set the stamps order the ways exactly as
-/// a per-set clock would, and a never-filled frame's 0 sorts first, so
-/// the miss path takes the set's smallest stamp — the first empty way
-/// while one is left, the least recently used way once the set is full.
+/// Each frame is one word, packed as the molecular cache's tag store
+/// packs its frames: bit 63 valid, bit 62 dirty, bits 0–61 the tag
+/// ([`CacheConfig::new`] admits only geometries whose tags fit). Each
+/// set keeps its ways in recency order, most recent first, with the
+/// empty frames after the valid ones. A hit moves its word to the front;
+/// a miss takes the last way — an empty frame while the set has one,
+/// else the least recently used line — and fills at the front.
 ///
 /// ```
 /// use molcache_sim::{CacheConfig, SetAssocCache, Request, CacheModel};
@@ -53,9 +42,8 @@ pub struct SetAssocCache {
     set_shift: u32,
     /// `num_sets - 1`: a line's set is `line & set_mask`.
     set_mask: u64,
-    lines: Vec<LineSlot>,
-    /// The last stamp handed out.
-    clock: u64,
+    /// One word per frame, set by set, each set most recent first.
+    frames: Vec<u64>,
     stats: CacheStats,
     activity: Activity,
 }
@@ -75,8 +63,7 @@ impl SetAssocCache {
             line_shift: cfg.line_size().trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             set_mask: sets - 1,
-            lines: vec![LineSlot::EMPTY; cfg.num_lines() as usize],
-            clock: 0,
+            frames: vec![0; cfg.num_lines() as usize],
             stats: CacheStats::new(),
             activity: Activity::default(),
         }
@@ -89,7 +76,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident (test/diagnostic helper).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.stamp != 0).count()
+        self.frames.iter().filter(|&&w| w & VALID != 0).count()
     }
 
     fn index_and_tag(&self, addr: molcache_trace::Address) -> (usize, u64) {
@@ -107,29 +94,22 @@ impl CacheModel for SetAssocCache {
         // A traditional cache probes all ways of the indexed set in
         // parallel, every access.
         self.activity.ways_probed += assoc as u64;
-        self.clock += 1;
-        let write = req.kind.is_write();
+        let dirty = if req.kind.is_write() { DIRTY } else { 0 };
 
-        let slots = &mut self.lines[set * assoc..(set + 1) * assoc];
-        if let Some(slot) = slots.iter_mut().find(|l| l.stamp != 0 && l.tag == tag) {
-            slot.stamp = self.clock;
-            slot.dirty |= write;
+        let ways = &mut self.frames[set * assoc..(set + 1) * assoc];
+        if let Some(way) = ways.iter().position(|&w| w & !DIRTY == VALID | tag) {
+            let word = ways[way] | dirty;
+            ways.copy_within(..way, 1);
+            ways[0] = word;
             self.stats
                 .record(req.asid, true, false, CacheConfig::HIT_LATENCY);
             return AccessOutcome::hit(CacheConfig::HIT_LATENCY);
         }
 
-        // Miss: the smallest stamp is the first empty way, else the LRU.
-        let slot = slots
-            .iter_mut()
-            .min_by_key(|l| l.stamp)
-            .expect("a set has at least one way");
-        let writeback = slot.stamp != 0 && slot.dirty;
-        *slot = LineSlot {
-            tag,
-            stamp: self.clock,
-            dirty: write,
-        };
+        // Miss: the last way is an empty frame or the LRU line.
+        let writeback = ways[assoc - 1] & (VALID | DIRTY) == VALID | DIRTY;
+        ways.copy_within(..assoc - 1, 1);
+        ways[0] = VALID | dirty | tag;
         self.activity.line_fills += 1;
         if writeback {
             self.activity.writebacks += 1;
@@ -160,6 +140,112 @@ impl CacheModel for SetAssocCache {
 mod tests {
     use super::*;
     use molcache_trace::{AccessKind, Address, Asid};
+    use proptest::prelude::*;
+
+    /// The stamp-and-clock LRU the frame words replaced, kept as the
+    /// reference: every fill or hit stamps its frame with the next tick
+    /// of one cache-wide clock, and a miss takes the set's smallest stamp
+    /// (a never-filled frame's 0 first).
+    struct StampLru {
+        cfg: CacheConfig,
+        /// `(tag, stamp, dirty)` per frame, set by set.
+        lines: Vec<(u64, u64, bool)>,
+        clock: u64,
+        stats: CacheStats,
+        activity: Activity,
+    }
+
+    impl StampLru {
+        fn new(cfg: CacheConfig) -> Self {
+            StampLru {
+                cfg,
+                lines: vec![(0, 0, false); cfg.num_lines() as usize],
+                clock: 0,
+                stats: CacheStats::new(),
+                activity: Activity::default(),
+            }
+        }
+
+        fn access(&mut self, req: Request) -> AccessOutcome {
+            const MISS_LATENCY: u32 = CacheConfig::HIT_LATENCY + CacheConfig::MISS_PENALTY;
+            let line = req.addr.raw() / self.cfg.line_size();
+            let (set, tag) = (
+                (line % self.cfg.num_sets()) as usize,
+                line / self.cfg.num_sets(),
+            );
+            let assoc = self.cfg.assoc() as usize;
+            self.activity.accesses += 1;
+            self.activity.ways_probed += assoc as u64;
+            self.clock += 1;
+            let write = req.kind.is_write();
+            let slots = &mut self.lines[set * assoc..(set + 1) * assoc];
+            if let Some(slot) = slots.iter_mut().find(|l| l.1 != 0 && l.0 == tag) {
+                slot.1 = self.clock;
+                slot.2 |= write;
+                self.stats
+                    .record(req.asid, true, false, CacheConfig::HIT_LATENCY);
+                return AccessOutcome::hit(CacheConfig::HIT_LATENCY);
+            }
+            let slot = slots.iter_mut().min_by_key(|l| l.1).expect("one way");
+            let writeback = slot.1 != 0 && slot.2;
+            *slot = (tag, self.clock, write);
+            self.activity.line_fills += 1;
+            if writeback {
+                self.activity.writebacks += 1;
+            }
+            self.stats.record(req.asid, false, writeback, MISS_LATENCY);
+            AccessOutcome::miss(MISS_LATENCY, writeback)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.lines.iter().filter(|l| l.1 != 0).count()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The recency-ordered frame words and the stamp-and-clock model
+        /// agree on every outcome and on the final counters and contents,
+        /// over random geometries of 1–64 sets and 1–16 ways that
+        /// `CacheConfig::new` builds (3 or 12 ways only in one or two
+        /// sets).
+        #[test]
+        fn lru_oracle_property(
+            assoc in 1u32..17,
+            line_log in 2u32..8,
+            pick in 0usize..64,
+            trace in proptest::collection::vec(
+                (0u64..256, 0u64..4, 1u16..4, proptest::bool::ANY),
+                1..3_000,
+            ),
+        ) {
+            let line = 1u64 << line_log;
+            let geometries: Vec<CacheConfig> = (0..24)
+                .filter_map(|k| CacheConfig::new(1 << k, assoc, line).ok())
+                .filter(|c| c.num_sets() <= 64)
+                .collect();
+            prop_assert!(!geometries.is_empty(), "{assoc} ways of {line} B");
+            let cfg = geometries[pick % geometries.len()];
+            let mut words = SetAssocCache::new(cfg);
+            let mut stamps = StampLru::new(cfg);
+            // Few distinct lines per set, so sets fill, hit and evict; the
+            // top two address bits set on some lines reach the tag's top.
+            let span = cfg.num_sets() * u64::from(assoc) * 2;
+            for (i, &(line_no, top, asid, write)) in trace.iter().enumerate() {
+                let addr = ((line_no % span) * line + line_no % line) | (top << 62);
+                let req = Request {
+                    asid: Asid::new(asid),
+                    addr: Address::new(addr),
+                    kind: if write { AccessKind::Write } else { AccessKind::Read },
+                };
+                prop_assert_eq!(words.access(req), stamps.access(req), "access {} of {}", i, cfg);
+            }
+            prop_assert_eq!(words.stats(), &stamps.stats);
+            prop_assert_eq!(words.activity(), stamps.activity);
+            prop_assert_eq!(words.resident_lines(), stamps.resident_lines());
+        }
+    }
 
     fn read(addr: u64) -> Request {
         Request {

@@ -78,31 +78,32 @@ impl AppStats {
     }
 }
 
-/// Per-application counters, iterated in ascending ASID order.
+/// Per-application values (by default [`AppStats`] counters), iterated
+/// in ascending ASID order.
 ///
 /// The access path books every reference here, so a lookup is one index
 /// into a dense ASID-to-slot map instead of a tree walk; only an ASID's
-/// first access takes the insert path. The counters themselves sit in
+/// first access takes the insert path. The values themselves sit in
 /// compact slots in ASID order, so iteration and every printed report
 /// stay deterministic, and a clone (taken at every epoch close and
 /// before every driven run) copies the slots plus a `u16` per ASID up to
 /// the highest seen: at most 128 KB, and that only when a tenant holds
 /// ASID 65535.
 #[derive(Debug, Clone, Default)]
-pub struct AppTable {
+pub struct AppTable<V = AppStats> {
     /// The ASIDs seen, ascending.
     asids: Vec<Asid>,
     /// `stats[i]` belongs to `asids[i]`.
-    stats: Vec<AppStats>,
+    stats: Vec<V>,
     /// `slot[raw]` is the position of ASID `raw` when `asids` holds it
     /// there. Entries of unseen ASIDs read 0, so a lookup checks the
     /// ASID at the slot before trusting it.
     slot: Vec<u16>,
 }
 
-impl AppTable {
-    /// The counters of `asid`, if it was seen.
-    pub fn get(&self, asid: &Asid) -> Option<&AppStats> {
+impl<V> AppTable<V> {
+    /// The value of `asid`, if it was seen.
+    pub fn get(&self, asid: &Asid) -> Option<&V> {
         self.position(*asid).map(|i| &self.stats[i])
     }
 
@@ -116,13 +117,13 @@ impl AppTable {
         self.asids.is_empty()
     }
 
-    /// `(asid, counters)` pairs in ascending ASID order.
-    pub fn iter(&self) -> Zip<slice::Iter<'_, Asid>, slice::Iter<'_, AppStats>> {
+    /// `(asid, value)` pairs in ascending ASID order.
+    pub fn iter(&self) -> Zip<slice::Iter<'_, Asid>, slice::Iter<'_, V>> {
         self.asids.iter().zip(&self.stats)
     }
 
-    /// The counters in ascending ASID order.
-    pub fn values(&self) -> slice::Iter<'_, AppStats> {
+    /// The values in ascending ASID order.
+    pub fn values(&self) -> slice::Iter<'_, V> {
         self.stats.iter()
     }
 
@@ -130,9 +131,12 @@ impl AppTable {
         let i = usize::from(*self.slot.get(usize::from(asid.raw()))?);
         (self.asids.get(i) == Some(&asid)).then_some(i)
     }
+}
 
-    /// The counters of `asid`, inserted as zeroes on its first access.
-    fn entry(&mut self, asid: Asid) -> &mut AppStats {
+impl<V: Default> AppTable<V> {
+    /// The value of `asid`, inserted as `V::default()` on its first
+    /// access.
+    pub fn entry(&mut self, asid: Asid) -> &mut V {
         let i = match self.position(asid) {
             Some(i) => i,
             None => self.insert(asid),
@@ -144,7 +148,7 @@ impl AppTable {
     fn insert(&mut self, asid: Asid) -> usize {
         let at = self.asids.partition_point(|&a| a < asid);
         self.asids.insert(at, asid);
-        self.stats.insert(at, AppStats::default());
+        self.stats.insert(at, V::default());
         let raw = usize::from(asid.raw());
         if self.slot.len() <= raw {
             self.slot.resize(raw + 1, 0);
@@ -157,18 +161,18 @@ impl AppTable {
     }
 }
 
-impl PartialEq for AppTable {
-    /// Equal when both hold the same ASIDs with the same counters.
+impl<V: PartialEq> PartialEq for AppTable<V> {
+    /// Equal when both hold the same ASIDs with the same values.
     fn eq(&self, other: &Self) -> bool {
         self.asids == other.asids && self.stats == other.stats
     }
 }
 
-impl Eq for AppTable {}
+impl<V: Eq> Eq for AppTable<V> {}
 
-impl<'a> IntoIterator for &'a AppTable {
-    type Item = (&'a Asid, &'a AppStats);
-    type IntoIter = Zip<slice::Iter<'a, Asid>, slice::Iter<'a, AppStats>>;
+impl<'a, V> IntoIterator for &'a AppTable<V> {
+    type Item = (&'a Asid, &'a V);
+    type IntoIter = Zip<slice::Iter<'a, Asid>, slice::Iter<'a, V>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()

@@ -8,8 +8,8 @@ use molcache_metrics::chart::{bar_chart, sparkline};
 use molcache_metrics::json::{JsonError, JsonWriter};
 use molcache_metrics::table::{fmt_f64, Table};
 use molcache_power::accounting::EnergyMeter;
+use molcache_sim::AppTable;
 use molcache_trace::Asid;
-use std::collections::BTreeMap;
 
 /// A [`Sink`] that keeps everything it is fed.
 ///
@@ -24,7 +24,7 @@ pub struct Recorder {
     epochs: Vec<EpochActivity>,
     resizes: Vec<ResizeRecord>,
     global_latency: LatencyHistogram,
-    per_app_latency: BTreeMap<Asid, LatencyHistogram>,
+    per_app_latency: AppTable<LatencyHistogram>,
     energy: Option<EnergyMeter>,
 }
 
@@ -74,8 +74,8 @@ impl Recorder {
         &self.global_latency
     }
 
-    /// Per-application latency histograms.
-    pub fn per_app_latency(&self) -> &BTreeMap<Asid, LatencyHistogram> {
+    /// Per-application latency histograms, in ascending ASID order.
+    pub fn per_app_latency(&self) -> &AppTable<LatencyHistogram> {
         &self.per_app_latency
     }
 
@@ -331,10 +331,7 @@ impl Sink for Recorder {
                 latency,
             } => {
                 self.global_latency.record(*latency);
-                self.per_app_latency
-                    .entry(*asid)
-                    .or_default()
-                    .record(*latency);
+                self.per_app_latency.entry(*asid).record(*latency);
             }
             Event::Partition(sample) => self.partitions.push(**sample),
             Event::Epoch(activity) => self.epochs.push(**activity),

@@ -6,6 +6,7 @@
 //! crate’s deterministic [`crate::rng::Rng`].
 
 use crate::rng::Rng;
+use std::sync::Arc;
 
 /// A distribution over `u64` values that can be sampled with an [`Rng`].
 pub trait Sample {
@@ -41,6 +42,9 @@ impl Sample for UniformU64 {
 ///
 /// Rank `k` (0-based) has probability proportional to `1/(k+1)^s`. Sampling
 /// uses a precomputed CDF and binary search — O(log n) per draw, exact.
+/// The table is built once, by [`Zipf::new`] (one `powf` per rank); a
+/// clone shares it, so the sources of one preset sample one table
+/// ([`Benchmark::popularity_tables`](crate::presets::Benchmark::popularity_tables)).
 ///
 /// ```
 /// use molcache_trace::{dist::{Zipf, Sample}, rng::Rng};
@@ -49,9 +53,9 @@ impl Sample for UniformU64 {
 /// let v = z.sample(&mut rng);
 /// assert!(v < 100);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 impl Zipf {
@@ -73,7 +77,7 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        Zipf { cdf: cdf.into() }
     }
 
     /// Number of ranks.
@@ -102,6 +106,8 @@ impl Sample for Zipf {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 - p)`, the inverse CDF's divisor, taken once.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -112,7 +118,10 @@ impl Geometric {
     /// Panics if `p` is outside `(0, 1]`.
     pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "geometric p must be in (0,1]");
-        Geometric { p }
+        Geometric {
+            p,
+            ln_q: (1.0 - p).ln(),
+        }
     }
 
     /// Mean of the distribution (`1/p`).
@@ -128,7 +137,7 @@ impl Sample for Geometric {
         }
         // Inverse-CDF: ceil(ln(1-u) / ln(1-p)).
         let u = rng.gen_f64();
-        let v = ((1.0 - u).ln() / (1.0 - self.p).ln()).ceil();
+        let v = ((1.0 - u).ln() / self.ln_q).ceil();
         (v.max(1.0)) as u64
     }
 }

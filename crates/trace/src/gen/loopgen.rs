@@ -69,7 +69,10 @@ impl TraceSource for LoopSource {
         self.touch += 1;
         if self.touch >= self.touches_per_line {
             self.touch = 0;
-            self.cursor = (self.cursor + 1) % self.lines;
+            self.cursor += 1;
+            if self.cursor == self.lines {
+                self.cursor = 0;
+            }
         }
         let kind = if self.write_frac > 0.0 && self.rng.gen_bool(self.write_frac) {
             AccessKind::Write

@@ -24,6 +24,8 @@ pub struct StrideSource {
     asid: Asid,
     base: Address,
     region_bytes: u64,
+    /// The stride reduced modulo the region, so a step wraps with one
+    /// subtraction.
     stride: u64,
     write_frac: f64,
     cursor: u64,
@@ -55,7 +57,7 @@ impl StrideSource {
             asid,
             base,
             region_bytes,
-            stride,
+            stride: stride % region_bytes,
             write_frac: write_frac.clamp(0.0, 1.0),
             cursor: 0,
             rng: Rng::seeded(seed),
@@ -71,7 +73,14 @@ impl StrideSource {
 impl TraceSource for StrideSource {
     fn next_access(&mut self) -> Option<MemAccess> {
         let addr = self.base.byte_add(self.cursor);
-        self.cursor = (self.cursor + self.stride) % self.region_bytes;
+        // `cursor + stride` stays below twice the region: past its end,
+        // take the region off once. Compared this way, nothing overflows.
+        let room = self.region_bytes - self.stride;
+        self.cursor = if self.cursor >= room {
+            self.cursor - room
+        } else {
+            self.cursor + self.stride
+        };
         let kind = if self.write_frac > 0.0 && self.rng.gen_bool(self.write_frac) {
             AccessKind::Write
         } else {

@@ -2,7 +2,7 @@
 
 use crate::access::{AccessKind, MemAccess};
 use crate::addr::{Address, Asid};
-use crate::dist::{Sample, Zipf};
+use crate::dist::{Geometric, Sample, Zipf};
 use crate::gen::TraceSource;
 use crate::rng::Rng;
 
@@ -26,18 +26,17 @@ pub struct WorkingSetSource {
     lines: u64,
     zipf: Zipf,
     write_frac: f64,
-    run_p: f64,
-    /// Remaining accesses in the current sequential run and its position.
+    run_len: Geometric,
+    /// Remaining accesses in the current sequential run and its position
+    /// (always below `lines`).
     run_remaining: u64,
     run_line: u64,
-    /// Popularity rank -> line permutation stride (cheap pseudo-shuffle).
-    perm_mul: u64,
     rng: Rng,
 }
 
 /// Multiplier used for the rank→line pseudo-permutation. Any odd constant
 /// is a bijection modulo a power of two; we use a golden-ratio constant for
-/// good dispersion and take the result modulo `lines`.
+/// good dispersion and take the result modulo the line or block count.
 const PERM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl WorkingSetSource {
@@ -62,22 +61,58 @@ impl WorkingSetSource {
         write_frac: f64,
         seed: u64,
     ) -> Self {
+        let zipf = Self::popularity(working_set_bytes, zipf_s);
+        Self::with_popularity(asid, base, working_set_bytes, zipf, run_p, write_frac, seed)
+    }
+
+    /// The popularity table of a working set of `working_set_bytes` with
+    /// skew `zipf_s`: one Zipf rank per 64-byte line, capped at 2^20
+    /// ranks to bound memory (beyond that the tail is indistinguishable
+    /// from uniform for our purposes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `working_set_bytes < 64` or `zipf_s` is negative or not
+    /// finite.
+    pub(crate) fn popularity(working_set_bytes: u64, zipf_s: f64) -> Zipf {
         assert!(working_set_bytes >= 64, "working set below one line");
-        assert!(run_p > 0.0 && run_p <= 1.0, "run_p must be in (0,1]");
+        Zipf::new((working_set_bytes / 64).min(1 << 20) as usize, zipf_s)
+    }
+
+    /// Creates a working-set source of `working_set_bytes` that samples
+    /// `zipf`, the table [`popularity`](Self::popularity) builds for that
+    /// size, possibly shared with other sources. Draws the same stream as
+    /// [`new`](Self::new) with the table's parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zipf` has a rank count other than that table's, or if
+    /// `run_p` is outside `(0, 1]`.
+    pub(crate) fn with_popularity(
+        asid: Asid,
+        base: Address,
+        working_set_bytes: u64,
+        zipf: Zipf,
+        run_p: f64,
+        write_frac: f64,
+        seed: u64,
+    ) -> Self {
         let lines = working_set_bytes / 64;
-        // Cap the Zipf table at 1M entries to bound memory; beyond that the
-        // tail is indistinguishable from uniform for our purposes.
-        let ranks = lines.min(1 << 20) as usize;
+        assert_eq!(
+            zipf.len() as u64,
+            lines.min(1 << 20),
+            "one Zipf rank per line, up to 2^20"
+        );
+        assert!(run_p > 0.0 && run_p <= 1.0, "run_p must be in (0,1]");
         WorkingSetSource {
             asid,
             base,
             lines,
-            zipf: Zipf::new(ranks, zipf_s),
+            zipf,
             write_frac: write_frac.clamp(0.0, 1.0),
-            run_p,
+            run_len: Geometric::new(run_p),
             run_remaining: 0,
             run_line: 0,
-            perm_mul: PERM_MUL,
             rng: Rng::seeded(seed),
         }
     }
@@ -94,23 +129,15 @@ impl WorkingSetSource {
     /// popularity from the raw address.
     const PERM_BLOCK_LINES: u64 = 128;
 
+    /// The line of popularity rank `rank`, below `lines`.
     fn rank_to_line(&self, rank: u64) -> u64 {
         let bl = Self::PERM_BLOCK_LINES;
         if self.lines <= bl {
-            return (rank.wrapping_mul(self.perm_mul)) % self.lines;
+            return rank.wrapping_mul(PERM_MUL) % self.lines;
         }
         let nblocks = self.lines / bl;
-        let block = (rank / bl).wrapping_mul(self.perm_mul) % nblocks;
-        (block * bl + rank % bl) % self.lines
-    }
-
-    fn run_len(&mut self) -> u64 {
-        if self.run_p >= 1.0 {
-            return 1;
-        }
-        let u = self.rng.gen_f64();
-        let v = ((1.0 - u).ln() / (1.0 - self.run_p).ln()).ceil();
-        (v.max(1.0)) as u64
+        let block = (rank / bl).wrapping_mul(PERM_MUL) % nblocks;
+        block * bl + rank % bl
     }
 }
 
@@ -119,10 +146,13 @@ impl TraceSource for WorkingSetSource {
         if self.run_remaining == 0 {
             let rank = self.zipf.sample(&mut self.rng);
             self.run_line = self.rank_to_line(rank);
-            self.run_remaining = self.run_len();
+            self.run_remaining = self.run_len.sample(&mut self.rng);
         }
-        let line = self.run_line % self.lines;
-        self.run_line = self.run_line.wrapping_add(1);
+        let line = self.run_line;
+        self.run_line += 1;
+        if self.run_line == self.lines {
+            self.run_line = 0;
+        }
         self.run_remaining -= 1;
         let addr = self
             .base

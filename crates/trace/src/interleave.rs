@@ -118,7 +118,10 @@ impl Iterator for RoundRobin {
         }
         for _ in 0..self.sources.len() {
             let idx = self.next;
-            self.next = (self.next + 1) % self.sources.len();
+            self.next += 1;
+            if self.next == self.sources.len() {
+                self.next = 0;
+            }
             if let Some(acc) = self.sources[idx].next_access() {
                 return Some(acc);
             }
@@ -155,7 +158,10 @@ impl Iterator for Quantum {
         }
         for _ in 0..self.sources.len() {
             if self.remaining == 0 {
-                self.next = (self.next + 1) % self.sources.len();
+                self.next += 1;
+                if self.next == self.sources.len() {
+                    self.next = 0;
+                }
                 self.remaining = self.quantum;
             }
             if let Some(acc) = self.sources[self.next].next_access() {

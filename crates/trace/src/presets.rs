@@ -19,11 +19,13 @@
 //! All streams are deterministic given (benchmark, ASID, seed).
 
 use crate::addr::{Address, Asid};
+use crate::dist::Zipf;
 #[cfg(test)]
 use crate::gen::TraceSource;
 use crate::gen::{
     BoxedSource, LoopSource, MixSource, PointerChaseSource, StrideSource, WorkingSetSource,
 };
+use std::sync::OnceLock;
 
 /// One behavioural component of a benchmark model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,8 +69,21 @@ pub enum ComponentSpec {
 }
 
 impl ComponentSpec {
-    /// Instantiates the component at `base` for `asid`.
-    pub fn build(&self, asid: Asid, base: Address, seed: u64) -> BoxedSource {
+    /// Instantiates the component at `base` for `asid`. A working-set
+    /// component samples `popularity`, its table from
+    /// [`Benchmark::popularity_tables`]; the other components ignore it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the component is a working set and `popularity` is
+    /// `None` or holds another rank count.
+    fn build(
+        &self,
+        asid: Asid,
+        base: Address,
+        seed: u64,
+        popularity: Option<&Zipf>,
+    ) -> BoxedSource {
         match *self {
             ComponentSpec::Stride {
                 region_bytes,
@@ -84,11 +99,19 @@ impl ComponentSpec {
             )),
             ComponentSpec::WorkingSet {
                 bytes,
-                zipf_s,
                 run_p,
                 write_frac,
-            } => Box::new(WorkingSetSource::new(
-                asid, base, bytes, zipf_s, run_p, write_frac, seed,
+                ..
+            } => Box::new(WorkingSetSource::with_popularity(
+                asid,
+                base,
+                bytes,
+                popularity
+                    .expect("a working set samples a popularity table")
+                    .clone(),
+                run_p,
+                write_frac,
+                seed,
             )),
             ComponentSpec::Chase {
                 footprint_bytes,
@@ -636,14 +659,43 @@ impl Benchmark {
         }
     }
 
+    /// The Zipf popularity table of each component of the preset, in
+    /// [`spec`](Self::spec) order: for a working set of `bytes` with
+    /// skew `zipf_s`, `Zipf::new((bytes / 64).min(1 << 20), zipf_s)`, one
+    /// rank per 64-byte line up to 2^20; `None` for a component that
+    /// samples none.
+    ///
+    /// The tables are a constant of the preset: they are built on the
+    /// first call in the process (art's takes 20,480 `powf`s) and shared
+    /// read-only by every source of the preset that
+    /// [`source`](Self::source) builds afterwards.
+    pub fn popularity_tables(self) -> &'static [Option<Zipf>] {
+        static TABLES: [OnceLock<Vec<Option<Zipf>>>; Benchmark::ALL.len()] =
+            [const { OnceLock::new() }; Benchmark::ALL.len()];
+        TABLES[self as usize].get_or_init(|| {
+            let components = self.spec().components.into_iter();
+            components
+                .map(|(c, _)| match c {
+                    ComponentSpec::WorkingSet { bytes, zipf_s, .. } => {
+                        Some(WorkingSetSource::popularity(bytes, zipf_s))
+                    }
+                    _ => None,
+                })
+                .collect()
+        })
+    }
+
     /// Builds the benchmark's access stream for `asid`.
     ///
     /// Component address ranges are placed in the application's own slice
     /// of the physical address space (`asid << 36`), modeling distinct
     /// per-process physical pages; different applications therefore never
-    /// share tags but do contend for the same cache sets.
+    /// share tags but do contend for the same cache sets. Working-set
+    /// components sample the preset's shared
+    /// [`popularity_tables`](Self::popularity_tables).
     pub fn source(self, asid: Asid, seed: u64) -> BoxedSource {
         let spec = self.spec();
+        let tables = self.popularity_tables();
         let app_base = (asid.raw() as u64) << 36;
         let mut components = Vec::with_capacity(spec.components.len());
         let mut weights = Vec::with_capacity(spec.components.len());
@@ -652,7 +704,8 @@ impl Benchmark {
             let base = Address::new(app_base + offset);
             // Leave a guard gap so components never overlap.
             offset += comp.footprint_bytes().next_power_of_two().max(1 << 20) * 2;
-            components.push(comp.build(asid, base, seed ^ ((i as u64 + 1) << 32)));
+            let seed = seed ^ ((i as u64 + 1) << 32);
+            components.push(comp.build(asid, base, seed, tables[i].as_ref()));
             weights.push(*weight);
         }
         if components.len() == 1 {
