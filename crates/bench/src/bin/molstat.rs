@@ -27,8 +27,9 @@
 //! JSON) is identical for any `--jobs` value.
 //!
 //! `--stages` prints the pipeline-stage breakdown of the whole run and
-//! self-checks the staging contract — the per-stage cycles must sum to
-//! the total access latency the statistics reported — exiting 1 on any
+//! self-checks the staging contract — the per-stage cycles, which the
+//! cache derives from its event counters, must sum to the total access
+//! latency the statistics booked access by access — exiting 1 on any
 //! mismatch, which makes it usable as a CI smoke check.
 
 use molcache_bench::experiments::table2;

@@ -74,6 +74,16 @@ fn molsim_rejects_zero_refs() {
 }
 
 #[test]
+fn molsim_rejects_an_assoc_that_is_not_a_power_of_two() {
+    for assoc in ["0", "3", "12"] {
+        for cache in ["molecular", "setassoc"] {
+            let args = ["--cache", cache, "--assoc", assoc];
+            assert_usage_exit(env!("CARGO_BIN_EXE_molsim"), "molsim", &args);
+        }
+    }
+}
+
+#[test]
 fn molstat_and_moltourney_reject_zero_jobs() {
     assert_usage_exit(env!("CARGO_BIN_EXE_molstat"), "molstat", &["--jobs", "0"]);
     assert_usage_exit(

@@ -1,7 +1,7 @@
 //! Tests for the cache driver and the staged pipeline it sequences.
 
 use super::*;
-use crate::config::{InitialAllocation, MolecularConfig};
+use crate::config::{InitialAllocation, MolecularConfig, ASID_STAGE_CYCLES, HIT_LATENCY};
 use crate::resize::ResizeTrigger;
 use molcache_sim::StageActivity;
 use molcache_telemetry::ResizeKind;

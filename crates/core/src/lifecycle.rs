@@ -40,7 +40,7 @@ impl MolecularCache {
         if self.regions.contains_key(&asid) {
             return false;
         }
-        self.ensure_region(asid);
+        self.create_region(asid);
         true
     }
 
@@ -81,7 +81,7 @@ impl MolecularCache {
             misses[id.index()] = 0;
             flushed += tags.configure(id, asid);
         }
-        self.activity.writebacks += flushed;
+        self.counters.writebacks += flushed;
         Some(flushed)
     }
 

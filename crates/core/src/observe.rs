@@ -10,6 +10,7 @@
 use crate::cache::MolecularCache;
 use crate::policy::DecisionInputs;
 use crate::region::Region;
+use molcache_sim::CacheModel;
 use molcache_telemetry::{
     EpochActivity, EpochSample, Event, ResizeDecisionInputs, ResizeKind, ResizeRecord,
 };
@@ -25,19 +26,25 @@ impl MolecularCache {
         valid as f64 / frames as f64
     }
 
-    /// Publishes per-partition samples and cache-wide activity when the
-    /// current access closes an epoch.
+    /// Closes an epoch when the current access ends one and a sink is
+    /// attached.
+    #[inline]
     pub(crate) fn maybe_close_epoch(&mut self) {
-        if !self.sink.is_enabled() || self.activity.accesses == 0 {
-            return;
-        }
-        if !self
-            .activity
-            .accesses
-            .is_multiple_of(self.sink.epoch_length())
+        if self.sink.is_enabled()
+            && self
+                .counters
+                .accesses
+                .is_multiple_of(self.sink.epoch_length())
         {
-            return;
+            self.close_epoch();
         }
+    }
+
+    /// Publishes per-partition samples and cache-wide activity for the
+    /// epoch the current access ends.
+    #[cold]
+    #[inline(never)]
+    fn close_epoch(&mut self) {
         let epoch = self.epoch_index;
         let delta = self.stats.since(&self.epoch_stats_base);
         let samples: Vec<EpochSample> = self
@@ -59,9 +66,10 @@ impl MolecularCache {
             .collect();
         // Index hits are a diagnostic side-channel: carried on the
         // sample but excluded from the canonical JSON export.
+        let total = self.activity();
         let activity = EpochActivity {
             epoch,
-            activity: self.activity.since(&self.epoch_activity_base),
+            activity: total.since(&self.epoch_activity_base),
             free_molecules: self.free_molecules(),
             memo_hits: self.memo.hits() - self.epoch_memo_base,
         };
@@ -71,7 +79,7 @@ impl MolecularCache {
         self.sink.emit(Event::Epoch(&activity));
         self.epoch_index += 1;
         self.epoch_stats_base = self.stats.clone();
-        self.epoch_activity_base = self.activity;
+        self.epoch_activity_base = total;
         self.epoch_memo_base = self.memo.hits();
     }
 
@@ -89,7 +97,7 @@ impl MolecularCache {
             return;
         }
         let record = ResizeRecord {
-            at_access: self.activity.accesses,
+            at_access: self.counters.accesses,
             trigger: self.resize_policy.trigger_label().to_string(),
             asid: inputs.asid,
             kind,

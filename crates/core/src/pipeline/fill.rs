@@ -16,39 +16,37 @@
 //! also what lets the line index name a single molecule per (owner,
 //! line).
 //!
-//! The stage owns the fill/writeback counters: `Activity::line_fills`
-//! and `Activity::writebacks` are incremented here (and by the
-//! non-pipeline writeback sources — region shrink and teardown flushes —
-//! which the energy model also prices as fill-stage traffic).
+//! The stage owns the line-fill and writeback counters: each line landed
+//! is a line fill and a frame the fill stage touches, and each dirty
+//! eviction a writeback (the non-pipeline writeback sources — region
+//! shrink and teardown flushes — add to the same counter, and the
+//! energy model prices them as fill-stage traffic too).
 
-use crate::cache::MolecularCache;
 use crate::ids::MoleculeId;
-use molcache_sim::StageTrace;
+use crate::pipeline::Counters;
+use crate::tags::TagStore;
 use molcache_trace::LineAddr;
 
-impl MolecularCache {
-    /// Fills the `line_factor`-line block containing `line` into the
-    /// victim molecule, `line` itself dirty when `is_write`. Each line
-    /// landed counts one frame touched on `trace`. Returns whether any
-    /// eviction wrote back a dirty line.
-    pub(crate) fn fill_block(
-        &mut self,
-        victim: MoleculeId,
-        line: LineAddr,
-        line_factor: u32,
-        is_write: bool,
-        trace: &mut StageTrace,
-    ) -> bool {
-        let k = u64::from(line_factor);
-        let block_start = line.0 - line.0 % k;
-        let mut writeback = false;
-        for l in (block_start..block_start + k).map(LineAddr) {
-            let evicted_dirty = self.tags.fill(victim, l, is_write && l == line);
-            self.activity.writebacks += u64::from(evicted_dirty);
-            writeback |= evicted_dirty;
-            self.activity.line_fills += 1;
-            trace.frames_touched += 1;
-        }
-        writeback
+/// Fills the `line_factor`-line block containing `line` into the victim
+/// molecule, `line` itself dirty when `is_write`, counting each line
+/// landed and each dirty eviction in `counters`. Returns whether any
+/// eviction wrote back a dirty line.
+#[inline]
+pub(crate) fn fill_block(
+    tags: &mut TagStore,
+    counters: &mut Counters,
+    victim: MoleculeId,
+    line: LineAddr,
+    line_factor: u32,
+    is_write: bool,
+) -> bool {
+    let k = u64::from(line_factor);
+    let block_start = line.0 - line.0 % k;
+    let mut writebacks = 0;
+    for l in (block_start..block_start + k).map(LineAddr) {
+        writebacks += u64::from(tags.fill(victim, l, is_write && l == line));
     }
+    counters.line_fills += k;
+    counters.writebacks += writebacks;
+    writebacks > 0
 }

@@ -42,9 +42,12 @@
 //! [`TagStore`]: crate::tags::TagStore
 
 use crate::cache::MolecularCache;
-use crate::config::ULMO_PENALTY;
+use crate::config::{ASID_STAGE_CYCLES, HIT_LATENCY, ULMO_PENALTY};
 use crate::ids::MoleculeId;
-use molcache_sim::StageBreakdown;
+use crate::pipeline::Counters;
+use crate::region::Region;
+use crate::tags::TagStore;
+use crate::tile::Topology;
 use molcache_trace::{Asid, LineAddr};
 
 /// Lifetime counters of the line-index front-end, for `molstat --memo`
@@ -280,53 +283,55 @@ impl MolecularCache {
         entries.sort_unstable();
         entries
     }
+}
 
-    /// Stage 0: finds `line` for `asid` with one index probe and charges
-    /// `stages` exactly what the ordered scan of stages 1–3 would — see
-    /// the module docs. On a hit marks the frame dirty when `is_write`
-    /// and returns the molecule.
-    ///
-    /// The region's lookup cache must be current
-    /// ([`refresh_lookup_cache`](Self::refresh_lookup_cache)).
-    pub(crate) fn index_lookup(
-        &mut self,
-        asid: Asid,
-        line: LineAddr,
-        is_write: bool,
-        stages: &mut StageBreakdown,
-    ) -> Option<MoleculeId> {
-        let found = self.tags.indexed(asid, line);
-        let region = &self.regions[&asid];
-        // The last lookup slot the scan visits: the hit's tile, or every
-        // slot on a miss.
-        let last = match found {
-            Some(mol) => {
-                self.memo.hits += 1;
-                region.slot_of(self.topo.tile_of(mol))
-            }
-            None => {
-                self.memo.misses += 1;
-                region.search_tiles().len()
-            }
-        };
-        let compares = self.topo.tile_molecules() as u32;
-        let home_probes = region.probes_through(0);
-        stages.asid_gate.asid_compares += compares;
-        stages.home_lookup.tag_probes += home_probes;
-        if last > 0 {
-            let ulmo = &mut stages.ulmo_search;
-            ulmo.cycles += ULMO_PENALTY;
-            ulmo.asid_compares += last as u32 * compares;
-            ulmo.tag_probes += region.probes_through(last) - home_probes;
-            self.activity.ulmo_searches += 1;
+/// Stage 0: finds `line` for `region`'s owner with one index probe and
+/// adds to `counters` exactly the probes, compares and Ulmo launch the
+/// ordered scan of stages 1–3 would charge — see the module docs. On a
+/// hit marks the frame dirty when `is_write`. Returns the molecule
+/// holding the line, if any, and the lookup's latency: the ASID gate,
+/// the home lookup and, when Ulmo is launched, its penalty.
+///
+/// The region's lookup cache must be current
+/// ([`Region::refresh_lookup_cache`]).
+#[inline]
+pub(crate) fn index_lookup(
+    region: &Region,
+    tags: &mut TagStore,
+    topo: Topology,
+    memo: &mut MemoFront,
+    counters: &mut Counters,
+    line: LineAddr,
+    is_write: bool,
+) -> (Option<MoleculeId>, u32) {
+    let found = tags.indexed(region.asid(), line);
+    // The last lookup slot the scan visits: the hit's tile, or every
+    // slot on a miss.
+    let last = match found {
+        Some(mol) => {
+            memo.hits += 1;
+            region.slot_of(topo.tile_of(mol))
         }
-        if let Some(mol) = found {
-            if is_write {
-                self.tags.mark_dirty(mol, line);
-            }
+        None => {
+            memo.misses += 1;
+            region.search_tiles().len()
         }
-        found
+    };
+    let home_probes = region.probes_through(0);
+    counters.home_probes += u64::from(home_probes);
+    let mut latency = ASID_STAGE_CYCLES + HIT_LATENCY;
+    if last > 0 {
+        latency += ULMO_PENALTY;
+        counters.ulmo_searches += 1;
+        counters.ulmo_compares += (last * topo.tile_molecules()) as u64;
+        counters.ulmo_probes += u64::from(region.probes_through(last) - home_probes);
     }
+    if let Some(mol) = found {
+        if is_write {
+            tags.mark_dirty(mol, line);
+        }
+    }
+    (found, latency)
 }
 
 #[cfg(test)]

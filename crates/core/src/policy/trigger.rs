@@ -9,8 +9,8 @@
 //! lives in the [`ResizePolicy`](crate::policy::ResizePolicy)
 //! implementations.
 
+use molcache_sim::AppTable;
 use molcache_trace::Asid;
-use std::collections::BTreeMap;
 
 /// When resizing is evaluated (§3.4, "When to add?").
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,10 +85,12 @@ pub struct ResizeController {
     trigger: ResizeTrigger,
     period: u64,
     countdown: u64,
-    per_app: BTreeMap<Asid, AppTimer>,
+    /// One timer per registered application, in a dense ASID-indexed
+    /// table: the per-app scheme reads one on every access.
+    per_app: AppTable<AppTimer>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct AppTimer {
     period: u64,
     countdown: u64,
@@ -108,7 +110,7 @@ impl ResizeController {
             trigger,
             period,
             countdown: period,
-            per_app: BTreeMap::new(),
+            per_app: AppTable::default(),
         }
     }
 
@@ -130,11 +132,21 @@ impl ResizeController {
 
     /// Registers an application (first access).
     pub fn register_app(&mut self, asid: Asid) {
+        if self.per_app.get(&asid).is_none() {
+            self.new_timer(asid);
+        }
+    }
+
+    /// Starts `asid`'s timer at the scheme's initial period.
+    #[cold]
+    fn new_timer(&mut self, asid: Asid) -> &mut AppTimer {
         let initial = self.trigger.initial_period().max(1);
-        self.per_app.entry(asid).or_insert(AppTimer {
+        let timer = self.per_app.entry(asid);
+        *timer = AppTimer {
             period: initial,
             countdown: initial,
-        });
+        };
+        timer
     }
 
     /// Advances the counters by one serviced address from `asid` and
@@ -151,8 +163,10 @@ impl ResizeController {
                 }
             }
             ResizeTrigger::PerAppAdaptive { .. } => {
-                self.register_app(asid);
-                let timer = self.per_app.get_mut(&asid).expect("registered above");
+                let timer = match self.per_app.get_mut(&asid) {
+                    Some(timer) => timer,
+                    None => self.new_timer(asid),
+                };
                 timer.countdown = timer.countdown.saturating_sub(1);
                 if timer.countdown == 0 {
                     timer.countdown = timer.period;

@@ -25,7 +25,7 @@ use molcache_trace::{Address, Asid};
 /// }
 /// assert_eq!(r.num_rows(), 4);
 /// // Randy: the address picks the row deterministically.
-/// let victim = r.select_victim(Address::new(2 * 8192), 8192, 99);
+/// let victim = r.select_victim(Address::new(2 * 8192), 8192, 99, &[]);
 /// assert_eq!(victim, Some(MoleculeId(2)));
 /// ```
 #[derive(Debug, Clone)]
@@ -54,8 +54,6 @@ pub struct Region {
     allocation_integral: u64,
     lifetime_accesses: u64,
     lifetime_hits: u64,
-    /// Last-hit clock per molecule (LRU-Direct replacement state).
-    pub(crate) recency: std::collections::BTreeMap<MoleculeId, u64>,
     // --- cached lookup state (see `crate::search_list`) ---
     /// Remote tiles holding member molecules, sorted ascending. Cleared,
     /// never dropped, on a rebuild, so steady state does not allocate.
@@ -98,7 +96,6 @@ impl Region {
             allocation_integral: 0,
             lifetime_accesses: 0,
             lifetime_hits: 0,
-            recency: std::collections::BTreeMap::new(),
             search_tiles: Vec::new(),
             probes_through: Vec::new(),
             search_generation: 0,
@@ -266,7 +263,6 @@ impl Region {
             self.rows.remove(row_idx);
             self.row_misses.remove(row_idx);
         }
-        self.recency.remove(&id);
         Some(id)
     }
 
@@ -276,6 +272,10 @@ impl Region {
     /// generator (see [`Lfsr16`](crate::Lfsr16)): Random reduces it modulo
     /// the whole region, Randy modulo the addressed row — which is why
     /// Randy "reduces the reliance on random numbers" (the paper, §3.3).
+    /// `last_hit` is LRU-Direct's recency: per molecule index, the clock
+    /// of the molecule's last hit (0 if none). The cache keeps it for
+    /// every molecule; the other policies ignore it, so they may pass
+    /// `&[]`.
     ///
     /// Returns `None` when the region has no molecules.
     pub fn select_victim(
@@ -283,16 +283,15 @@ impl Region {
         addr: Address,
         molecule_size: u64,
         draw: u64,
+        last_hit: &[u64],
     ) -> Option<MoleculeId> {
-        crate::pipeline::victim::policy_of(self.policy).select(self, addr, molecule_size, draw)
-    }
-
-    /// Records a hit in `id` at logical time `clock` (LRU-Direct state;
-    /// cheap no-op bookkeeping for the random policies).
-    pub fn note_molecule_use(&mut self, id: MoleculeId, clock: u64) {
-        if self.policy == RegionPolicy::LruDirect {
-            self.recency.insert(id, clock);
-        }
+        crate::pipeline::victim::policy_of(self.policy).select(
+            self,
+            addr,
+            molecule_size,
+            draw,
+            last_hit,
+        )
     }
 
     /// Re-homes the region onto another tile (the paper's non-static
@@ -308,7 +307,6 @@ impl Region {
     /// Removes every molecule from the replacement view, returning them
     /// (region teardown).
     pub fn drain_molecules(&mut self) -> Vec<MoleculeId> {
-        self.recency.clear();
         self.row_misses.clear();
         self.molecules = 0;
         self.rows.drain(..).flatten().collect()
@@ -437,8 +435,8 @@ mod tests {
         assert_eq!(r.num_rows(), 4, "first molecules become rows");
         // Heat up row 2 via victim selections mapping there.
         let addr = Address::new(2 * 8192); // (addr/8192) % 4 == 2
-        r.select_victim(addr, 8192, 5);
-        r.select_victim(addr, 8192, 9);
+        r.select_victim(addr, 8192, 5, &[]);
+        r.select_victim(addr, 8192, 9, &[]);
         r.add_molecule(MoleculeId(99));
         assert_eq!(r.row(2).len(), 2, "hottest row gains associativity");
     }
@@ -452,7 +450,7 @@ mod tests {
         // Row 3: molecules were added one per row in order, so row 3
         // holds MoleculeId(3).
         let addr = Address::new(3 * 8192);
-        assert_eq!(r.select_victim(addr, 8192, 7), Some(MoleculeId(3)));
+        assert_eq!(r.select_victim(addr, 8192, 7, &[]), Some(MoleculeId(3)));
     }
 
     #[test]
@@ -465,7 +463,7 @@ mod tests {
         let mut seen = [false; 4];
         for i in 0..200u64 {
             let v = r
-                .select_victim(Address::new(i * 64), 8192, rng.next_u64())
+                .select_victim(Address::new(i * 64), 8192, rng.next_u64(), &[])
                 .unwrap();
             seen[v.0 as usize] = true;
         }
@@ -475,7 +473,7 @@ mod tests {
     #[test]
     fn empty_region_has_no_victim() {
         let mut r = region(RegionPolicy::Randy);
-        assert_eq!(r.select_victim(Address::new(0), 8192, 1), None);
+        assert_eq!(r.select_victim(Address::new(0), 8192, 1, &[]), None);
         assert!(r.is_empty());
     }
 
@@ -567,17 +565,15 @@ mod tests {
         for i in 0..3 {
             r.add_molecule(MoleculeId(i));
         }
-        r.note_molecule_use(MoleculeId(0), 10);
-        r.note_molecule_use(MoleculeId(1), 5);
-        r.note_molecule_use(MoleculeId(2), 20);
+        let mut last_hit = [10, 5, 20];
         // Molecule 1 is least recently used.
         assert_eq!(
-            r.select_victim(Address::new(0), 8192, 0),
+            r.select_victim(Address::new(0), 8192, 0, &last_hit),
             Some(MoleculeId(1))
         );
-        r.note_molecule_use(MoleculeId(1), 30);
+        last_hit[1] = 30;
         assert_eq!(
-            r.select_victim(Address::new(0), 8192, 0),
+            r.select_victim(Address::new(0), 8192, 0, &last_hit),
             Some(MoleculeId(0))
         );
     }
@@ -587,20 +583,32 @@ mod tests {
         let mut r = Region::new(Asid::new(1), TileId(0), RegionPolicy::LruDirect, 1, 0.1, 1);
         r.add_molecule(MoleculeId(0));
         r.add_molecule(MoleculeId(1));
-        r.note_molecule_use(MoleculeId(0), 42);
         // Molecule 1 never hit: recency 0, chosen first.
         assert_eq!(
-            r.select_victim(Address::new(0), 8192, 0),
+            r.select_victim(Address::new(0), 8192, 0, &[42, 0]),
             Some(MoleculeId(1))
         );
     }
 
     #[test]
     fn random_policy_ignores_recency_updates() {
-        let mut r = region(RegionPolicy::Random);
-        r.add_molecule(MoleculeId(0));
-        r.note_molecule_use(MoleculeId(0), 7); // no-op, must not panic
-        assert_eq!(r.size(), 1);
+        // Random and Randy pick the same victims whatever the clocks say.
+        for policy in [RegionPolicy::Random, RegionPolicy::Randy] {
+            let mut a = region(policy);
+            let mut b = region(policy);
+            for i in 0..4 {
+                a.add_molecule(MoleculeId(i));
+                b.add_molecule(MoleculeId(i));
+            }
+            for i in 0..16u64 {
+                let addr = Address::new(i * 8192);
+                assert_eq!(
+                    a.select_victim(addr, 8192, i * 3, &[]),
+                    b.select_victim(addr, 8192, i * 3, &[7, 0, 3, 9]),
+                    "{policy:?} draw {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,11 +27,11 @@ use molcache_trace::Asid;
 impl MolecularCache {
     /// Creates `asid`'s region on first contact ("Ground Zero", §3.4):
     /// round-robin cluster and home-tile assignment, then the initial
-    /// molecule grant. Idempotent for existing regions.
-    pub(crate) fn ensure_region(&mut self, asid: Asid) {
-        if self.regions.contains_key(&asid) {
-            return;
-        }
+    /// molecule grant. `asid` must have no region.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn create_region(&mut self, asid: Asid) {
+        debug_assert!(!self.regions.contains_key(&asid), "{asid} has a region");
         let cluster_idx = self.cfg.app_cluster(asid).unwrap_or_else(|| {
             let c = self.next_cluster_rr % self.cfg.clusters();
             self.next_cluster_rr += 1;
@@ -68,7 +68,7 @@ impl MolecularCache {
                     break;
                 };
                 let flushed = self.configure_molecule(id, region.asid());
-                self.activity.writebacks += flushed;
+                self.counters.writebacks += flushed;
                 region.add_molecule(id);
                 granted += 1;
             }

@@ -90,6 +90,17 @@ impl Region {
         self.search_generation = generation;
     }
 
+    /// Brings the cached search list and probe counts up to the live
+    /// structural `generation` before an access looks a line up. The
+    /// state then stays current for the rest of the access: lookups are
+    /// structurally read-only.
+    #[inline]
+    pub(crate) fn refresh_lookup_cache(&mut self, generation: u64, topo: Topology) {
+        if self.search_generation != generation {
+            self.rebuild_lookup_cache(generation, topo);
+        }
+    }
+
     /// The lookup slot of `tile`, a tile holding a member molecule: 0 is
     /// the home tile, `1 + i` the `i`-th search tile — the order one
     /// access visits them in.
@@ -112,20 +123,6 @@ impl Region {
 }
 
 impl MolecularCache {
-    /// Brings `asid`'s cached search list and probe counts up to the live
-    /// structural generation before an access looks the line up.
-    ///
-    /// The state then stays current for the rest of the access: lookups
-    /// are structurally read-only.
-    pub(crate) fn refresh_lookup_cache(&mut self, asid: Asid) {
-        let generation = self.structure_generation;
-        let topo = self.topo;
-        let region = self.regions.get_mut(&asid).expect("region");
-        if region.search_generation() != generation {
-            region.rebuild_lookup_cache(generation, topo);
-        }
-    }
-
     /// The live structural-topology generation (diagnostics; bumped on
     /// every grant/shrink/release/re-home/flush event).
     pub fn structure_generation(&self) -> u64 {

@@ -1,11 +1,20 @@
 //! Property tests for Randy replacement (§3.3): the victim row is a pure
 //! function of the address, and victims never leave the requesting region.
+//! LRU-Direct's per-molecule last-hit clocks pick the victims a
+//! per-region map of them would, across grants, shrinks, releases and
+//! re-grants of the same molecules.
 
-use molcache_core::config::RegionPolicy;
+use molcache_core::config::{InitialAllocation, RegionPolicy, LINE_SIZE};
 use molcache_core::ids::{MoleculeId, TileId};
 use molcache_core::region::Region;
-use molcache_trace::{Address, Asid};
+use molcache_core::{MolecularCache, MolecularConfig, ResizeTrigger};
+use molcache_sim::{CacheModel, Request};
+use molcache_trace::{AccessKind, Address, Asid};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// LRU-Direct's clocks for molecules that were never hit.
+const NEVER_HIT: [u64; 256] = [0; 256];
 
 fn region_with(policy: RegionPolicy, row_max: usize, molecules: u32) -> Region {
     let mut region = Region::new(Asid::new(1), TileId(0), policy, 1, 0.25, row_max);
@@ -40,7 +49,7 @@ proptest! {
         prop_assert_eq!(region.num_rows(), (row_max as usize).min(molecules as usize));
 
         let victim = region
-            .select_victim(Address::new(addr), molecule_size, draw)
+            .select_victim(Address::new(addr), molecule_size, draw, &[])
             .expect("non-empty region always yields a victim");
 
         // Victim belongs to the requesting region.
@@ -63,8 +72,8 @@ proptest! {
         const MOLECULE_SIZE: u64 = 8 * 1024;
         let mut region = region_with(RegionPolicy::Randy, 4, 16);
         let row = ((addr / MOLECULE_SIZE) % region.num_rows() as u64) as usize;
-        let a = region.select_victim(Address::new(addr), MOLECULE_SIZE, draw_a).unwrap();
-        let b = region.select_victim(Address::new(addr), MOLECULE_SIZE, draw_b).unwrap();
+        let a = region.select_victim(Address::new(addr), MOLECULE_SIZE, draw_a, &[]).unwrap();
+        let b = region.select_victim(Address::new(addr), MOLECULE_SIZE, draw_b, &[]).unwrap();
         prop_assert!(region.row(row).contains(&a));
         prop_assert!(region.row(row).contains(&b));
     }
@@ -79,7 +88,7 @@ proptest! {
         const MOLECULE_SIZE: u64 = 8 * 1024;
         let mut region = region_with(RegionPolicy::LruDirect, row_max as usize, molecules);
         let victim = region
-            .select_victim(Address::new(addr), MOLECULE_SIZE, 0)
+            .select_victim(Address::new(addr), MOLECULE_SIZE, 0, &NEVER_HIT)
             .expect("non-empty region always yields a victim");
         let row = ((addr / MOLECULE_SIZE) % region.num_rows() as u64) as usize;
         prop_assert!(region.row(row).contains(&victim));
@@ -107,9 +116,125 @@ proptest! {
             }
             if op % 5 == 0 {
                 // Heat a row, so Randy's "where to add" ranks rows.
-                region.select_victim(Address::new(op), 8192, op >> 7);
+                region.select_victim(Address::new(op), 8192, op >> 7, &NEVER_HIT);
             }
             prop_assert_eq!(region.size(), row_sum(&region), "step {}", step);
         }
+    }
+}
+
+/// One 16-molecule cluster of 1 KB molecules under LRU-Direct with two
+/// replacement rows, and no resize of its own: the test grants, shrinks,
+/// releases and re-admits, so three applications keep recycling the same
+/// molecules.
+fn lru_direct_cache() -> MolecularCache {
+    let cfg = MolecularConfig::builder()
+        .molecule_size(1024)
+        .tile_molecules(8)
+        .tiles_per_cluster(2)
+        .clusters(1)
+        .policy(RegionPolicy::LruDirect)
+        .row_max(2)
+        .initial_allocation(InitialAllocation::Molecules(2))
+        .trigger(ResizeTrigger::Constant { period: 1 << 40 })
+        .build()
+        .unwrap();
+    MolecularCache::new(cfg)
+}
+
+/// The victim LRU-Direct picks for a miss on `addr` in `region` when its
+/// last-hit clocks are `clocks`, a molecule without an entry reading 0:
+/// the first least recently hit molecule of the addressed row.
+fn reference_victim(
+    region: &Region,
+    addr: u64,
+    molecule_size: u64,
+    clocks: &BTreeMap<MoleculeId, u64>,
+) -> Option<MoleculeId> {
+    if region.num_rows() == 0 {
+        return None;
+    }
+    let row = ((addr / molecule_size) % region.num_rows() as u64) as usize;
+    region
+        .row(row)
+        .iter()
+        .copied()
+        .min_by_key(|m| clocks.get(m).copied().unwrap_or(0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every miss's victim equals the one a per-region
+    /// `BTreeMap<MoleculeId, u64>` of last-hit clocks names. The map
+    /// books each hit, and drops a molecule's entry when it leaves the
+    /// region, so a molecule granted again reads 0, as it did when
+    /// regions kept the map.
+    #[test]
+    fn lru_direct_victims_match_a_per_region_map(
+        ops in proptest::collection::vec(
+            (proptest::num::u64::ANY, proptest::num::u64::ANY), 50..400),
+    ) {
+        let mut c = lru_direct_cache();
+        let molecule_size = c.config().molecule_size();
+        let mut clocks: BTreeMap<Asid, BTreeMap<MoleculeId, u64>> = BTreeMap::new();
+        let mut misses = 0;
+        for (step, &(sel, payload)) in ops.iter().enumerate() {
+            let asid = Asid::new((payload % 3 + 1) as u16);
+            let by = (payload >> 8) as usize % 4 + 1;
+            match sel % 16 {
+                0 => {
+                    if let Some(size) = c.region_size(asid) {
+                        c.set_region_size(asid, size + by);
+                    }
+                }
+                1 => {
+                    if let Some(size) = c.region_size(asid) {
+                        c.set_region_size(asid, size.saturating_sub(by));
+                    }
+                }
+                2 => {
+                    c.release_region(asid);
+                }
+                _ => {
+                    c.admit_app(asid);
+                    // A few lines per row and application, so rows fill,
+                    // hit and evict.
+                    let addr = (payload >> 12) % 64 * 512 + u64::from(asid.raw()) * 64;
+                    let line = Address::new(addr).line(LINE_SIZE);
+                    let held = c.indexed_molecule(asid, line);
+                    let map = clocks.entry(asid).or_default();
+                    let want = reference_victim(c.region(asid).unwrap(), addr, molecule_size, map);
+                    let kind = if payload.is_multiple_of(5) { AccessKind::Write } else { AccessKind::Read };
+                    let out = c.access(Request { asid, addr: Address::new(addr), kind });
+                    prop_assert_eq!(out.hit, held.is_some(), "step {}", step);
+                    match held {
+                        Some(mol) => {
+                            map.insert(mol, c.activity().accesses);
+                        }
+                        None => {
+                            misses += 1;
+                            prop_assert_eq!(
+                                c.indexed_molecule(asid, line),
+                                want,
+                                "step {}: victim of {} at {:#x}",
+                                step,
+                                asid,
+                                addr
+                            );
+                        }
+                    }
+                }
+            }
+            // Molecules that left a region leave its map, as a shrink's
+            // `remove_coldest` and a release's drain removed them.
+            for (asid, map) in &mut clocks {
+                match c.region(*asid) {
+                    Some(region) => map.retain(|m, _| region.molecules().any(|r| r == *m)),
+                    None => map.clear(),
+                }
+            }
+        }
+        prop_assert!(misses > 0);
     }
 }

@@ -1,6 +1,6 @@
 //! The common interface every cache under test implements.
 
-use crate::stage::{StageActivity, StageBreakdown};
+use crate::stage::StageActivity;
 use crate::stats::CacheStats;
 use molcache_trace::{AccessKind, Address, Asid, MemAccess};
 
@@ -88,7 +88,10 @@ pub struct Activity {
     /// `asid_compares` equal [`Activity::asid_compares`], home + Ulmo
     /// `tag_probes` equal [`Activity::ways_probed`], fill
     /// `frames_touched` equal [`Activity::line_fills`], and the stage
-    /// cycles sum to the total latency of all serviced accesses.
+    /// cycles sum to the total latency of all serviced accesses. The
+    /// molecular cache derives them, and those aggregates, from the few
+    /// event counters an access adds to, so no per-access breakdown is
+    /// built.
     pub stages: StageActivity,
 }
 
@@ -116,17 +119,6 @@ impl Activity {
             ulmo_searches: self.ulmo_searches - base.ulmo_searches,
             stages: self.stages.since(&base.stages),
         }
-    }
-
-    /// Folds one access's stage breakdown into the record: the per-stage
-    /// totals absorb the traces, and the aggregate compare/probe counters
-    /// absorb the stage sums (fills and writebacks are counted by the
-    /// fill machinery itself, which also owns their non-pipeline sources
-    /// such as region teardown flushes).
-    pub fn record_stages(&mut self, b: &StageBreakdown) {
-        self.asid_compares += u64::from(b.total_asid_compares());
-        self.ways_probed += u64::from(b.total_tag_probes());
-        self.stages.absorb(b);
     }
 
     /// Average ways/molecules probed per access.
@@ -198,9 +190,8 @@ pub trait CacheModel {
     ///
     /// Semantically identical to calling [`access`](CacheModel::access)
     /// once per request and summing the outcomes; implementations may
-    /// override it to amortize per-request dispatch (the molecular cache
-    /// hoists its ASID-gate/region check across runs of same-ASID
-    /// requests) but must keep the results bit-identical to the loop.
+    /// override it to amortize per-request dispatch but must keep the
+    /// results bit-identical to the loop.
     fn access_batch(&mut self, reqs: &[Request]) -> BatchOutcome {
         let mut out = BatchOutcome::default();
         for req in reqs {

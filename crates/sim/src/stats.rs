@@ -107,6 +107,11 @@ impl<V> AppTable<V> {
         self.position(*asid).map(|i| &self.stats[i])
     }
 
+    /// Mutable access to the value of `asid`, if it was seen.
+    pub fn get_mut(&mut self, asid: &Asid) -> Option<&mut V> {
+        self.position(*asid).map(|i| &mut self.stats[i])
+    }
+
     /// Number of applications seen.
     pub fn len(&self) -> usize {
         self.asids.len()
